@@ -3,8 +3,8 @@
 Subcommands: validate, critical-ages, classify, optimize, paths, sweep,
 verify, babyboom.  Tabular results are CSV (17 significant digits, headers in
 docs/formats.md); scalar results are single JSON objects with stable key
-order.  Exit codes: 0 ok, 2 usage error, 3 infeasible/empty region, 4
-validation failure.
+order.  Exit codes: 0 ok, 1 verify FAIL, 2 usage error, 3 infeasible/empty
+region, 4 validation failure, 5 internal error.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .scenario import Scenario, load_scenario, validate, with_params
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_INVALID = 4
+EXIT_INTERNAL = 5
 
 _VALIDATION_ERRORS = (ParseError, SchemaError, OrderingViolation,
                       DegenerateDrift, UtilityExplosion, AssumptionError)
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:   # a defect in penmix itself, not in the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

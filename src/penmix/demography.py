@@ -114,8 +114,9 @@ class SupportRatioFn:
     """Support ratio as a function of time.
 
     In constant mode the value is t-independent. In babyboom mode the ratio is
-    tabulated on a uniform grid over [t_lo, t_hi] (step `grid_step`) with
-    monotone-cubic interpolation between nodes and constant extension outside.
+    tabulated on a grid over [t_lo, t_hi] (step `grid_step`, the last step
+    shortened to end at t_hi) with monotone-cubic interpolation between nodes
+    and constant extension outside.
     """
 
     mode: str                    # "constant" | "babyboom"
@@ -125,6 +126,11 @@ class SupportRatioFn:
     grid_step: float = 0.0
     _interp: Optional[PchipInterpolator] = None
     _right_value: float = 0.0
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Table nodes, t_lo first and t_hi last (babyboom mode)."""
+        return self._interp.x
 
     def __call__(self, t):
         if self.mode == "constant":
@@ -165,7 +171,9 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     # Lambda(t) is constant outside [t1, t2 + omega - a]: before t1 every living
     # cohort entered in the rho1 regime, after t2 + omega - a in the rho2 regime.
     t_lo, t_hi = bb.t1, bb.t2 + demo.omega - demo.a
-    ts = np.arange(t_lo, t_hi + BB_GRID_STEP / 2, BB_GRID_STEP)
+    # the last step is shortened so that the table ends exactly at t_hi
+    ts = np.arange(t_lo, t_hi, BB_GRID_STEP)
+    ts = np.append(ts[ts < t_hi - 1e-9], t_hi)
     table = np.array([
         _bb_mass(t, demo.a, demo.tau, demo) / _bb_mass(t, demo.tau, demo.omega, demo)
         for t in ts])

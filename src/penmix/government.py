@@ -79,16 +79,6 @@ class CohortGrid:
     delta0: float
 
 
-def _coefs_at_t0(zs: np.ndarray, s: Scenario):
-    """(M1, M2, M3, N) arrays at evaluation time t0 across entry times."""
-    t0 = s.policy.t0
-    if s.demo.babyboom is None:
-        # constant mode: the coefficients depend on z - t only
-        return lifecycle._coef_arrays(2 * t0 - zs, t0, s)
-    cols = [lifecycle._coef_arrays(np.array([t0]), float(z), s) for z in zs]
-    return tuple(np.array([float(c[i]) for c in cols]) for i in range(4))
-
-
 @lru_cache(maxsize=8)
 def _grid(s: Scenario, step: float) -> CohortGrid:
     d, p, mk, f = s.demo, s.policy, s.market, s.pref
@@ -112,12 +102,11 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     # interior limit, which is the point of splitting the integral there
     deltas = np.concatenate([np.full(len(z_ret), f.delta2),
                              np.full(len(z_wrk), f.delta1)])
-    M1, M2, M3, N = _coefs_at_t0(zs, s)
-    L = np.array([lifecycle.coeff_L(t0, z, dz, s) for z, dz in zip(zs, deltas)])
-    states = [lifecycle.estimate_initial_states(z, s, delta=dz)
-              for z, dz in zip(zs, deltas)]
-    x0 = np.array([st.x0 for st in states])
-    y0 = np.array([st.y0 for st in states])
+    coefs = lifecycle._coef_arrays(t0, zs, s)
+    M1, M2, M3, N = coefs
+    L = np.concatenate([lifecycle.L_table(t0 - z_ret, f.delta2, s),
+                        lifecycle.L_table(t0 - z_wrk, f.delta1, s)])
+    x0, y0 = lifecycle._state_arrays(zs, deltas, coefs, L, s)
     base = x0 + M3 * w0 + N * y0
 
     L0 = lifecycle.entry_L(f.delta0, s)
@@ -159,9 +148,7 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
                    * math.exp((-mk.r + f.delta0 * growth) * (tail_start - t0))
                    / (f.delta0 * denom_tail))
     if fut_z.size:
-        dc = validate(s)
-        fut_M1 = np.array([float(lifecycle._bb_m1(np.array([z]), z, s, dc.epsilon))
-                           for z in fut_z])
+        fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, validate(s).epsilon)
         fut_density = demography.bb_entrants(fut_z, d.babyboom)
         fut_coef = (fut_w * fut_density * np.exp(-mk.r * (fut_z - t0))
                     * np.exp(f.delta0 * growth * (fut_z - t0))

@@ -14,14 +14,10 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import demography
 from .errors import DomainError, InsolventCohort
 from .scenario import Scenario, delta_for_entry, validate
-
-#: absolute quadrature tolerance for the L integrals
-L_QUAD_ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,6 +73,58 @@ def _growth_exponent(delta: float, s: Scenario) -> float:
     return (delta / (1 - delta)) * (mk.r + (mk.mu - mk.r) ** 2 / (2 * mk.sigma**2 * (1 - delta)))
 
 
+#: widest Gauss-Legendre panel (years) of the L kernel
+L_PANEL = 1.0
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+
+
+def _gauss_legendre(lo, hi, f):
+    """10-point Gauss-Legendre integral of f over each panel [lo_i, hi_i].
+
+    f receives a (panels, 10) array of nodes.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (f(mid[:, None] + half[:, None] * _GL_X) * _GL_W).sum(axis=1) * half
+
+
+def L_table(ages, delta: float, s: Scenario) -> np.ndarray:
+    """L at every life-time u0 = t - z in `ages` for CRRA exponent delta.
+
+    L(u0) = [e^{-c u0} I(u0)]^{1 - delta} with I(u0) the integral of
+    (e^{-ru} s(u) lambda(u))^{1/(1-delta)} e^{c u} over [u0, omega - a].  All
+    the I(u0) come from one right-to-left cumulative sum of Gauss-Legendre
+    panels whose edges are the requested ages, retirement (where lambda
+    jumps) and the end of life, each panel at most L_PANEL wide.  Ages are
+    clipped to [0, omega - a]; L is 0 at the end of life.
+    """
+    d = s.demo
+    life, ret = d.omega - d.a, d.tau - d.a
+    u0 = np.clip(np.asarray(ages, dtype=float), 0.0, life)
+    knots = np.unique(np.append(u0, (ret, life)))
+    knots = knots[knots >= u0.min()]
+    # cut every gap between knots into equal panels no wider than L_PANEL
+    gaps = np.diff(knots)
+    n = np.ceil(gaps / L_PANEL).astype(int)
+    gap = np.repeat(np.arange(gaps.size), n)
+    j = np.arange(gap.size) - np.repeat(np.cumsum(n) - n, n)
+    edges = np.append(knots[gap] + gaps[gap] * (j / n[gap]), life)
+
+    cexp = _growth_exponent(delta, s)
+    p = 1.0 / (1.0 - delta)
+    lam = np.where(0.5 * (edges[:-1] + edges[1:]) >= ret, s.pref.lam, 1.0)[:, None]
+
+    def integrand(u):
+        return ((np.exp(-s.market.r * u) * demography.survival(u + d.a, d) * lam) ** p
+                * np.exp(cexp * u))
+
+    seg = _gauss_legendre(edges[:-1], edges[1:], integrand)
+    inner = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+    L = (np.exp(-cexp * u0) * inner[np.searchsorted(edges, u0)]) ** (1.0 - delta)
+    return np.where(u0 >= life - 1e-14, 0.0, L)
+
+
 @lru_cache(maxsize=16384)
 def _L_of_age(u0: float, delta: float, s: Scenario) -> float:
     """L at life-time u0 = t - z in [0, omega - a]; independent of z otherwise.
@@ -85,30 +133,7 @@ def _L_of_age(u0: float, delta: float, s: Scenario) -> float:
     equal to floats, so one cache entry serves both and must not leak
     numpy types into scalar code paths.
     """
-    u0, delta = float(u0), float(delta)
-    d = s.demo
-    life = d.omega - d.a
-    if u0 >= life - 1e-14:
-        return 0.0
-    cexp = _growth_exponent(delta, s)
-    p = 1.0 / (1.0 - delta)
-    r = s.market.r
-    lam_p = s.pref.lam**p
-
-    def g(u, lam_fac):
-        return (math.exp(-r * u) * demography.survival(u + d.a, d)) ** p \
-            * lam_fac * math.exp(cexp * (u - u0))
-
-    ret = d.tau - d.a
-    if u0 < ret:
-        val = quad(lambda u: g(u, 1.0), u0, ret,
-                   epsabs=L_QUAD_ABS_TOL, epsrel=1e-12, limit=200)[0]
-        val += quad(lambda u: g(u, lam_p), ret, life,
-                    epsabs=L_QUAD_ABS_TOL, epsrel=1e-12, limit=200)[0]
-    else:
-        val = quad(lambda u: g(u, lam_p), u0, life,
-                   epsabs=L_QUAD_ABS_TOL, epsrel=1e-12, limit=200)[0]
-    return float(val ** (1.0 - delta))
+    return float(L_table(float(u0), float(delta), s))
 
 
 def coeff_L(t: float, z: float, delta: float, s: Scenario) -> float:
@@ -127,14 +152,15 @@ def entry_L(delta: float, s: Scenario) -> float:
 # M1, M2, M3, N
 # --------------------------------------------------------------------------
 
-def _coef_arrays(t, z: float, s: Scenario):
-    """Vectorized (M1, M2, M3, N) over evaluation times t for entry time z."""
+def _coef_arrays(t, z, s: Scenario):
+    """Vectorized (M1, M2, M3, N) over evaluation times t and entry times z
+    (broadcast against each other)."""
     dc = validate(s)
     d, p = s.demo, s.policy
     r = s.market.r
     eps, epst = dc.epsilon, dc.epsilon_tilde
     Lam, a_tau = dc.Lambda, dc.a_tau
-    t = np.asarray(t, dtype=float)
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
     q = z - t + d.tau - d.a              # time to retirement (positive while working)
     life = np.maximum(z - t + d.omega - d.a, 0.0)
     ret = q <= 0
@@ -160,26 +186,51 @@ def _coef_arrays(t, z: float, s: Scenario):
     return M1, M2, M3, N
 
 
-def _bb_m1(t, z: float, s: Scenario, eps: float):
-    """Time-varying-support-ratio M1: numeric benefit leg minus closed contribution leg."""
+@lru_cache(maxsize=16)
+def _bb_leg_table(demo, eps: float):
+    """Lambda(t) table nodes and the cumulative integral of
+    Lambda(u) e^{eps (u - t_lo)} from the first node t_lo to each node."""
+    fn = demography.support_ratio_fn(demo)
+    ts = fn.nodes
+    seg = _gauss_legendre(ts[:-1], ts[1:], lambda u: fn(u) * np.exp(eps * (u - ts[0])))
+    return ts, np.append(0.0, np.cumsum(seg))
+
+
+def _bb_leg(x, t, demo, eps: float):
+    """integral of Lambda(u) e^{eps (u - t)} du from the table start t_lo to x.
+
+    Closed forms on the two constant plateaus, the cumulative table up to the
+    cell holding x, and one partial-cell Gauss-Legendre panel inside it.
+    """
+    fn = demography.support_ratio_fn(demo)
+    ts, cum = _bb_leg_table(demo, eps)
+    t_lo, t_hi = ts[0], ts[-1]
+    xin = np.clip(x, t_lo, t_hi).ravel()
+    j = np.clip(np.searchsorted(ts, xin, side="right") - 1, 0, ts.size - 2)
+    inside = cum[j] + _gauss_legendre(
+        ts[j], xin, lambda u: fn(u) * np.exp(eps * (u - t_lo)))
+
+    def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
+        return np.expm1(eps * (y - t_lo)) / eps
+
+    leg = np.where(x < t_lo, fn(t_lo) * exp_leg(x),
+                   np.where(x > t_hi, cum[-1] + fn(t_hi) * (exp_leg(x) - exp_leg(t_hi)),
+                            inside.reshape(x.shape)))
+    return np.exp(eps * (t_lo - t)) * leg
+
+
+def _bb_m1(t, z, s: Scenario, eps: float):
+    """Time-varying-support-ratio M1 at times t for entry times z (broadcast):
+    benefit leg from the cumulative Lambda(t) integral minus the closed
+    contribution leg."""
     d, p = s.demo, s.policy
-    lam_fn = demography.support_ratio_fn(d)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
     T = _life_end(z, s)
     t_ret = z + d.tau - d.a
-    out = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if ti >= T - 1e-14:
-            out[i] = 0.0
-            continue
-        plus = quad(lambda u: lam_fn(u) * math.exp(eps * (u - ti)),
-                    max(ti, t_ret), T,
-                    epsabs=demography.BB_QUAD_ABS_TOL, limit=400)[0]
-        minus = 0.0
-        if ti < t_ret:
-            minus = (1 - p.tau1) / eps * (math.exp(eps * (t_ret - ti)) - 1.0)
-        out[i] = plus - minus
-    return out if out.size > 1 else out.reshape(())
+    lo = np.minimum(np.maximum(t, t_ret), T)
+    plus = _bb_leg(T, t, d, eps) - _bb_leg(lo, t, d, eps)
+    minus = np.where(t < t_ret, (1 - p.tau1) / eps * np.expm1(eps * (t_ret - t)), 0.0)
+    return np.where(t >= T - 1e-14, 0.0, plus - minus)
 
 
 def coefficients(t: float, z: float, s: Scenario) -> CohortCoefficients:
@@ -266,12 +317,12 @@ def optimal_controls(t: float, x: float, w: float, y: float, z: float,
 # state estimation and expected optimal paths
 # --------------------------------------------------------------------------
 
-def _salary_accum(lo: float, hi: float, s: Scenario) -> float:
-    """integral of e^{(gamma - alpha) u} du over [lo, hi]."""
+def _salary_accum(lo, hi, s: Scenario):
+    """integral of e^{(gamma - alpha) u} du over [lo, hi] (elementwise)."""
     g = s.market.gamma - s.market.alpha
     if abs(g) < 1e-14:
         return hi - lo
-    return (math.exp(g * hi) - math.exp(g * lo)) / g
+    return (np.exp(g * hi) - np.exp(g * lo)) / g
 
 
 def expected_eet_balance(t: float, z: float, s: Scenario, k: float,
@@ -288,40 +339,56 @@ def expected_eet_balance(t: float, z: float, s: Scenario, k: float,
         return 0.0
     if k_initial is None or te <= p.t0:
         rate_te = k if k_initial is None else k_initial
-        return rate_te * mk.W0 * math.exp(mk.alpha * te) * _salary_accum(z, te, s)
+        return float(rate_te * mk.W0 * math.exp(mk.alpha * te) * _salary_accum(z, te, s))
     acc = k_initial * _salary_accum(z, min(p.t0, te), s)
     if te > p.t0:
         acc += k * _salary_accum(p.t0, te, s)
-    return mk.W0 * math.exp(mk.alpha * te) * acc
+    return float(mk.W0 * math.exp(mk.alpha * te) * acc)
+
+
+def _state_arrays(z, delta, coefs_t0, L_t0, s: Scenario):
+    """Expectation-based (x0, y0) at t0 for the cohorts entering at z.
+
+    `delta` holds each cohort's CRRA exponent, `coefs_t0` its (M1, M2, M3, N)
+    and `L_t0` its L at t0.  Assumes the initial rates (theta0, k0) prevailed
+    over each cohort's whole past; the private-wealth estimate follows the
+    martingale representation of the optimally controlled wealth.
+    """
+    d, p, mk = s.demo, s.policy, s.market
+    dc = validate(s)
+    t0 = p.t0
+    z, delta = np.asarray(z, dtype=float), np.asarray(delta, dtype=float)
+    te = np.minimum(t0, z + d.tau - d.a)
+    y0 = np.where(te > z, p.k0 * mk.W0 * np.exp(mk.alpha * te) * _salary_accum(z, te, s),
+                  0.0)
+    M1, M2, M3, N = coefs_t0
+    M_t0 = M1 * p.theta0 + M2 * p.k0 + M3
+    e1, e2, e3, _ = _coef_arrays(z, z, s)
+    M_z = e1 * p.theta0 + e2 * p.k0 + e3
+    classes, which = np.unique(delta, return_inverse=True)
+    L_z = np.array([entry_L(dl, s) for dl in classes])[which].reshape(delta.shape)
+    w0 = mk.W0 * math.exp(mk.gamma * t0)
+    drift = np.exp((-mk.gamma + mk.r / (1 - delta)
+                    + (2 - delta) * dc.nu**2 / (2 * (1 - delta) ** 2)) * (t0 - z))
+    x0 = -M_t0 * w0 - N * y0 + (L_t0 / L_z) ** (1.0 / (1 - delta)) * M_z * w0 * drift
+    return x0, y0
 
 
 def estimate_initial_states(z: float, s: Scenario,
                             delta: Optional[float] = None) -> CohortState:
     """Expectation-based estimate of (x0, y0) at t0 for the cohort entering at z.
 
-    Assumes the initial rates (theta0, k0) prevailed over the cohort's whole
-    past; the private-wealth estimate follows the martingale representation of
-    the optimally controlled wealth.  `delta` overrides the class exponent
-    (used by quadrature callers at the class boundary).
+    `delta` overrides the class exponent (used by quadrature callers at the
+    class boundary).  See `_state_arrays` for the estimate.
     """
-    d, p, mk = s.demo, s.policy, s.market
+    d, p = s.demo, s.policy
     t0 = p.t0
     if not t0 - (d.omega - d.a) - 1e-9 <= z <= t0 + 1e-9:
         raise DomainError(f"cohort z = {z} is not alive-and-entered at t0 = {t0}")
-    dc = validate(s)
     if delta is None:
         delta = delta_for_entry(z, s)
-    y0 = expected_eet_balance(t0, z, s, p.k0)
-    c_t0 = coefficients(t0, z, s)
-    M_t0 = c_t0.M1 * p.theta0 + c_t0.M2 * p.k0 + c_t0.M3
-    c_z = coefficients(z, z, s)
-    M_z = c_z.M1 * p.theta0 + c_z.M2 * p.k0 + c_z.M3
-    L_t0 = coeff_L(t0, z, delta, s)
-    L_z = coeff_L(z, z, delta, s)
-    w0 = mk.W0 * math.exp(mk.gamma * t0)
-    drift = math.exp((-mk.gamma + mk.r / (1 - delta)
-                      + (2 - delta) * dc.nu**2 / (2 * (1 - delta) ** 2)) * (t0 - z))
-    x0 = -M_t0 * w0 - c_t0.N * y0 + (L_t0 / L_z) ** (1.0 / (1 - delta)) * M_z * w0 * drift
+    x0, y0 = _state_arrays(z, delta, _coef_arrays(t0, z, s),
+                           coeff_L(t0, z, delta, s), s)
     return CohortState(z=float(z), zeta=float(d.a + t0 - z), x0=float(x0),
                        y0=float(y0), delta=float(delta))
 

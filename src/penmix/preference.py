@@ -28,7 +28,8 @@ def tilde_coefficients(zeta: float, s: Scenario):
     """(Mt1, Mt2, Mt1 - Mt2) at age zeta.
 
     With a time-varying support ratio Mt1 (and hence the difference) is
-    computed by quadrature; Mt2 never depends on the entrant flow.
+    computed numerically from the Lambda(t) table; Mt2 never depends on the
+    entrant flow.
     """
     d, p = s.demo, s.policy
     if not d.a - 1e-12 <= zeta <= d.omega + 1e-12:
@@ -47,7 +48,7 @@ def tilde_coefficients(zeta: float, s: Scenario):
 
     if d.babyboom is not None:
         from .lifecycle import _bb_m1
-        mt1 = float(_bb_m1(np.array([p.t0]), d.a + p.t0 - zeta, s, eps))
+        mt1 = float(_bb_m1(p.t0, d.a + p.t0 - zeta, s, eps))
         return mt1, mt2, mt1 - mt2
 
     if zeta >= d.tau:

@@ -6,8 +6,9 @@ brute-force quadrature, finite differences, and direct formula evaluation.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
-from penmix import lifecycle, validate
+from penmix import demography, lifecycle, validate
 from penmix.scenario import Scenario
 
 
@@ -89,3 +90,45 @@ def random_interior_states(s: Scenario, n: int, seed: int, z: float = None):
         if x + base > 1e-6:
             out.append((t, x, w, y))
     return out
+
+
+def quad_L(u0: float, delta: float, s: Scenario) -> float:
+    """L at life-time u0 by adaptive quadrature split at retirement
+    (relative tolerance 1e-13, no absolute floor)."""
+    d = s.demo
+    life, ret = d.omega - d.a, d.tau - d.a
+    if u0 >= life:
+        return 0.0
+    cexp = lifecycle._growth_exponent(delta, s)
+    p = 1.0 / (1.0 - delta)
+
+    def g(u, lam):
+        return ((math.exp(-s.market.r * u) * demography.survival(u + d.a, d) * lam) ** p
+                * math.exp(cexp * (u - u0)))
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    if u0 < ret:
+        val = (quad(g, u0, ret, args=(1.0,), **opts)[0]
+               + quad(g, ret, life, args=(s.pref.lam,), **opts)[0])
+    else:
+        val = quad(g, u0, life, args=(s.pref.lam,), **opts)[0]
+    return val ** (1.0 - delta)
+
+
+def quad_bb_m1(t: float, z: float, s: Scenario) -> float:
+    """Baby-boom M1 at time t for the cohort entering at z: the benefit leg by
+    adaptive quadrature split at every Lambda(t) table node, minus the closed
+    contribution leg."""
+    d, p = s.demo, s.policy
+    eps = validate(s).epsilon
+    fn = demography.support_ratio_fn(d)
+    T, t_ret = z + d.omega - d.a, z + d.tau - d.a
+    if t >= T:
+        return 0.0
+    lo = max(t, t_ret)
+    edges = [lo, *(x for x in fn.nodes if lo < x < T), T]
+    plus = sum(quad(lambda u: fn(u) * math.exp(eps * (u - t)), e0, e1,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for e0, e1 in zip(edges, edges[1:]))
+    minus = (1 - p.tau1) / eps * (math.exp(eps * (t_ret - t)) - 1.0) if t < t_ret else 0.0
+    return plus - minus

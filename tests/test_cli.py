@@ -188,3 +188,33 @@ def test_longevity_raises_critical_age(us):
     for delta in (1.0, 0.7, 0.4):
         ages.append(preference.critical_age_paygo_savings(mortality_scale(us, delta)))
     assert ages[0] < ages[1] < ages[2]
+
+
+def test_sweep_babyboom_theta_star(capsys, scenario_dir, tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "policy.tau1", "lo": 0.24, "hi": 0.26, "steps": 2},
+        "param2": {"path": "policy.m", "lo": 0.24, "hi": 0.26, "steps": 2},
+        "target": "theta_star",
+    }))
+    out_file = tmp_path / "sweep.csv"
+    monkeypatch.setenv("PENMIX_THREADS", "1")
+    code, _, err = run(capsys, "sweep", str(scenario_dir / "scenario_us_babyboom.json"),
+                       "--spec", str(spec), "--out", str(out_file))
+    assert code == 0, err
+    cells = [line.split(",") for line in out_file.read_text().strip().split("\n")[1:]]
+    assert len(cells) == 4
+    assert all(0.0 < float(c[2]) < float(c[1]) and c[3] == "" for c in cells)
+
+
+def test_internal_error_exit_code(capsys, scenario_dir, monkeypatch):
+    import penmix.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(penmix.cli, "_cmd_validate", broken)
+    code, out, err = run(capsys, "validate", str(scenario_dir / "scenario_us.json"))
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"

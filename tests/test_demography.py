@@ -173,3 +173,17 @@ def test_bb_degenerate_boom_reduces_to_constant(us):
     far = bb.t2 + (d.omega - d.a) + 1.0
     assert demography.bb_support_ratio(far, degen) == pytest.approx(expect, rel=1e-6)
     assert demography.bb_support_ratio(0.0, degen) == pytest.approx(expect, rel=1e-6)
+
+
+def test_bb_table_ends_exactly_at_post_boom_plateau(us_bb):
+    # t2 - t1 is not a multiple of the 0.1-year table step
+    d = us_bb.demo
+    bb = dataclasses.replace(d.babyboom, t2=d.babyboom.t1 + 20.037)
+    demo = dataclasses.replace(d, babyboom=bb)
+    t_hi = bb.t2 + d.omega - d.a
+    fn = demography.support_ratio_fn(demo)
+    assert fn.t_hi == t_hi
+    for rho, ts in ((bb.rho1, (bb.t1 - 5.0, bb.t1)), (bb.rho2, (t_hi, t_hi + 5.0))):
+        expect = demography.support_ratio(dataclasses.replace(d, babyboom=None, rho=rho))
+        for t in ts:
+            assert fn(t) == pytest.approx(expect, rel=1e-12)

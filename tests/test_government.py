@@ -7,6 +7,7 @@ import pytest
 from penmix import (
     InsolventCohort,
     government,
+    lifecycle,
     validate,
     with_params,
 )
@@ -228,3 +229,31 @@ def test_voluntary_matches_mandatory_at_baseline(us):
     man = government.optimize_mix(us, mode="population", step=STEP)
     assert vol.theta_star == pytest.approx(man.theta_star, abs=0.005)
     assert vol.mode == "voluntary"
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn"])
+def test_grid_columns_match_scalar_kernels(fixture, request):
+    s = request.getfixturevalue(fixture)
+    g = government._grid(s, STEP)
+    t0 = s.policy.t0
+    L = [lifecycle.coeff_L(t0, z, dz, s) for z, dz in zip(g.z, g.delta)]
+    states = [lifecycle.estimate_initial_states(z, s, delta=dz)
+              for z, dz in zip(g.z, g.delta)]
+    for column, scalar in ((g.L, L), (g.x0, [st.x0 for st in states]),
+                           (g.y0, [st.y0 for st in states])):
+        scalar = np.array(scalar)
+        np.testing.assert_allclose(column, scalar, rtol=1e-12,
+                                   atol=1e-12 * np.abs(scalar).max())
+
+
+@pytest.mark.parametrize("mode, theta, k", [("population", 0.0922, 0.1578),
+                                            ("equal", 0.1174, 0.1326)])
+def test_babyboom_optimal_mix(us_bb, mode, theta, k):
+    mix = government.optimize_mix(us_bb, mode=mode)
+    assert mix.theta_star == pytest.approx(theta, abs=1e-3)
+    assert mix.k_star == pytest.approx(k, abs=1e-3)
+    assert mix.cap_binding and mix.evaluations > 0
+    assert government.admissible_region(us_bb).contains(mix.theta_star, mix.k_star)
+    vol = government.optimize_voluntary(us_bb, mode=mode)
+    assert vol.theta_star == pytest.approx(mix.theta_star, abs=1e-6)
+    assert vol.evaluations > 0

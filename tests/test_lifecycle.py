@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from penmix import DomainError, InsolventCohort, lifecycle, validate, with_params
 
-from _oracles import hjb_residual, random_interior_states
+from _oracles import hjb_residual, quad_bb_m1, quad_L, random_interior_states
 
 # 50-digit evaluation of e^{-r*40} * s(70) * lambda at the US parameters
 B_WEIGHT_US_40 = 0.6204629894631967
@@ -263,3 +263,35 @@ def test_expected_path_for_mid_career_cohort_starts_at_estimate(us):
     assert table["t"][0] == us.policy.t0
     assert table["EX"][0] == pytest.approx(st_.x0, rel=1e-10)
     assert table["EY"][0] == pytest.approx(st_.y0, rel=1e-10)
+
+
+def test_L_table_against_quad_oracle(us):
+    rng = np.random.default_rng(11)
+    for i in range(50):
+        s = with_params(us, **{"demo.A": us.demo.A * rng.uniform(0.3, 3.0),
+                               "demo.B": us.demo.B * rng.uniform(0.3, 3.0),
+                               "demo.c": rng.uniform(1.07, 1.15)})
+        delta = rng.uniform(-5.0, -0.1) if i % 2 else rng.uniform(0.05, 0.8)
+        life = s.demo.omega - s.demo.a
+        ages = [0.0, s.demo.tau - s.demo.a, rng.uniform(0.0, life), life - 1e-6, life]
+        expect = np.array([quad_L(u, delta, s) for u in ages])
+        one_node = np.array([float(lifecycle.L_table(u, delta, s)) for u in ages])
+        together = lifecycle.L_table(ages, delta, s)
+        for got in (one_node, together):
+            assert got[-1] == 0.0
+            np.testing.assert_allclose(got[:-1], expect[:-1], rtol=1e-12, atol=0.0)
+
+
+def test_bb_m1_leg_against_split_quad(us_bb):
+    eps = validate(us_bb).epsilon
+    life = us_bb.demo.omega - us_bb.demo.a
+    rng = np.random.default_rng(4)
+    for z in (-95.0, -30.0, 10.0, *rng.uniform(-120.0, 60.0, 3)):
+        for t in (z, z + 20.0, z + rng.uniform(0.0, life), z + life - 1e-3):
+            m1 = float(lifecycle._bb_m1(t, z, us_bb, eps))
+            assert abs(m1 - quad_bb_m1(t, z, us_bb)) <= 1e-10 * max(1.0, abs(m1))
+    # array arguments broadcast and agree with scalar calls
+    zs = np.array([-60.0, -20.0, 0.0])
+    np.testing.assert_allclose(
+        lifecycle._bb_m1(0.0, zs, us_bb, eps),
+        [float(lifecycle._bb_m1(0.0, z, us_bb, eps)) for z in zs], rtol=1e-14)
