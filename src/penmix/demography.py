@@ -20,10 +20,40 @@ from .scenario import BabyBoomParams, DemographyParams
 
 #: absolute quadrature tolerance for the demographic integrals
 QUAD_ABS_TOL = 1e-10
-#: absolute tolerance for the time-varying support-ratio integrals
-BB_QUAD_ABS_TOL = 1e-9
 #: grid step (years) of the cached Lambda(t) table
 BB_GRID_STEP = 0.1
+#: widest Gauss-Legendre panel (years) of the Lambda(t) mass integrals
+BB_PANEL = 1.0
+#: Lambda(t) table nodes integrated together (bounds the temporaries)
+BB_CHUNK = 16
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+
+
+def _gauss_legendre(lo, hi, f):
+    """10-point Gauss-Legendre integral of f over each panel [lo_i, hi_i].
+
+    f receives a (panels, 10) array of nodes.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (f(mid[:, None] + half[:, None] * _GL_X) * _GL_W).sum(axis=1) * half
+
+
+def _panels(lo, hi, width: float):
+    """Cut every interval [lo_i, hi_i] into equal panels no wider than width.
+
+    Returns (panel lo, panel hi, owning interval i), in interval order; an
+    empty interval gets no panel and the last panel of each ends exactly at
+    hi_i.
+    """
+    gaps = hi - lo
+    n = np.ceil(gaps / width).astype(int)
+    own = np.repeat(np.arange(gaps.size), n)
+    j = np.arange(own.size) - np.repeat(np.cumsum(n) - n, n)
+    last = j == n[own] - 1
+    return (lo[own] + gaps[own] * (j / n[own]),
+            np.where(last, hi[own], lo[own] + gaps[own] * ((j + 1) / n[own])), own)
 
 
 def survival(x, demo: DemographyParams):
@@ -144,21 +174,26 @@ class SupportRatioFn:
         return float(out) if out.ndim == 0 else out
 
 
-def _bb_mass(t: float, lo: float, hi: float, demo: DemographyParams) -> float:
-    """integral over ages [lo, hi] of n(t - u + a) s(u), split at the regime kinks."""
-    bb = demo.babyboom
-    a = demo.a
-    lnc = math.log(demo.c)
-    ca = demo.c**demo.a
+def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
+    """Worker and retiree masses at times ts: the integrals of n(t - u + a) s(u)
+    over ages [a, tau] and [tau, omega], shape (len(ts), 2).
 
-    def f(u):
-        n = bb_entrants(t - u + a, bb)
-        return n * math.exp(-demo.A * (u - a) - (demo.B / lnc) * (math.exp(u * lnc) - ca))
-
-    kinks = sorted(v for v in (t - bb.t1 + a, t - bb.t2 + a) if lo < v < hi)
-    edges = [lo, *kinks, hi]
-    return sum(quad(f, e0, e1, epsabs=BB_QUAD_ABS_TOL, epsrel=1e-11, limit=200)[0]
-               for e0, e1 in zip(edges, edges[1:]))
+    Each age range is split at the regime kinks u = t - t1 + a and
+    u = t - t2 + a, inside which the integrand is smooth, and each piece is
+    cut into Gauss-Legendre panels at most BB_PANEL wide.
+    """
+    bb, a = demo.babyboom, demo.a
+    ts = np.asarray(ts, dtype=float)
+    kinks = np.column_stack([ts - bb.t2 + a, ts - bb.t1 + a])
+    # (node, age range, edge): each range's ends with the kinks clipped into it
+    edges = np.stack([
+        np.column_stack([np.full(ts.size, lo), np.clip(kinks, lo, hi), np.full(ts.size, hi)])
+        for lo, hi in ((a, demo.tau), (demo.tau, demo.omega))], axis=1)
+    plo, phi, own = _panels(edges[..., :-1].ravel(), edges[..., 1:].ravel(), BB_PANEL)
+    t_of = ts[own // 6][:, None]
+    vals = _gauss_legendre(plo, phi,
+                           lambda u: bb_entrants(t_of - u + a, bb) * survival(u, demo))
+    return np.bincount(own // 3, weights=vals, minlength=2 * ts.size).reshape(ts.size, 2)
 
 
 @lru_cache(maxsize=16)
@@ -174,9 +209,9 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     # the last step is shortened so that the table ends exactly at t_hi
     ts = np.arange(t_lo, t_hi, BB_GRID_STEP)
     ts = np.append(ts[ts < t_hi - 1e-9], t_hi)
-    table = np.array([
-        _bb_mass(t, demo.a, demo.tau, demo) / _bb_mass(t, demo.tau, demo.omega, demo)
-        for t in ts])
+    mass = np.vstack([_bb_masses(ts[i:i + BB_CHUNK], demo)
+                      for i in range(0, ts.size, BB_CHUNK)])
+    table = mass[:, 0] / mass[:, 1]
     return SupportRatioFn(mode="babyboom", value=float(table[0]),
                           t_lo=float(ts[0]), t_hi=float(ts[-1]),
                           grid_step=BB_GRID_STEP,

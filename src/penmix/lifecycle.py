@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import demography
+from .demography import _gauss_legendre, _panels
 from .errors import DomainError, InsolventCohort
 from .scenario import Scenario, delta_for_entry, validate
 
@@ -76,18 +77,6 @@ def _growth_exponent(delta: float, s: Scenario) -> float:
 #: widest Gauss-Legendre panel (years) of the L kernel
 L_PANEL = 1.0
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-
-
-def _gauss_legendre(lo, hi, f):
-    """10-point Gauss-Legendre integral of f over each panel [lo_i, hi_i].
-
-    f receives a (panels, 10) array of nodes.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return (f(mid[:, None] + half[:, None] * _GL_X) * _GL_W).sum(axis=1) * half
-
 
 def L_table(ages, delta: float, s: Scenario) -> np.ndarray:
     """L at every life-time u0 = t - z in `ages` for CRRA exponent delta.
@@ -104,22 +93,18 @@ def L_table(ages, delta: float, s: Scenario) -> np.ndarray:
     u0 = np.clip(np.asarray(ages, dtype=float), 0.0, life)
     knots = np.unique(np.append(u0, (ret, life)))
     knots = knots[knots >= u0.min()]
-    # cut every gap between knots into equal panels no wider than L_PANEL
-    gaps = np.diff(knots)
-    n = np.ceil(gaps / L_PANEL).astype(int)
-    gap = np.repeat(np.arange(gaps.size), n)
-    j = np.arange(gap.size) - np.repeat(np.cumsum(n) - n, n)
-    edges = np.append(knots[gap] + gaps[gap] * (j / n[gap]), life)
+    lo, hi, _ = _panels(knots[:-1], knots[1:], L_PANEL)
+    edges = np.append(lo, life)
 
     cexp = _growth_exponent(delta, s)
     p = 1.0 / (1.0 - delta)
-    lam = np.where(0.5 * (edges[:-1] + edges[1:]) >= ret, s.pref.lam, 1.0)[:, None]
+    lam = np.where(0.5 * (lo + hi) >= ret, s.pref.lam, 1.0)[:, None]
 
     def integrand(u):
         return ((np.exp(-s.market.r * u) * demography.survival(u + d.a, d) * lam) ** p
                 * np.exp(cexp * u))
 
-    seg = _gauss_legendre(edges[:-1], edges[1:], integrand)
+    seg = _gauss_legendre(lo, hi, integrand)
     inner = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     L = (np.exp(-cexp * u0) * inner[np.searchsorted(edges, u0)]) ** (1.0 - delta)
     return np.where(u0 >= life - 1e-14, 0.0, L)

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssumptionError, DomainError
+from .lifecycle import _bb_m1
 from .scenario import Scenario, validate
 
 #: half-width of the indifference band: coefficient magnitudes below this are
@@ -34,32 +35,40 @@ def tilde_coefficients(zeta: float, s: Scenario):
     d, p = s.demo, s.policy
     if not d.a - 1e-12 <= zeta <= d.omega + 1e-12:
         raise DomainError(f"age {zeta} outside [a, omega]")
+    if d.babyboom is not None:
+        return tuple(float(v) for v in _bb_tilde(zeta, s))
     dc = validate(s)
     eps, epst, r = dc.epsilon, dc.epsilon_tilde, s.market.r
     Lam, a_tau = dc.Lambda, dc.a_tau
     ann = (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau))) / (r * a_tau)
 
     if zeta >= d.tau:
-        mt2 = 0.0
-    else:
-        eq = math.exp(eps * (d.tau - zeta))
-        eqt = math.exp(epst * (d.tau - zeta))
-        mt2 = ann / (eps - epst) * (eq - eqt) - (1 - p.tau1) / eps * (eq - 1.0)
-
-    if d.babyboom is not None:
-        from .lifecycle import _bb_m1
-        mt1 = float(_bb_m1(p.t0, d.a + p.t0 - zeta, s, eps))
-        return mt1, mt2, mt1 - mt2
-
-    if zeta >= d.tau:
         mt1 = Lam / eps * (math.exp(eps * (d.omega - zeta)) - 1.0)
         return mt1, 0.0, mt1
     eq = math.exp(eps * (d.tau - zeta))
+    eqt = math.exp(epst * (d.tau - zeta))
+    mt2 = ann / (eps - epst) * (eq - eqt) - (1 - p.tau1) / eps * (eq - 1.0)
     mt1 = (1.0 / eps) * ((1 - p.tau1)
                          + (Lam * math.exp(eps * (d.omega - d.tau)) - Lam - (1 - p.tau1)) * eq)
     diff = (Lam / eps * (math.exp(eps * (d.omega - d.tau)) - 1.0)
             - ann / (eps - epst) * (1.0 - math.exp((epst - eps) * (d.tau - zeta)))) * eq
     return mt1, mt2, diff
+
+
+def _bb_tilde(zeta, s: Scenario):
+    """(Mt1, Mt2, Mt1 - Mt2) at the ages zeta (any shape) under the baby-boom
+    entrant flow: Mt1 is the cohort's M1 at t0, Mt2 the closed form."""
+    d, p = s.demo, s.policy
+    dc = validate(s)
+    eps, epst, r = dc.epsilon, dc.epsilon_tilde, s.market.r
+    ann = (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau))) / (r * dc.a_tau)
+    zeta = np.asarray(zeta, dtype=float)
+    q = np.maximum(d.tau - zeta, 0.0)
+    eq, eqt = np.exp(eps * q), np.exp(epst * q)
+    mt2 = np.where(zeta >= d.tau, 0.0,
+                   ann / (eps - epst) * (eq - eqt) - (1 - p.tau1) / eps * (eq - 1.0))
+    mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, eps)
+    return mt1, mt2, mt1 - mt2
 
 
 def thresholds(s: Scenario):
@@ -88,10 +97,13 @@ def m2_boundary_diagnostics(s: Scenario):
 
 def _scan_root(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
                xtol: float = 1e-8):
-    """Bracket-scan then bisect; returns (first root or None, crossing count)."""
-    xs = np.arange(lo, hi, step)
-    xs = np.append(xs, hi)
-    vals = np.array([f(x) for x in xs])
+    """Bracket-scan then bisect; returns (first root or None, crossing count).
+
+    f is elementwise: the bracket grid is one call on an array of ages, each
+    bisection step one call on a single age.
+    """
+    xs = np.append(np.arange(lo, hi, step), hi).tolist()
+    vals = np.asarray(f(np.array(xs)), dtype=float).tolist()
     roots = []
     for i in range(len(xs) - 1):
         va, vb = vals[i], vals[i + 1]
@@ -103,7 +115,7 @@ def _scan_root(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
             fa = va
             while b_ - a_ > xtol:
                 mid = 0.5 * (a_ + b_)
-                fm = f(mid)
+                fm = float(f(mid))
                 if fa * fm <= 0:
                     b_ = mid
                 else:
@@ -125,7 +137,7 @@ def _critical_age_paygo_savings_diag(s: Scenario):
     d, p = s.demo, s.policy
     dc = validate(s)
     if d.babyboom is not None:
-        mt1 = lambda zeta: tilde_coefficients(zeta, s)[0]
+        mt1 = lambda zeta: _bb_tilde(zeta, s)[0]
         if mt1(d.a) > 0:
             return None, 0
         return _scan_root(mt1, d.a, d.tau - 1e-9)
@@ -149,7 +161,7 @@ def _critical_age_paygo_eet_diag(s: Scenario):
     d, p = s.demo, s.policy
     dc = validate(s)
     if d.babyboom is not None:
-        diff = lambda zeta: tilde_coefficients(zeta, s)[2]
+        diff = lambda zeta: _bb_tilde(zeta, s)[2]
         if diff(d.a) > 0:
             return None, 0
         return _scan_root(diff, d.a, d.tau - 1e-9)

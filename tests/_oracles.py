@@ -132,3 +132,38 @@ def quad_bb_m1(t: float, z: float, s: Scenario) -> float:
                for e0, e1 in zip(edges, edges[1:]))
     minus = (1 - p.tau1) / eps * (math.exp(eps * (t_ret - t)) - 1.0) if t < t_ret else 0.0
     return plus - minus
+
+
+
+def quad_bb_support_ratio(t: float, demo) -> float:
+    """Baby-boom Lambda(t): worker over retiree mass, each the integral of
+    n(t - u + a) s(u) by adaptive quadrature split at the regime kinks
+    u = t - t1 + a and u = t - t2 + a (relative tolerance 1e-13).
+
+    The entrant density and the survival function are written out here with
+    scalar math; a kink within 1e-9 of a range end is not split at, so no
+    sliver piece is handed to quad.
+    """
+    bb, a = demo.babyboom, demo.a
+    lnc = math.log(demo.c)
+    n_t2 = bb.nm / (1.0 + (bb.nm / bb.n1 - 1.0) * math.exp(-bb.kappa * (bb.t2 - bb.t1)))
+
+    def f(u):
+        v = t - u + a
+        if v <= bb.t1:
+            n = bb.n1 * math.exp(bb.rho1 * (v - bb.t1))
+        elif v <= bb.t2:
+            n = bb.nm / (1.0 + (bb.nm / bb.n1 - 1.0) * math.exp(-bb.kappa * (v - bb.t1)))
+        else:
+            n = n_t2 * math.exp(bb.rho2 * (v - bb.t2))
+        return n * math.exp(-demo.A * (u - a) - demo.B / lnc * (math.exp(u * lnc)
+                                                                  - math.exp(a * lnc)))
+
+    def mass(lo, hi):
+        kinks = sorted(v for v in (t - bb.t1 + a, t - bb.t2 + a)
+                       if lo + 1e-9 < v < hi - 1e-9)
+        edges = [lo, *kinks, hi]
+        return sum(quad(f, e0, e1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for e0, e1 in zip(edges, edges[1:]))
+
+    return mass(a, demo.tau) / mass(demo.tau, demo.omega)

@@ -146,6 +146,16 @@ def test_babyboom_command(capsys, scenario_dir, tmp_path):
     assert lines[0] == "t,n,Lambda"
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_babyboom_grid_must_be_positive(capsys, scenario_dir, tmp_path, grid):
+    out_file = tmp_path / "bb.csv"
+    code, out, err = run(capsys, "babyboom", str(scenario_dir / "scenario_us_babyboom.json"),
+                         "--grid", grid, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err == f"error: grid step must be positive (got {float(grid)})\n"
+
+
 def test_verify_table_format(capsys, scenario_dir, tmp_path):
     out_file = tmp_path / "verify.json"
     code, out, _ = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from penmix import DomainError, demography
 from penmix.scenario import BabyBoomParams
 
-from _oracles import trapezoid_annuity
+from _oracles import quad_bb_support_ratio, trapezoid_annuity
 
 # 50-digit evaluations of the survival formula at the US Makeham constants
 SURVIVAL_US_65 = 0.9549788295793718
@@ -187,3 +188,44 @@ def test_bb_table_ends_exactly_at_post_boom_plateau(us_bb):
         expect = demography.support_ratio(dataclasses.replace(d, babyboom=None, rho=rho))
         for t in ts:
             assert fn(t) == pytest.approx(expect, rel=1e-12)
+
+
+#: perturbed baby-boom blocks, relative to the fixture: (t1 shift, length
+#: factor, nm factor, kappa factor), drawn like the benchmark's inputs
+BB_PERTURBATIONS = ((2.71, 1.083, 0.94, 1.07), (-2.96, 0.912, 1.09, 0.93),
+                    (0.37, 1.0, 1.1, 0.9))
+
+#: a block on which adaptive quadrature split only at the regime kinks meets
+#: a kink that rounds onto omega and warns
+BB_SLIVER_BLOCK = dict(t1=-8.2638, t2=10.7197, nm=111.82, kappa=0.05259,
+                       rho1=-0.009805, rho2=-0.002197)
+
+
+def _bb_blocks(d):
+    bb = d.babyboom
+    yield "fixture", bb
+    yield "length 20.037", dataclasses.replace(bb, t2=bb.t1 + 20.037)
+    for shift, length, nm, kappa in BB_PERTURBATIONS:
+        t1 = bb.t1 + shift
+        yield f"perturbed {shift}", dataclasses.replace(
+            bb, t1=t1, t2=t1 + (bb.t2 - bb.t1) * length, nm=bb.nm * nm,
+            kappa=bb.kappa * kappa)
+    yield "sliver", dataclasses.replace(bb, **BB_SLIVER_BLOCK)
+
+
+def test_bb_table_nodes_match_quad_oracle(us_bb):
+    for name, bb in _bb_blocks(us_bb.demo):
+        demo = dataclasses.replace(us_bb.demo, babyboom=bb)
+        fn = demography.support_ratio_fn(demo)
+        oracle = np.array([quad_bb_support_ratio(t, demo) for t in fn.nodes])
+        np.testing.assert_allclose(fn(fn.nodes), oracle, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_bb_table_emits_no_warning(us_bb):
+    demo = dataclasses.replace(us_bb.demo, babyboom=dataclasses.replace(
+        us_bb.demo.babyboom, **BB_SLIVER_BLOCK))
+    demography.support_ratio_fn.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn = demography.support_ratio_fn(demo)
+    assert np.all(np.isfinite(fn(fn.nodes)))

@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penmix import (
     InsolventCohort,
+    PenmixError,
     government,
     lifecycle,
+    preference,
     validate,
     with_params,
 )
+from penmix.scenario import scenario_from_dict, scenario_to_dict
 
 STEP = 0.05
 
@@ -257,3 +262,26 @@ def test_babyboom_optimal_mix(us_bb, mode, theta, k):
     vol = government.optimize_voluntary(us_bb, mode=mode)
     assert vol.theta_star == pytest.approx(mix.theta_star, abs=1e-6)
     assert vol.evaluations > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(t1=st.floats(-60.0, 10.0), length=st.floats(1.0, 40.0),
+       nm=st.floats(20.0, 300.0), kappa=st.floats(0.01, 0.3),
+       rho1=st.floats(-0.02, 0.01), rho2=st.floats(-0.02, 0.01),
+       t0=st.floats(-10.0, 10.0))
+def test_babyboom_fuzz_result_or_typed_error(us_bb, t1, length, nm, kappa, rho1, rho2, t0):
+    doc = scenario_to_dict(us_bb)
+    doc["demography"]["babyboom"].update(t1=t1, t2=t1 + length, nm=nm, kappa=kappa,
+                                         rho1=rho1, rho2=rho2)
+    doc["policy"]["t0"] = t0
+    try:
+        s = scenario_from_dict(doc)
+        report = preference.preference_map(s, step=5.0)
+        mix = government.optimize_mix(s)
+    except PenmixError:
+        return
+    for age in (report.zeta_hat, report.zeta_tilde):
+        assert age is None or s.demo.a <= age <= s.demo.tau
+    assert mix.theta_star + mix.k_star <= s.policy.m + 1e-12
+    assert government.admissible_region(s).contains(mix.theta_star, mix.k_star)
+    assert mix.evaluations > 0

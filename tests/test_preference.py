@@ -220,6 +220,28 @@ def test_babyboom_numeric_critical_ages(us_bb):
     assert dict(report.diagnostics)["zeta_hat_crossings"] == 1
 
 
+@pytest.mark.parametrize("column", [0, 2])
+def test_babyboom_scan_grid_matches_scalar_scan(us_bb, column):
+    d = us_bb.demo
+    lo, hi = d.a, d.tau - 1e-9
+
+    def vectorised(zeta):
+        return preference._bb_tilde(zeta, us_bb)[column]
+
+    scalar = np.vectorize(
+        lambda zeta: preference.tilde_coefficients(float(zeta), us_bb)[column], otypes=[float])
+    xs = np.append(np.arange(lo, hi, preference.BB_SCAN_STEP), hi)
+    assert vectorised(xs).tolist() == scalar(xs).tolist()
+    root, crossings = preference._scan_root(vectorised, lo, hi)
+    assert (root, crossings) == preference._scan_root(scalar, lo, hi)
+    assert crossings == 1
+
+
+def test_babyboom_critical_ages_are_python_floats(us_bb):
+    report = preference.preference_map(us_bb, step=5.0)
+    assert type(report.zeta_hat) is float and type(report.zeta_tilde) is float
+
+
 def test_degenerate_babyboom_matches_constant_report(us):
     import dataclasses
     from penmix.scenario import BabyBoomParams
