@@ -77,12 +77,15 @@ class CohortGrid:
     M02: float
     M03: float
     delta0: float
+    # solvency half-planes c0 + c1 theta + c2 k >= 0: the existing cohorts
+    # (base, m1w, m2w), then every future entrant (M03, M1, M02)
+    rows: np.ndarray
 
 
 @lru_cache(maxsize=8)
 def _grid(s: Scenario, step: float) -> CohortGrid:
     d, p, mk, f = s.demo, s.policy, s.market, s.pref
-    validate(s)
+    dc = validate(s)
     t0 = p.t0
     w0 = mk.W0 * math.exp(mk.gamma * t0)
 
@@ -109,16 +112,15 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     x0, y0 = lifecycle._state_arrays(zs, deltas, coefs, L, s)
     base = x0 + M3 * w0 + N * y0
 
-    L0 = lifecycle.entry_L(f.delta0, s)
+    L0, M02, M03 = dc.L0, dc.M02, dc.M03
     growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2
-    _, M02, M03 = lifecycle.entry_coefficients(s)
 
     if d.babyboom is None:
         tail_start = t0
         rho_tail = d.rho
         n_tail = d.n0 * math.exp(d.rho * tail_start)
         eq_scale = d.n0
-        tail_M01 = lifecycle.entry_coefficients(s)[0]
+        tail_M01 = dc.M01
         fut_z = np.empty(0)
         fut_w = np.empty(0)
     else:
@@ -129,9 +131,10 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
         rho_tail = bb.rho2
         n_tail = float(demography.bb_entrants(tail_start, bb))
         eq_scale = float(demography.bb_entrants(t0, bb))
-        settled = dataclasses.replace(s, demo=dataclasses.replace(
-            d, babyboom=None, rho=bb.rho2))
-        tail_M01 = lifecycle.entry_coefficients(settled)[0]
+        settled = dataclasses.replace(d, babyboom=None, rho=bb.rho2)
+        tail_M01 = float(lifecycle._coef_kernel(
+            d.tau - d.a, d.omega - d.a, s, dc.epsilon, dc.epsilon_tilde,
+            demography.support_ratio(settled), dc.a_tau)[0])
         if tail_start > t0:
             fut_z, fut_w = _simpson(t0, tail_start, step)
         else:
@@ -148,7 +151,7 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
                    * math.exp((-mk.r + f.delta0 * growth) * (tail_start - t0))
                    / (f.delta0 * denom_tail))
     if fut_z.size:
-        fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, validate(s).epsilon)
+        fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, dc.epsilon)
         fut_density = demography.bb_entrants(fut_z, d.babyboom)
         fut_coef = (fut_w * fut_density * np.exp(-mk.r * (fut_z - t0))
                     * np.exp(f.delta0 * growth * (fut_z - t0))
@@ -157,14 +160,21 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
         fut_M1 = np.empty(0)
         fut_coef = np.empty(0)
 
+    m1w, m2w = M1 * w0, M2 * w0
+    entry_M1 = np.append(fut_M1, tail_M01)
+    rows = np.concatenate([
+        np.column_stack([base, m1w, m2w]),
+        np.column_stack([np.full(entry_M1.size, M03), entry_M1,
+                         np.full(entry_M1.size, M02)])])
+    rows.setflags(write=False)   # shared by every caller of the cached grid
     return CohortGrid(
         z=zs, weight=wts, density=density, delta=deltas, L=L,
         M1=M1, M2=M2, M3=M3, N=N, x0=x0, y0=y0,
-        base=base, m1w=M1 * w0, m2w=M2 * w0, w0=w0, step=step,
+        base=base, m1w=m1w, m2w=m2w, w0=w0, step=step,
         fut_M1=fut_M1, fut_coef_pop=fut_coef, fut_coef_eq=fut_coef / eq_scale,
         tail_M01=tail_M01, tail_prefac_pop=tail_prefac,
         tail_prefac_eq=tail_prefac / eq_scale,
-        M02=M02, M03=M03, delta0=f.delta0)
+        M02=M02, M03=M03, delta0=f.delta0, rows=rows)
 
 
 def _phi_nodes(g: CohortGrid, mode: str, G: np.ndarray) -> float:
@@ -213,23 +223,14 @@ def _check_mode(mode: str) -> None:
 
 
 def objective(theta: float, k: float, s: Scenario, mode: str = "population",
-              step: float = Z_STEP, survivor_weighted: bool = False) -> float:
-    """Aggregate welfare phi(theta, k) under the given cohort weighting.
-
-    survivor_weighted is a diagnostic variant that weights existing cohorts by
-    their surviving population n(z) s(age) instead of the entrant density; it
-    is not used by the optimizer.
-    """
+              step: float = Z_STEP) -> float:
+    """Aggregate welfare phi(theta, k) under the given cohort weighting."""
     _check_mode(mode)
     validate(s)
     if theta + k > s.policy.m + 1e-12 or min(theta, k) < -1e-12:
         raise InsolventCohort(
             f"(theta, k) = ({theta}, {k}) violates the cap theta + k <= {s.policy.m}")
     g = _grid(s, step)
-    if survivor_weighted:
-        from . import demography
-        ages = s.demo.a + s.policy.t0 - g.z
-        g = dataclasses.replace(g, density=g.density * demography.survival(ages, s.demo))
     G = g.base + g.m1w * theta + g.m2w * k
     bad = (g.L > 0.0) & (G <= 0.0)
     if np.any(bad):
@@ -294,8 +295,7 @@ def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
     if step <= 0:
         raise DomainError(f"z-grid step must be positive (got {step})")
     g = _grid(s, step)
-    planes = np.column_stack([g.base, g.m1w, g.m2w])
-    region = AdmissibleRegion(halfplanes=planes, m=s.policy.m, step=step)
+    region = AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=s.policy.m, step=step)
     for theta in np.linspace(0.0, s.policy.m, 26):
         for k in np.linspace(0.0, s.policy.m, 26):
             if theta + k <= s.policy.m and region.contains(theta, k, tol=0.0):
@@ -350,8 +350,10 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7):
     return x, f(x), evals + 1
 
 
-def _feasible_interval(c0: np.ndarray, c1: np.ndarray, lo: float, hi: float):
-    """{x in [lo, hi] : c0 + c1 x >= 0 rowwise} or None if empty."""
+def _feasible_interval(c0: np.ndarray, c1: np.ndarray,
+                       lo: float = -math.inf, hi: float = math.inf):
+    """Bounds (lo', hi') of {x in [lo, hi] : c0 + c1 x >= 0 rowwise}, empty
+    when lo' > hi'; None when a row with c1 = 0 fails."""
     pos = c1 > 1e-300
     neg = c1 < -1e-300
     fixed = ~pos & ~neg
@@ -361,35 +363,16 @@ def _feasible_interval(c0: np.ndarray, c1: np.ndarray, lo: float, hi: float):
         lo = max(lo, float((-c0[pos] / c1[pos]).max()))
     if np.any(neg):
         hi = min(hi, float((-c0[neg] / c1[neg]).min()))
-    return (lo, hi) if lo <= hi else None
+    return lo, hi
 
 
-def _entry_m1_rows(g: CohortGrid) -> np.ndarray:
-    return np.append(g.fut_M1, g.tail_M01)
-
-
-def _face_range(g: CohortGrid, m: float):
-    """Feasible theta interval along the cap face k = m - theta."""
-    fut = _entry_m1_rows(g)
-    c0 = np.concatenate([g.base + g.m2w * m,
-                         np.full(fut.size, g.M02 * m + g.M03)])
-    c1 = np.concatenate([g.m1w - g.m2w, fut - g.M02])
-    return _feasible_interval(c0, c1, 0.0, m)
-
-
-def _theta_range(g: CohortGrid, m: float, k: float):
-    fut = _entry_m1_rows(g)
-    c0 = np.concatenate([g.base + g.m2w * k,
-                         np.full(fut.size, g.M02 * k + g.M03)])
-    c1 = np.concatenate([g.m1w, fut])
-    return _feasible_interval(c0, c1, 0.0, m - k)
-
-
-def _k_range(g: CohortGrid, m: float, theta: float):
-    fut = _entry_m1_rows(g)
-    c0 = np.concatenate([g.base + g.m1w * theta, fut * theta + g.M03])
-    c1 = np.concatenate([g.m2w, np.full(fut.size, g.M02)])
-    return _feasible_interval(c0, c1, 0.0, m - theta)
+def _line_interval(g: CohortGrid, point, direction, lo: float, hi: float):
+    """Feasible t in [lo, hi] on the line point + t direction in (theta, k)
+    against every solvency row of the grid, or None if empty."""
+    c0, c1, c2 = g.rows.T
+    bounds = _feasible_interval(c0 + c1 * point[0] + c2 * point[1],
+                                c1 * direction[0] + c2 * direction[1], lo, hi)
+    return bounds if bounds is not None and bounds[0] <= bounds[1] else None
 
 
 def optimize_mix(s: Scenario, mode: str = "population",
@@ -419,7 +402,7 @@ def optimize_mix(s: Scenario, mode: str = "population",
         raise EmptyRegion("no feasible (theta, k) on the coarse grid")
 
     # 1-D search along the binding face theta + k = m
-    face = _face_range(g, m)
+    face = _line_interval(g, (0.0, m), (1.0, -1.0), 0.0, m)
     face_pt, face_val = None, -math.inf
     if face is not None:
         th, face_val, n = _golden_max(lambda t: _phi(g, t, m - t, mode),
@@ -431,11 +414,11 @@ def optimize_mix(s: Scenario, mode: str = "population",
     pt, val = best_pt, best_val
     for _ in range(12):
         theta, k = pt
-        rng_t = _theta_range(g, m, k)
+        rng_t = _line_interval(g, (0.0, k), (1.0, 0.0), 0.0, m - k)
         if rng_t is not None:
             theta, val, n = _golden_max(lambda t: _phi(g, t, k, mode), *rng_t, tol=1e-7)
             evals += n
-        rng_k = _k_range(g, m, theta)
+        rng_k = _line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
         new_k = k
         if rng_k is not None:
             new_k, val, n = _golden_max(lambda kk: _phi(g, theta, kk, mode), *rng_k, tol=1e-7)
@@ -541,28 +524,18 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
     """
     g = _grid(s, step)
     m = s.policy.m
+    # each cohort's best response makes G affine in theta alone; the
+    # entry-time rows also bind every future cohort
     m2p = np.maximum(g.M2, 0.0)
-    coef = (g.M1 - m2p) * g.w0
-    numer = (g.x0 + g.N * g.y0 + (m2p * m + g.M3) * g.w0)
-    pos = coef > 1e-300
-    neg = coef < -1e-300
-    fixed = ~pos & ~neg
-    if np.any(numer[fixed] < -1e-12):
-        raise EmptyRegion("a theta-independent cohort constraint is violated")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = -numer / coef
-    theta_low = float(ratio[pos].max()) if np.any(pos) else -math.inf
-    theta_high = float(ratio[neg].min()) if np.any(neg) else math.inf
-    # the entry-time constraints also bind every future cohort
     m02p = max(g.M02, 0.0)
-    fut_coef = _entry_m1_rows(g) - m02p
-    fut_num = np.full(fut_coef.size, m02p * m + g.M03)
-    fpos = fut_coef > 1e-300
-    fneg = fut_coef < -1e-300
-    if np.any(fpos):
-        theta_low = max(theta_low, float((-fut_num[fpos] / fut_coef[fpos]).max()))
-    if np.any(fneg):
-        theta_high = min(theta_high, float((-fut_num[fneg] / fut_coef[fneg]).min()))
+    entry_M1 = g.rows[g.z.size:, 1]
+    bounds = _feasible_interval(
+        np.concatenate([g.x0 + g.N * g.y0 + (m2p * m + g.M3) * g.w0,
+                        np.full(entry_M1.size, m02p * m + g.M03)]),
+        np.concatenate([(g.M1 - m2p) * g.w0, entry_M1 - m02p]))
+    if bounds is None:
+        raise EmptyRegion("a theta-independent cohort constraint is violated")
+    theta_low, theta_high = bounds
     a1, a2 = _a1_a2_intervals(s)
     lower, upper = max(0.0, theta_low), min(m, theta_high)
     if lower > upper + 1e-12:

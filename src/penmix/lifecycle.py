@@ -31,8 +31,6 @@ class CohortCoefficients:
     M2: float   # EET-rate multiplier on salary
     M3: float   # baseline salary multiplier
     N: float    # EET-balance multiplier
-    L: Optional[float] = None      # utility scale; requires a CRRA exponent
-    delta: Optional[float] = None  # exponent used for L
 
 
 @dataclass(frozen=True)
@@ -137,29 +135,27 @@ def entry_L(delta: float, s: Scenario) -> float:
 # M1, M2, M3, N
 # --------------------------------------------------------------------------
 
-def _coef_arrays(t, z, s: Scenario):
-    """Vectorized (M1, M2, M3, N) over evaluation times t and entry times z
-    (broadcast against each other)."""
-    dc = validate(s)
+def _coef_kernel(q, life, s: Scenario, eps: float, epst: float, Lam: float,
+                 a_tau: float):
+    """The closed-form (M1, M2, M3, N), elementwise.
+
+    q is the time to retirement (positive while working, <= 0 once retired)
+    and `life` the remaining lifetime; eps, epst, Lam and a_tau are
+    epsilon, epsilon_tilde, the constant support ratio and the annuity
+    factor at retirement.
+    """
     d, p = s.demo, s.policy
     r = s.market.r
-    eps, epst = dc.epsilon, dc.epsilon_tilde
-    Lam, a_tau = dc.Lambda, dc.a_tau
-    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
-    q = z - t + d.tau - d.a              # time to retirement (positive while working)
-    life = np.maximum(z - t + d.omega - d.a, 0.0)
+    q, life = np.asarray(q, dtype=float), np.asarray(life, dtype=float)
     ret = q <= 0
     qp = np.maximum(q, 0.0)
 
     eq = np.exp(eps * qp)
-    if d.babyboom is None:
-        M1 = np.where(
-            ret,
-            (Lam / eps) * (np.exp(eps * life) - 1.0),
-            (1.0 / eps) * ((1 - p.tau1)
-                           + (Lam * math.exp(eps * (d.omega - d.tau)) - Lam - (1 - p.tau1)) * eq))
-    else:
-        M1 = _bb_m1(t, z, s, eps)
+    M1 = np.where(
+        ret,
+        (Lam / eps) * (np.exp(eps * life) - 1.0),
+        (1.0 / eps) * ((1 - p.tau1)
+                       + (Lam * math.exp(eps * (d.omega - d.tau)) - Lam - (1 - p.tau1)) * eq))
     ann = (1 - p.tau2) / (r * a_tau) * (1 - math.exp(-r * (d.omega - d.tau)))
     M2 = np.where(ret, 0.0,
                   ann / (eps - epst) * (eq - np.exp(epst * qp))
@@ -168,6 +164,21 @@ def _coef_arrays(t, z, s: Scenario):
     N = np.where(ret,
                  (1 - p.tau2) / (r * a_tau) * (1.0 - np.exp(-r * life)),
                  ann * np.exp(epst * qp))
+    return M1, M2, M3, N
+
+
+def _coef_arrays(t, z, s: Scenario):
+    """Vectorized (M1, M2, M3, N) over evaluation times t and entry times z
+    (broadcast against each other); M1 follows Lambda(t) under a baby boom."""
+    dc = validate(s)
+    d = s.demo
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    q = z - t + d.tau - d.a
+    life = np.maximum(z - t + d.omega - d.a, 0.0)
+    M1, M2, M3, N = _coef_kernel(q, life, s, dc.epsilon, dc.epsilon_tilde,
+                                 dc.Lambda, dc.a_tau)
+    if d.babyboom is not None:
+        M1 = _bb_m1(t, z, s, dc.epsilon)
     return M1, M2, M3, N
 
 
@@ -224,26 +235,6 @@ def coefficients(t: float, z: float, s: Scenario) -> CohortCoefficients:
         raise DomainError(f"t = {t} outside [z, z + omega - a] for z = {z}")
     M1, M2, M3, N = (float(v) for v in _coef_arrays(t, z, s))
     return CohortCoefficients(t=t, z=z, M1=M1, M2=M2, M3=M3, N=N)
-
-
-def entry_coefficients(s: Scenario):
-    """(M01, M02, M03): the coefficient values at entry, independent of z."""
-    d, p = s.demo, s.policy
-    mk = s.market
-    nu = (mk.mu - mk.r) / mk.sigma
-    eps = mk.gamma - mk.r - mk.xi * nu
-    epst = mk.alpha - mk.r - mk.beta * nu
-    Lam = demography.support_ratio(d)
-    a_tau = demography.annuity_factor(d, mk.r)
-    ea = math.exp(eps * (d.tau - d.a))
-    M01 = (1.0 / eps) * (Lam * math.exp(eps * (d.omega - d.a))
-                         - (Lam + 1 - p.tau1) * ea + (1 - p.tau1))
-    M02 = ((1 - p.tau2) / (mk.r * a_tau * (eps - epst))
-           * (1 - math.exp(-mk.r * (d.omega - d.tau)))
-           * (ea - math.exp(epst * (d.tau - d.a)))
-           - (1 - p.tau1) / eps * (ea - 1.0))
-    M03 = (1 - p.tau1) / eps * (ea - 1.0)
-    return M01, M02, M03
 
 
 # --------------------------------------------------------------------------

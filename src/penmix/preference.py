@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssumptionError, DomainError
-from .lifecycle import _bb_m1
+from .lifecycle import _bb_m1, _coef_kernel
 from .scenario import Scenario, validate
 
 #: half-width of the indifference band: coefficient magnitudes below this are
@@ -32,42 +32,22 @@ def tilde_coefficients(zeta: float, s: Scenario):
     computed numerically from the Lambda(t) table; Mt2 never depends on the
     entrant flow.
     """
-    d, p = s.demo, s.policy
+    d = s.demo
     if not d.a - 1e-12 <= zeta <= d.omega + 1e-12:
         raise DomainError(f"age {zeta} outside [a, omega]")
-    if d.babyboom is not None:
-        return tuple(float(v) for v in _bb_tilde(zeta, s))
-    dc = validate(s)
-    eps, epst, r = dc.epsilon, dc.epsilon_tilde, s.market.r
-    Lam, a_tau = dc.Lambda, dc.a_tau
-    ann = (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau))) / (r * a_tau)
-
-    if zeta >= d.tau:
-        mt1 = Lam / eps * (math.exp(eps * (d.omega - zeta)) - 1.0)
-        return mt1, 0.0, mt1
-    eq = math.exp(eps * (d.tau - zeta))
-    eqt = math.exp(epst * (d.tau - zeta))
-    mt2 = ann / (eps - epst) * (eq - eqt) - (1 - p.tau1) / eps * (eq - 1.0)
-    mt1 = (1.0 / eps) * ((1 - p.tau1)
-                         + (Lam * math.exp(eps * (d.omega - d.tau)) - Lam - (1 - p.tau1)) * eq)
-    diff = (Lam / eps * (math.exp(eps * (d.omega - d.tau)) - 1.0)
-            - ann / (eps - epst) * (1.0 - math.exp((epst - eps) * (d.tau - zeta)))) * eq
-    return mt1, mt2, diff
+    return tuple(float(v) for v in _tilde_arrays(zeta, s))
 
 
-def _bb_tilde(zeta, s: Scenario):
-    """(Mt1, Mt2, Mt1 - Mt2) at the ages zeta (any shape) under the baby-boom
-    entrant flow: Mt1 is the cohort's M1 at t0, Mt2 the closed form."""
+def _tilde_arrays(zeta, s: Scenario):
+    """(Mt1, Mt2, Mt1 - Mt2) at the ages zeta (any shape): the cohort's M1
+    and M2 at t0, with M1 from the Lambda(t) table under a baby boom."""
     d, p = s.demo, s.policy
     dc = validate(s)
-    eps, epst, r = dc.epsilon, dc.epsilon_tilde, s.market.r
-    ann = (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau))) / (r * dc.a_tau)
     zeta = np.asarray(zeta, dtype=float)
-    q = np.maximum(d.tau - zeta, 0.0)
-    eq, eqt = np.exp(eps * q), np.exp(epst * q)
-    mt2 = np.where(zeta >= d.tau, 0.0,
-                   ann / (eps - epst) * (eq - eqt) - (1 - p.tau1) / eps * (eq - 1.0))
-    mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, eps)
+    mt1, mt2, _, _ = _coef_kernel(np.maximum(d.tau - zeta, 0.0), d.omega - zeta, s,
+                                  dc.epsilon, dc.epsilon_tilde, dc.Lambda, dc.a_tau)
+    if d.babyboom is not None:
+        mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, dc.epsilon)
     return mt1, mt2, mt1 - mt2
 
 
@@ -137,7 +117,7 @@ def _critical_age_paygo_savings_diag(s: Scenario):
     d, p = s.demo, s.policy
     dc = validate(s)
     if d.babyboom is not None:
-        mt1 = lambda zeta: _bb_tilde(zeta, s)[0]
+        mt1 = lambda zeta: _tilde_arrays(zeta, s)[0]
         if mt1(d.a) > 0:
             return None, 0
         return _scan_root(mt1, d.a, d.tau - 1e-9)
@@ -161,7 +141,7 @@ def _critical_age_paygo_eet_diag(s: Scenario):
     d, p = s.demo, s.policy
     dc = validate(s)
     if d.babyboom is not None:
-        diff = lambda zeta: _bb_tilde(zeta, s)[2]
+        diff = lambda zeta: _tilde_arrays(zeta, s)[2]
         if diff(d.a) > 0:
             return None, 0
         return _scan_root(diff, d.a, d.tau - 1e-9)
@@ -299,13 +279,13 @@ def preference_map(s: Scenario, step: float = 1.0) -> PreferenceReport:
     zt, zt_n = _critical_age_paygo_eet_diag(s)
     eet = critical_age_eet_savings(s)
     label = _case_label(zh is not None, zt is not None, eet.flag)
-    ages = np.arange(d.a, d.omega + step / 2, step)
-    rows = []
-    for zeta in ages:
-        mt1, mt2, diff = tilde_coefficients(float(zeta), s)
-        rows.append((float(zeta), mt1, mt2, diff, _ordering_string(mt1, mt2)))
+    n = math.floor((d.omega - d.a) / step + 1e-9)
+    ages = np.minimum(d.a + step * np.arange(n + 1), d.omega)
+    columns = (v.tolist() for v in _tilde_arrays(ages, s))
+    rows = tuple((zeta, mt1, mt2, diff, _ordering_string(mt1, mt2))
+                 for zeta, mt1, mt2, diff in zip(ages.tolist(), *columns))
     return PreferenceReport(
         lambda_fp=lam_fp, lambda_ep=lam_ep, zeta_hat=zh, zeta_tilde=zt,
         zeta_bar=eet.zeta_bar, eet_flag=eet.flag, case_label=label,
-        orderings=tuple(rows),
+        orderings=rows,
         diagnostics=(("zeta_hat_crossings", zh_n), ("zeta_tilde_crossings", zt_n)))

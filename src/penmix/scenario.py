@@ -224,7 +224,8 @@ def _validate_cached(s: Scenario) -> DerivedConstants:
     Lambda = demography.support_ratio(d)
     a_tau = demography.annuity_factor(d, mk.r)
     L0 = lifecycle.entry_L(f.delta0, s)
-    M01, M02, M03 = lifecycle.entry_coefficients(s)
+    M01, M02, M03, _ = (float(v) for v in lifecycle._coef_kernel(
+        d.tau - d.a, d.omega - d.a, s, epsilon, epsilon_tilde, Lambda, a_tau))
     return DerivedConstants(nu=nu, epsilon=epsilon, epsilon_tilde=epsilon_tilde,
                             Lambda=Lambda, a_tau=a_tau, L0=L0,
                             M01=M01, M02=M02, M03=M03)

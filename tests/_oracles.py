@@ -167,3 +167,23 @@ def quad_bb_support_ratio(t: float, demo) -> float:
                    for e0, e1 in zip(edges, edges[1:]))
 
     return mass(a, demo.tau) / mass(demo.tau, demo.omega)
+
+
+def voluntary_theta_ratios(g, m: float):
+    """(theta_low, theta_high) of the voluntary-EET solvency rows, written as
+    an explicit sign split and ratio scan over the grid columns: the sup of
+    -c0 / c1 over rows with c1 > 0 and the inf over rows with c1 < 0, where
+    a cohort's row is its resource under its best-response EET rate."""
+    m2p = np.maximum(g.M2, 0.0)
+    coef = (g.M1 - m2p) * g.w0
+    numer = g.x0 + g.N * g.y0 + (m2p * m + g.M3) * g.w0
+    m02p = max(g.M02, 0.0)
+    fut_coef = np.append(g.fut_M1, g.tail_M01) - m02p
+    fut_num = np.full(fut_coef.size, m02p * m + g.M03)
+    low, high = -math.inf, math.inf
+    for c0, c1 in zip(np.append(numer, fut_num), np.append(coef, fut_coef)):
+        if c1 > 1e-300:
+            low = max(low, float(-c0 / c1))
+        elif c1 < -1e-300:
+            high = min(high, float(-c0 / c1))
+    return low, high

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from penmix import DomainError, demography, preference
+from penmix import DomainError, demography, load_scenario, preference
 from penmix.cli import main, mortality_scale
 
 
@@ -154,6 +155,16 @@ def test_babyboom_grid_must_be_positive(capsys, scenario_dir, tmp_path, grid):
     assert code == 2
     assert out == "" and not out_file.exists()
     assert err == f"error: grid step must be positive (got {float(grid)})\n"
+
+
+@pytest.mark.parametrize("name", ["scenario_us.json", "scenario_us_babyboom.json"])
+def test_classify_step_not_dividing_life_span(capsys, scenario_dir, name):
+    d = load_scenario(scenario_dir / name).demo
+    code, out, err = run(capsys, "classify", str(scenario_dir / name), "--step", "0.9")
+    assert code == 0, err
+    zetas = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+    assert zetas[0] == d.a and d.omega - 0.9 < zetas[-1] <= d.omega
+    assert len(zetas) == math.floor((d.omega - d.a) / 0.9) + 1
 
 
 def test_verify_table_format(capsys, scenario_dir, tmp_path):

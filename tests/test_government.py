@@ -17,6 +17,8 @@ from penmix import (
 )
 from penmix.scenario import scenario_from_dict, scenario_to_dict
 
+from _oracles import voluntary_theta_ratios
+
 STEP = 0.05
 
 
@@ -29,15 +31,6 @@ def test_invalid_weighting_rejected(us):
     from penmix import DomainError
     with pytest.raises(DomainError):
         government.objective(0.1, 0.1, us, mode="median")
-
-
-def test_survivor_weighting_diagnostic(us):
-    # downweighting by survival softens the oldest (lowest-utility) cohorts
-    plain = government.objective(0.1, 0.1, us, mode="population")
-    surv = government.objective(0.1, 0.1, us, mode="population",
-                                survivor_weighted=True)
-    assert surv != plain
-    assert surv > plain
 
 
 def test_optimum_beats_status_quo(us):
@@ -285,3 +278,65 @@ def test_babyboom_fuzz_result_or_typed_error(us_bb, t1, length, nm, kappa, rho1,
     assert mix.theta_star + mix.k_star <= s.policy.m + 1e-12
     assert government.admissible_region(s).contains(mix.theta_star, mix.k_star)
     assert mix.evaluations > 0
+
+
+def _box_segment(point, direction, m):
+    """t-range on which point + t direction stays in theta, k >= 0, theta + k <= m."""
+    lo, hi = -math.inf, math.inf
+    for c0, c1 in ((point[0], direction[0]), (point[1], direction[1]),
+                   (m - point[0] - point[1], -direction[0] - direction[1])):
+        if c1 > 0:
+            lo = max(lo, -c0 / c1)
+        elif c1 < 0:
+            hi = min(hi, -c0 / c1)
+    return lo, hi
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_line_interval_ends_against_halfplane_table(fixture, request):
+    # random face, theta-fixed, k-fixed and oblique lines through the rate
+    # box; each also on a segment 10 wider on both sides, where the solvency
+    # rows bind on every fixture
+    s = request.getfixturevalue(fixture)
+    g = government._grid(s, STEP)
+    m = s.policy.m
+    rng = np.random.default_rng(17)
+    lines = [((0.0, m), (1.0, -1.0))]
+    for _ in range(10):
+        theta, k = rng.uniform(0.0, m, size=2)
+        if theta + k > m:
+            theta, k = m - theta, m - k
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        lines += [((theta, 0.0), (0.0, 1.0)), ((0.0, k), (1.0, 0.0)),
+                  ((theta, k), (math.cos(angle), math.sin(angle)))]
+
+    def worst_row(point, direction, t):
+        theta, k = point[0] + t * direction[0], point[1] + t * direction[1]
+        return float((g.rows[:, 0] + g.rows[:, 1] * theta + g.rows[:, 2] * k).min())
+
+    interior_ends = 0
+    for point, direction in lines:
+        for widen in (0.0, 10.0):
+            lo, hi = _box_segment(point, direction, m)
+            lo, hi = lo - widen, hi + widen
+            found = government._line_interval(g, point, direction, lo, hi)
+            if found is None:
+                ts = np.linspace(lo, hi, 101)
+                assert all(worst_row(point, direction, t) < 0.0 for t in ts)
+                continue
+            assert lo <= found[0] <= found[1] <= hi
+            for end, box_end, outward in ((found[0], lo, -1.0), (found[1], hi, 1.0)):
+                assert worst_row(point, direction, end) >= -1e-12
+                if end != box_end:
+                    interior_ends += 1
+                    assert worst_row(point, direction, end + outward * 1e-9) < 0.0
+    assert interior_ends > 0
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_voluntary_bounds_match_ratio_scan(fixture, request):
+    s = request.getfixturevalue(fixture)
+    bounds = government.voluntary_theta_bounds(s, step=STEP)
+    low, high = voluntary_theta_ratios(government._grid(s, STEP), s.policy.m)
+    assert (bounds.theta_low, bounds.theta_high) == (low, high)
+    assert (bounds.lower, bounds.upper) == (max(0.0, low), min(s.policy.m, high))

@@ -49,6 +49,15 @@ def test_entry_L_matches_derived_constant(us):
         dc.L0, rel=1e-10)
 
 
+@pytest.mark.parametrize("fixture", ["us", "cn"])
+def test_entry_constants_are_the_kernel_at_entry(fixture, request):
+    s = request.getfixturevalue(fixture)
+    dc = validate(s)
+    for z in (s.policy.t0, s.policy.t0 - 12.5, 3.0):
+        c = lifecycle.coefficients(z, z, s)
+        assert (dc.M01, dc.M02, dc.M03) == (c.M1, c.M2, c.M3)
+
+
 def test_coefficients_vanish_at_terminal(us):
     c = lifecycle.coefficients(70.0, 0.0, us)
     assert c.M1 == c.M2 == c.M3 == c.N == 0.0

@@ -200,6 +200,24 @@ def test_preference_map_us(us):
     assert by_age[80.0] == "P>E~I"
 
 
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_preference_map_rows_are_tilde_coefficients(fixture, request):
+    s = request.getfixturevalue(fixture)
+    for step in (1.0, 0.9):
+        for zeta, mt1, mt2, diff, _ in preference.preference_map(s, step=step).orderings:
+            assert (mt1, mt2, diff) == preference.tilde_coefficients(zeta, s)
+
+
+def test_preference_map_age_grid(us):
+    d = us.demo
+    for step in (1.0, 5.0, 0.25):   # steps dividing omega - a: the grid is unchanged
+        ages = [row[0] for row in preference.preference_map(us, step=step).orderings]
+        assert ages == np.arange(d.a, d.omega + step / 2, step).tolist()
+    ages = [row[0] for row in preference.preference_map(us, step=0.9).orderings]
+    assert ages == [d.a + 0.9 * i for i in range(len(ages))]
+    assert d.omega - 0.9 < ages[-1] <= d.omega
+
+
 def test_critical_ages_decrease_with_salary_growth(us):
     # faster salary growth favors the pay-as-you-go return at every age
     gammas = [0.016, 0.02, 0.024, 0.028]
@@ -226,7 +244,7 @@ def test_babyboom_scan_grid_matches_scalar_scan(us_bb, column):
     lo, hi = d.a, d.tau - 1e-9
 
     def vectorised(zeta):
-        return preference._bb_tilde(zeta, us_bb)[column]
+        return preference._tilde_arrays(zeta, us_bb)[column]
 
     scalar = np.vectorize(
         lambda zeta: preference.tilde_coefficients(float(zeta), us_bb)[column], otypes=[float])

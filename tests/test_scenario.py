@@ -9,12 +9,14 @@ from penmix import (
     SchemaError,
     UtilityExplosion,
     delta_for_entry,
+    demography,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
     with_params,
 )
+from penmix.scenario import _validate_cached
 
 
 def test_us_fixture_fields(us):
@@ -103,6 +105,18 @@ def test_sharpe_dominance_required(us):
 
 def test_validate_is_pure(us):
     assert validate(us) == validate(us)
+
+
+def test_validate_makes_three_quad_calls(us, cn, monkeypatch):
+    # the two support-ratio masses and the annuity factor, each once
+    calls = []
+    real = demography.quad
+    monkeypatch.setattr(demography, "quad",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    for s in (us, cn):
+        calls.clear()
+        _validate_cached.__wrapped__(s)
+        assert len(calls) == 3
 
 
 def test_round_trip_preserves_derived_constants(us, cn, us_bb):
