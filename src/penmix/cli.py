@@ -222,6 +222,7 @@ def _apply_param(s: Scenario, path: str, value: float) -> Scenario:
 
 
 def _cmd_sweep(args) -> int:
+    government._check_step(args.step)
     s = load_scenario(args.scenario)
     try:
         spec = json.loads(Path(args.spec).read_text())

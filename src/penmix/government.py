@@ -49,11 +49,11 @@ class CohortGrid:
     The future-entrant integral is a closed form from `tail_start` on (where
     the entry coefficients are constant) plus, with a baby boom, Simpson nodes
     over [t0, tail_start] where the entry-time PAYGO coefficient still varies.
+    Every existing cohort, future-entrant node and the settled tail is one row
+    of `rows`; the welfare is sum w G^power over the rows with L > 0.
     """
 
     z: np.ndarray
-    weight: np.ndarray        # Simpson weights
-    density: np.ndarray       # entrant density n(z)
     delta: np.ndarray
     L: np.ndarray             # L(t0; z) with the cohort's delta
     M1: np.ndarray
@@ -62,28 +62,30 @@ class CohortGrid:
     N: np.ndarray
     x0: np.ndarray
     y0: np.ndarray
-    base: np.ndarray          # x0 + M3 w0 + N y0
-    m1w: np.ndarray           # M1 w0
-    m2w: np.ndarray           # M2 w0
     w0: float
     step: float
-    # future entrants
-    fut_M1: np.ndarray        # entry-time PAYGO coefficient per future node
-    fut_coef_pop: np.ndarray  # node coefficient incl. weight/density/L0/delta0
-    fut_coef_eq: np.ndarray
-    tail_M01: float
-    tail_prefac_pop: float
-    tail_prefac_eq: float
     M02: float
     M03: float
-    delta0: float
     # solvency half-planes c0 + c1 theta + c2 k >= 0: the existing cohorts
-    # (base, m1w, m2w), then every future entrant (M03, M1, M02)
+    # (x0 + M3 w0 + N y0, M1 w0, M2 w0), then every future entrant (M03, M1, M02)
     rows: np.ndarray
+    # the same rows' resource d0 + d1 theta when each cohort and entrant
+    # best-responds with voluntary EET: the cap remainder m - theta where its
+    # EET multiplier is positive, nothing otherwise (M2^+ = max(M2, 0))
+    vol_rows: np.ndarray
+    live: np.ndarray          # rows in the welfare sum (L > 0)
+    power: np.ndarray         # delta per live row
+    weights: dict             # weighting -> w per live row
+
+
+def _check_step(step: float) -> None:
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"z-grid step must be positive and finite (got {step})")
 
 
 @lru_cache(maxsize=8)
 def _grid(s: Scenario, step: float) -> CohortGrid:
+    _check_step(step)
     d, p, mk, f = s.demo, s.policy, s.market, s.pref
     dc = validate(s)
     t0 = p.t0
@@ -110,7 +112,6 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     L = np.concatenate([lifecycle.L_table(t0 - z_ret, f.delta2, s),
                         lifecycle.L_table(t0 - z_wrk, f.delta1, s)])
     x0, y0 = lifecycle._state_arrays(zs, deltas, coefs, L, s)
-    base = x0 + M3 * w0 + N * y0
 
     L0, M02, M03 = dc.L0, dc.M02, dc.M03
     growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2
@@ -122,7 +123,6 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
         eq_scale = d.n0
         tail_M01 = dc.M01
         fut_z = np.empty(0)
-        fut_w = np.empty(0)
     else:
         bb = d.babyboom
         # entrants from tail_start on spend their whole benefit window in the
@@ -135,11 +135,9 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
         tail_M01 = float(lifecycle._coef_kernel(
             d.tau - d.a, d.omega - d.a, s, dc.epsilon, dc.epsilon_tilde,
             demography.support_ratio(settled), dc.a_tau)[0])
+        fut_z = np.empty(0)
         if tail_start > t0:
             fut_z, fut_w = _simpson(t0, tail_start, step)
-        else:
-            fut_z = np.empty(0)
-            fut_w = np.empty(0)
 
     denom_tail = mk.r - rho_tail - f.delta0 * growth
     if denom_tail <= 0:
@@ -152,69 +150,56 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
                    / (f.delta0 * denom_tail))
     if fut_z.size:
         fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, dc.epsilon)
-        fut_density = demography.bb_entrants(fut_z, d.babyboom)
-        fut_coef = (fut_w * fut_density * np.exp(-mk.r * (fut_z - t0))
+        fut_coef = (fut_w * demography.bb_entrants(fut_z, d.babyboom)
+                    * np.exp(-mk.r * (fut_z - t0))
                     * np.exp(f.delta0 * growth * (fut_z - t0))
                     * L0 * w0**f.delta0 / f.delta0)
     else:
         fut_M1 = np.empty(0)
         fut_coef = np.empty(0)
 
-    m1w, m2w = M1 * w0, M2 * w0
     entry_M1 = np.append(fut_M1, tail_M01)
+    n_entry = entry_M1.size
     rows = np.concatenate([
-        np.column_stack([base, m1w, m2w]),
-        np.column_stack([np.full(entry_M1.size, M03), entry_M1,
-                         np.full(entry_M1.size, M02)])])
-    rows.setflags(write=False)   # shared by every caller of the cached grid
+        np.column_stack([x0 + M3 * w0 + N * y0, M1 * w0, M2 * w0]),
+        np.column_stack([np.full(n_entry, M03), entry_M1, np.full(n_entry, M02)])])
+    m2p, m02p = np.maximum(M2, 0.0), max(M02, 0.0)
+    vol_rows = np.concatenate([
+        np.column_stack([x0 + N * y0 + (m2p * p.m + M3) * w0, (M1 - m2p) * w0]),
+        np.column_stack([np.full(n_entry, m02p * p.m + M03), entry_M1 - m02p])])
+    # welfare weights: Simpson weight x density (population) x L / delta per
+    # cohort; the entrant nodes and the tail carry theirs in fut_coef and
+    # tail_prefac, divided by the entrant density at t0 when equally weighted
+    live = np.append(L > 0.0, np.ones(n_entry, dtype=bool))
+    entry_w = np.append(fut_coef, tail_prefac)
+    weights = {"population": np.append(wts * density / deltas * L, entry_w)[live],
+               "equal": np.append(wts / deltas * L, entry_w / eq_scale)[live]}
+    power = np.append(deltas, np.full(n_entry, f.delta0))[live]
+    for arr in (rows, vol_rows, live, power, *weights.values()):
+        arr.setflags(write=False)   # shared by every caller of the cached grid
     return CohortGrid(
-        z=zs, weight=wts, density=density, delta=deltas, L=L,
-        M1=M1, M2=M2, M3=M3, N=N, x0=x0, y0=y0,
-        base=base, m1w=m1w, m2w=m2w, w0=w0, step=step,
-        fut_M1=fut_M1, fut_coef_pop=fut_coef, fut_coef_eq=fut_coef / eq_scale,
-        tail_M01=tail_M01, tail_prefac_pop=tail_prefac,
-        tail_prefac_eq=tail_prefac / eq_scale,
-        M02=M02, M03=M03, delta0=f.delta0, rows=rows)
+        z=zs, delta=deltas, L=L, M1=M1, M2=M2, M3=M3, N=N, x0=x0, y0=y0,
+        w0=w0, step=step, M02=M02, M03=M03, rows=rows, vol_rows=vol_rows,
+        live=live, power=power, weights=weights)
 
 
-def _phi_nodes(g: CohortGrid, mode: str, G: np.ndarray) -> float:
-    """Existing-cohort Simpson sum; -inf when some cohort is insolvent."""
-    live = g.L > 0.0
-    if np.any(G[live] <= 0.0):
+def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
+    """sum w G^power over the live rows of resources G (one per row of
+    g.rows); -inf when one of them is insolvent."""
+    G = G[g.live]
+    if np.any(G <= 0.0):
         return -math.inf
-    weight = g.weight * (g.density if mode == "population" else 1.0)
-    vals = np.zeros_like(G)
-    vals[live] = (weight[live] / g.delta[live] * g.L[live]
-                  * G[live] ** g.delta[live])
-    return float(vals.sum())
+    return float((g.weights[mode] * G ** g.power).sum())
 
 
-def _phi_future(g: CohortGrid, mode: str, theta: float, k_tail: float,
-                k_nodes) -> float:
-    """Future-entrant welfare; -inf when some entrant would be insolvent."""
-    g_tail = g.tail_M01 * theta + g.M02 * k_tail + g.M03
-    if g_tail <= 0.0:
-        return -math.inf
-    prefac = g.tail_prefac_pop if mode == "population" else g.tail_prefac_eq
-    val = prefac * g_tail**g.delta0
-    if g.fut_M1.size:
-        Gf = g.fut_M1 * theta + g.M02 * k_nodes + g.M03
-        if np.any(Gf <= 0.0):
-            return -math.inf
-        coef = g.fut_coef_pop if mode == "population" else g.fut_coef_eq
-        val += float((coef * Gf**g.delta0).sum())
-    return val
+def _resources(g: CohortGrid, theta: float, k) -> np.ndarray:
+    """G = c0 + c1 theta + c2 k on every row; k is one rate or one per row."""
+    c0, c1, c2 = g.rows.T
+    return c0 + c1 * theta + c2 * k
 
 
 def _phi(g: CohortGrid, theta: float, k: float, mode: str) -> float:
-    G = g.base + g.m1w * theta + g.m2w * k
-    existing = _phi_nodes(g, mode, G)
-    if not math.isfinite(existing):
-        return -math.inf
-    future = _phi_future(g, mode, theta, k, k)
-    if not math.isfinite(future):
-        return -math.inf
-    return existing + future
+    return _welfare(g, _resources(g, theta, k), mode)
 
 
 def _check_mode(mode: str) -> None:
@@ -231,17 +216,14 @@ def objective(theta: float, k: float, s: Scenario, mode: str = "population",
         raise InsolventCohort(
             f"(theta, k) = ({theta}, {k}) violates the cap theta + k <= {s.policy.m}")
     g = _grid(s, step)
-    G = g.base + g.m1w * theta + g.m2w * k
-    bad = (g.L > 0.0) & (G <= 0.0)
-    if np.any(bad):
+    G = _resources(g, theta, k)
+    bad = np.flatnonzero(g.live & (G <= 0.0))
+    if bad.size:
+        who = (f"cohort z = {g.z[bad[0]]:.3f} has" if bad[0] < g.z.size
+               else "future entrants have")
         raise InsolventCohort(
-            f"cohort z = {g.z[bad][0]:.3f} has nonpositive resource G at "
-            f"(theta, k) = ({theta}, {k})")
-    val = _phi(g, theta, k, mode)
-    if not math.isfinite(val):
-        raise InsolventCohort(
-            f"future entrants have nonpositive resource at (theta, k) = ({theta}, {k})")
-    return val
+            f"{who} nonpositive resource G at (theta, k) = ({theta}, {k})")
+    return _welfare(g, G, mode)
 
 
 def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
@@ -254,15 +236,14 @@ def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
     """
     _check_mode(mode)
     g = _grid(s, step)
-    ks = np.array([k_of_z(float(z)) for z in g.z])
-    G = g.base + g.m1w * theta + g.m2w * ks
-    existing = _phi_nodes(g, mode, G)
     kf = k_of_z(s.policy.t0) if future_k is None else future_k
-    future = _phi_future(g, mode, theta, kf, kf)
-    if not math.isfinite(existing) or not math.isfinite(future):
+    ks = np.array([k_of_z(float(z)) for z in g.z]
+                  + [kf] * (len(g.rows) - g.z.size))
+    val = _welfare(g, _resources(g, theta, ks), mode)
+    if not math.isfinite(val):
         raise InsolventCohort(
             f"nonpositive resource under per-cohort rates at theta = {theta}")
-    return existing + future
+    return val
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +273,6 @@ class AdmissibleRegion:
 
 def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
     """Solvency constraints G(z) >= 0 on the entry-time grid, plus the box."""
-    if step <= 0:
-        raise DomainError(f"z-grid step must be positive (got {step})")
     g = _grid(s, step)
     region = AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=s.policy.m, step=step)
     for theta in np.linspace(0.0, s.policy.m, 26):
@@ -526,13 +505,7 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
     m = s.policy.m
     # each cohort's best response makes G affine in theta alone; the
     # entry-time rows also bind every future cohort
-    m2p = np.maximum(g.M2, 0.0)
-    m02p = max(g.M02, 0.0)
-    entry_M1 = g.rows[g.z.size:, 1]
-    bounds = _feasible_interval(
-        np.concatenate([g.x0 + g.N * g.y0 + (m2p * m + g.M3) * g.w0,
-                        np.full(entry_M1.size, m02p * m + g.M03)]),
-        np.concatenate([(g.M1 - m2p) * g.w0, entry_M1 - m02p]))
+    bounds = _feasible_interval(*g.vol_rows.T)
     if bounds is None:
         raise EmptyRegion("a theta-independent cohort constraint is violated")
     theta_low, theta_high = bounds
@@ -545,19 +518,9 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
                        theta_high=theta_high, A1=a1, A2=a2, grid_step=step)
 
 
-def _voluntary_phi(g: CohortGrid, theta: float, m: float, mode: str) -> float:
-    m2p = np.maximum(g.M2, 0.0)
-    G = g.base + (g.M1 - m2p) * g.w0 * theta + m2p * g.w0 * m
-    existing = _phi_nodes(g, mode, G)
-    if not math.isfinite(existing):
-        return -math.inf
-    # entrants share the sign of the entry-time EET coefficient, hence one
-    # best response: the cap remainder when it helps, nothing when it hurts
-    k_fut = (m - theta) if g.M02 >= -1e-12 else 0.0
-    future = _phi_future(g, mode, theta, k_fut, k_fut)
-    if not math.isfinite(future):
-        return -math.inf
-    return existing + future
+def _voluntary_phi(g: CohortGrid, theta: float, mode: str) -> float:
+    d0, d1 = g.vol_rows.T
+    return _welfare(g, d0 + d1 * theta, mode)
 
 
 def voluntary_objective(theta: float, s: Scenario, mode: str = "population",
@@ -569,7 +532,7 @@ def voluntary_objective(theta: float, s: Scenario, mode: str = "population",
         raise InsolventCohort(
             f"theta = {theta} outside the voluntary admissible interval "
             f"[{bounds.lower}, {bounds.upper}]")
-    val = _voluntary_phi(_grid(s, step), theta, s.policy.m, mode)
+    val = _voluntary_phi(_grid(s, step), theta, mode)
     if not math.isfinite(val):
         raise InsolventCohort(f"insolvent cohort at theta = {theta}")
     return val
@@ -582,7 +545,7 @@ def optimize_voluntary(s: Scenario, mode: str = "population",
     bounds = voluntary_theta_bounds(s, step)
     g = _grid(s, step)
     theta, val, evals = _golden_max(
-        lambda t: _voluntary_phi(g, t, s.policy.m, mode),
+        lambda t: _voluntary_phi(g, t, mode),
         bounds.lower, bounds.upper, tol=1e-7)
     k_rep = voluntary_k_star(theta, s.policy.t0, s).value
     return OptimalMix(theta_star=theta, k_star=k_rep, objective=val,

@@ -3,6 +3,7 @@
 Everything here is computed without going through the code paths under test:
 brute-force quadrature, finite differences, and direct formula evaluation.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -178,7 +179,7 @@ def voluntary_theta_ratios(g, m: float):
     coef = (g.M1 - m2p) * g.w0
     numer = g.x0 + g.N * g.y0 + (m2p * m + g.M3) * g.w0
     m02p = max(g.M02, 0.0)
-    fut_coef = np.append(g.fut_M1, g.tail_M01) - m02p
+    fut_coef = g.rows[g.z.size:, 1] - m02p
     fut_num = np.full(fut_coef.size, m02p * m + g.M03)
     low, high = -math.inf, math.inf
     for c0, c1 in zip(np.append(numer, fut_num), np.append(coef, fut_coef)):
@@ -187,3 +188,93 @@ def voluntary_theta_ratios(g, m: float):
         elif c1 < -1e-300:
             high = min(high, float(-c0 / c1))
     return low, high
+
+
+def _simpson_nodes(lo: float, hi: float, step: float):
+    """(node, weight) pairs of composite Simpson on [lo, hi] with an even
+    number of intervals no wider than step."""
+    n = max(2, math.ceil((hi - lo) / step))
+    n += n % 2
+    h = (hi - lo) / n
+    return [(lo + i * h, h / 3.0 * (1 if i in (0, n) else 4 if i % 2 else 2))
+            for i in range(n + 1)]
+
+
+def welfare_per_node(s: Scenario, g, mode: str):
+    """The government's welfare as an explicit per-node sum, returned as
+    phi(theta, k): existing cohorts weight * L / delta * G^delta at the
+    Simpson nodes (weight includes the entrant density under "population"),
+    future-entrant Simpson nodes and the settled tail, each with its entry
+    coefficient recomputed from the scenario. k=None gives every cohort and
+    entrant its voluntary best response: the cap remainder m - theta where
+    its EET multiplier is positive, nothing otherwise.
+
+    The cohort columns (L, M1, M2, M3, N, x0, y0) are read from the grid g,
+    which has its own oracle; -inf when a resource G <= 0.
+    """
+    d, p, mk, f = s.demo, s.policy, s.market, s.pref
+    dc = validate(s)
+    t0, bb = p.t0, d.babyboom
+    w0 = mk.W0 * math.exp(mk.gamma * t0)
+
+    def density(z):
+        if bb is None:
+            return d.n0 * math.exp(d.rho * z)
+        return float(demography.bb_entrants(z, bb))
+
+    # existing cohorts: (weight / delta * L, M1, M2, M3, N, x0, y0, delta)
+    cohorts = []
+    i = 0
+    for lo, hi, delta in ((t0 - (d.omega - d.a), t0 - (d.tau - d.a), f.delta2),
+                          (t0 - (d.tau - d.a), t0, f.delta1)):
+        for z, w in _simpson_nodes(lo, hi, g.step):
+            assert abs(z - g.z[i]) <= 1e-9
+            if g.L[i] > 0.0:
+                weight = w * density(z) if mode == "population" else w
+                cohorts.append((weight / delta * g.L[i], g.M1[i], g.M2[i], g.M3[i],
+                                g.N[i], g.x0[i], g.y0[i], delta))
+            i += 1
+    assert i == g.z.size
+
+    # future entrants: (coefficient, entry-time M1) per node, then the tail
+    growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2
+    scale = 1.0 if mode == "population" else 1.0 / density(t0)
+    entrants = []
+    if bb is None:
+        tail_start, rho_tail, tail_M01 = t0, d.rho, dc.M01
+    else:
+        tail_start, rho_tail = max(t0, bb.t2 + d.omega - d.tau), bb.rho2
+        settled = dataclasses.replace(d, babyboom=None, rho=bb.rho2)
+        tail_M01 = validate(dataclasses.replace(s, demo=settled)).M01
+        if tail_start > t0:
+            for z, w in _simpson_nodes(t0, tail_start, g.step):
+                coef = (w * density(z) * math.exp(-mk.r * (z - t0))
+                        * math.exp(f.delta0 * growth * (z - t0))
+                        * dc.L0 * w0**f.delta0 / f.delta0)
+                entrants.append((scale * coef, lifecycle.coefficients(z, z, s).M1))
+    prefac = (density(tail_start) * dc.L0 * w0**f.delta0
+              * math.exp((-mk.r + f.delta0 * growth) * (tail_start - t0))
+              / (f.delta0 * (mk.r - rho_tail - f.delta0 * growth)))
+    entrants.append((scale * prefac, tail_M01))
+
+    def phi(theta: float, k=None) -> float:
+        def rate(m2):
+            if k is not None:
+                return k
+            return p.m - theta if m2 > 0.0 else 0.0
+
+        terms = []
+        for coef, M1, M2, M3, N, x0, y0, delta in cohorts:
+            G = x0 + (M1 * theta + M2 * rate(M2) + M3) * w0 + N * y0
+            if G <= 0.0:
+                return -math.inf
+            terms.append(coef * G**delta)
+        k_entry = rate(dc.M02)
+        for coef, M1 in entrants:
+            G = M1 * theta + dc.M02 * k_entry + dc.M03
+            if G <= 0.0:
+                return -math.inf
+            terms.append(coef * G**f.delta0)
+        return math.fsum(terms)
+
+    return phi

@@ -157,6 +157,24 @@ def test_babyboom_grid_must_be_positive(capsys, scenario_dir, tmp_path, grid):
     assert err == f"error: grid step must be positive (got {float(grid)})\n"
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_grid_step_must_be_positive_and_finite(capsys, scenario_dir, tmp_path, command, step):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "policy.tau1", "lo": 0.24, "hi": 0.26, "steps": 2},
+        "param2": {"path": "policy.m", "lo": 0.24, "hi": 0.26, "steps": 2},
+        "target": "theta_star",
+    }))
+    extra = (["--weighting", "population"] if command == "optimize"
+             else ["--spec", str(spec)])
+    code, out, err = run(capsys, command, str(scenario_dir / "scenario_us.json"),
+                         *extra, "--step", step)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: z-grid step must be positive and finite (got {float(step)})\n"
+
+
 @pytest.mark.parametrize("name", ["scenario_us.json", "scenario_us_babyboom.json"])
 def test_classify_step_not_dividing_life_span(capsys, scenario_dir, name):
     d = load_scenario(scenario_dir / name).demo

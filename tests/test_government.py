@@ -17,7 +17,7 @@ from penmix import (
 )
 from penmix.scenario import scenario_from_dict, scenario_to_dict
 
-from _oracles import voluntary_theta_ratios
+from _oracles import voluntary_theta_ratios, welfare_per_node
 
 STEP = 0.05
 
@@ -340,3 +340,31 @@ def test_voluntary_bounds_match_ratio_scan(fixture, request):
     low, high = voluntary_theta_ratios(government._grid(s, STEP), s.policy.m)
     assert (bounds.theta_low, bounds.theta_high) == (low, high)
     assert (bounds.lower, bounds.upper) == (max(0.0, low), min(s.policy.m, high))
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_welfare_matches_per_node_oracle(fixture, mode, request):
+    # objective and voluntary_objective against an explicit per-node sum at
+    # seeded points; points the oracle finds insolvent must raise
+    s = request.getfixturevalue(fixture)
+    m = s.policy.m
+    phi = welfare_per_node(s, government._grid(s, STEP), mode)
+    rng = np.random.default_rng(23)
+    feasible = 0
+    while feasible < 6:
+        theta, k = rng.uniform(0.0, m, size=2)
+        if theta + k > m:
+            theta, k = m - theta, m - k
+        expected = phi(theta, k)
+        if expected == -math.inf:
+            with pytest.raises(InsolventCohort):
+                government.objective(theta, k, s, mode, step=STEP)
+            continue
+        feasible += 1
+        got = government.objective(theta, k, s, mode, step=STEP)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+    bounds = government.voluntary_theta_bounds(s, step=STEP)
+    for theta in rng.uniform(bounds.lower, bounds.upper, size=6):
+        got = government.voluntary_objective(theta, s, mode, step=STEP)
+        assert got == pytest.approx(phi(theta), rel=1e-13, abs=0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from penmix import ConfigError, lifecycle, montecarlo
+from penmix import ConfigError, lifecycle, montecarlo, validate
 from penmix.montecarlo import SimulationConfig
 
 FAST = dict(n_paths=2000, dt=0.05, seed=99)
@@ -124,3 +124,26 @@ def test_verify_harness_fast(us):
     assert all(r.report.clipped_paths == 0 for r in rep.rows)
     assert rep.rows[1].y0_ok is True
     assert rep.rows[0].y0_ok is None
+
+
+def test_constant_flow_retiree_benefit_is_the_validated_ratio(us):
+    # constant entrant flow: Lambda(t) is the validated constant bit for bit,
+    # so the US/CN Monte Carlo numbers do not depend on how it is looked up
+    cfg = SimulationConfig(z=-30.0, theta=0.08, k=0.12, n_paths=128, dt=0.05)
+    tb = montecarlo._build_tables(cfg, us)
+    retired = ~tb.working
+    assert retired.any()
+    assert np.array_equal(tb.a_t[retired],
+                          np.full(retired.sum(), 0.08 * validate(us).Lambda))
+
+
+def test_babyboom_verify_rows_pass(us_bb):
+    # retirees are paid theta * Lambda(t) along the baby-boom path, as in the
+    # closed-form M1; the perturbed-control row is left out: at 2048 paths its
+    # gap is below 3 SE on the constant-flow fixture too
+    t0 = us_bb.policy.t0
+    rep = montecarlo.verify_value_function(us_bb, [t0, t0 - 10.0, t0 - 30.0],
+                                           n_paths=2048, dt=0.05, seed=5)
+    for row in rep.rows:
+        assert row.utility_ok and row.terminal_ok and row.probes_ok, row.z
+    assert [row.y0_ok for row in rep.rows] == [None, True, True]
