@@ -169,8 +169,10 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
 
 
 def _validate_config(cfg: SimulationConfig, s: Scenario) -> None:
-    if cfg.dt <= 0:
-        raise ConfigError(f"dt must be positive (got {cfg.dt})")
+    if not (math.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ConfigError(f"dt must be positive and finite (got {cfg.dt})")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative (got {cfg.seed})")
     if cfg.n_paths < 2:
         raise ConfigError(f"n_paths must be at least 2 (got {cfg.n_paths})")
     if cfg.antithetic and cfg.n_paths % 2:
@@ -183,61 +185,139 @@ def _validate_config(cfg: SimulationConfig, s: Scenario) -> None:
 
 
 def _simulate_block(cfg: SimulationConfig, s: Scenario, tb: _CohortTables,
-                    rng: np.random.Generator, n_draw: int, probe_idx):
-    """Simulate one block; returns per-path utility, terminal X, Y(t0), probe X."""
-    mk = s.market
-    n_steps = len(tb.dts)
-    Z_base = rng.standard_normal((n_steps, n_draw))
-    if cfg.antithetic:
-        npath = 2 * n_draw
-    else:
-        npath = n_draw
-    W = np.full(npath, tb.w_at_entry)
-    Y = np.zeros(npath)
-    X = np.zeros(npath)
-    util = np.zeros(npath)
-    y_t0 = None
-    probe_x = {}
-    clip = 0
-    nu = validate(s).nu
-    one_minus_d = 1.0 - tb.delta
-    f_prev = None
-    h_prev = 0.0
-    for i in range(n_steps):
-        h = tb.dts[i]
-        sq = math.sqrt(h)
-        Z = Z_base[i]
-        if cfg.antithetic:
-            Z = np.concatenate([Z, -Z])
-        G_raw = X + tb.M[i] * W + tb.N[i] * Y
-        clip += int(np.count_nonzero(G_raw <= 0.0))
-        G = np.maximum(G_raw, 1e-12)
-        pi = cfg.pi_scale * (nu * G / (mk.sigma * one_minus_d)
-                             - (mk.xi * W * tb.M[i]
-                                + mk.beta * Y * tb.N[i] * tb.working[i]) / mk.sigma)
-        C = tb.cr_right[i] * G
-        f_right = tb.b_right[i] * C**tb.delta / tb.delta
-        if f_prev is not None:
-            f_left = tb.b_left[i] * (tb.cr_left[i] * G) ** tb.delta / tb.delta
-            util += 0.5 * h_prev * (f_prev + f_left)
-        f_prev, h_prev = f_right, h
+                    n_units: int, probe_idx):
+    """Simulate every block of the cohort in one step loop.
 
-        growth_w = np.exp((mk.gamma - 0.5 * mk.xi**2) * h + mk.xi * sq * Z)
-        W_new = W * growth_w
-        if tb.working[i]:
-            growth_y = np.exp((mk.alpha - 0.5 * mk.beta**2) * h + mk.beta * sq * Z)
-            Y = Y * growth_y + cfg.k * h * 0.5 * (growth_y * W + W_new)
-        X = (X + (mk.r * X + (mk.mu - mk.r) * pi + tb.a_t[i] * W
-                  + (0.0 if tb.working[i] else tb.ann_rate) * Y - C) * h
-             + mk.sigma * pi * sq * Z)
-        W = W_new
-        if tb.i_t0 is not None and i + 1 == tb.i_t0:
+    Block b holds base paths [b * BLOCK, (b + 1) * BLOCK) and draws its
+    normals one row per step from its own Philox stream, keyed by (seed, b);
+    the stream is sequential, so the rows are those of the block's whole
+    (n_steps, n_draw) normal matrix.  Paths are laid out as [+Z of every
+    block, then -Z of every block] under antithetic sampling.  Every update
+    writes into buffers allocated once, with the operands of the Euler step
+    in a fixed order, so no path depends on the layout.
+
+    Returns per-path utility, terminal X, Y(t0) (None without t0), probe X
+    keyed by node, and the number of clamped G values.
+    """
+    mk = s.market
+    npath = 2 * n_units if cfg.antithetic else n_units
+    Z = np.empty(npath)
+    Z_plus, Z_minus = Z[:n_units], Z[n_units:]
+    draws = [(np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                 entropy=cfg.seed, spawn_key=(block,)))),
+              Z_plus[lo:lo + BLOCK])
+             for block, lo in enumerate(range(0, n_units, BLOCK))]
+    W = np.full(npath, tb.w_at_entry)
+    Y, X, util = np.zeros(npath), np.zeros(npath), np.zeros(npath)
+    W_new, G, pi, C, f_prev, f_right, f_left, g_w, g_y, tmp, tmp2 = (
+        np.empty(npath) for _ in range(11))
+    low = np.empty(npath, dtype=bool)
+
+    nu = validate(s).nu
+    delta = tb.delta
+    pi_denom = mk.sigma * (1.0 - delta)
+    drift_w = mk.gamma - 0.5 * mk.xi**2
+    drift_y = mk.alpha - 0.5 * mk.beta**2
+    excess = mk.mu - mk.r
+    dts, M, N, a_t = (tb.dts.tolist(), tb.M.tolist(), tb.N.tolist(),
+                      tb.a_t.tolist())
+    b_right, b_left = tb.b_right.tolist(), tb.b_left.tolist()
+    cr_right, cr_left = tb.cr_right.tolist(), tb.cr_left.tolist()
+    working = tb.working.tolist()
+
+    y_t0 = Y.copy() if tb.i_t0 == 0 else None
+    probe_x = {0: X.copy()} if 0 in probe_idx else {}
+    clip = 0
+    h_prev = 0.0
+    for i, h in enumerate(dts):
+        sq = math.sqrt(h)
+        for rng, row in draws:
+            rng.standard_normal(out=row)
+        if cfg.antithetic:
+            np.negative(Z_plus, out=Z_minus)
+
+        # G = X + M W + N Y, clamped at 1e-12
+        np.multiply(W, M[i], out=G)
+        np.add(X, G, out=G)
+        np.multiply(Y, N[i], out=tmp)
+        np.add(G, tmp, out=G)
+        clip += int(np.count_nonzero(np.less_equal(G, 0.0, out=low)))
+        np.maximum(G, 1e-12, out=G)
+
+        # pi = pi_scale (nu G / (sigma (1 - delta))
+        #                - (xi W M + beta Y N working) / sigma)
+        np.multiply(G, nu, out=pi)
+        np.divide(pi, pi_denom, out=pi)
+        np.multiply(W, mk.xi, out=tmp)
+        np.multiply(tmp, M[i], out=tmp)
+        np.multiply(Y, mk.beta, out=tmp2)
+        np.multiply(tmp2, N[i], out=tmp2)
+        np.multiply(tmp2, working[i], out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.divide(tmp, mk.sigma, out=tmp)
+        np.subtract(pi, tmp, out=pi)
+        np.multiply(pi, cfg.pi_scale, out=pi)
+
+        # utility: trapezoid between the right value at node i - 1 and the
+        # left limit at node i, which differs only at the retirement node
+        np.multiply(G, cr_right[i], out=C)
+        np.power(C, delta, out=f_right)
+        np.multiply(f_right, b_right[i], out=f_right)
+        np.divide(f_right, delta, out=f_right)
+        if i:
+            if b_left[i] == b_right[i] and cr_left[i] == cr_right[i]:
+                left = f_right
+            else:
+                left = f_left
+                np.multiply(G, cr_left[i], out=left)
+                np.power(left, delta, out=left)
+                np.multiply(left, b_left[i], out=left)
+                np.divide(left, delta, out=left)
+            np.add(f_prev, left, out=tmp)
+            np.multiply(tmp, 0.5 * h_prev, out=tmp)
+            np.add(util, tmp, out=util)
+        f_prev, f_right, h_prev = f_right, f_prev, h
+
+        np.multiply(Z, mk.xi * sq, out=g_w)
+        np.add(g_w, drift_w * h, out=g_w)
+        np.exp(g_w, out=g_w)
+        np.multiply(W, g_w, out=W_new)
+        if working[i]:
+            # Y <- Y g_y + k h / 2 (g_y W + W_new)
+            np.multiply(Z, mk.beta * sq, out=g_y)
+            np.add(g_y, drift_y * h, out=g_y)
+            np.exp(g_y, out=g_y)
+            np.multiply(g_y, W, out=tmp)
+            np.add(tmp, W_new, out=tmp)
+            np.multiply(tmp, cfg.k * h * 0.5, out=tmp)
+            np.multiply(Y, g_y, out=Y)
+            np.add(Y, tmp, out=Y)
+
+        # X <- X + (r X + (mu - r) pi + a W + ann Y - C) h + sigma pi sqrt(h) Z
+        np.multiply(X, mk.r, out=tmp)
+        np.multiply(pi, excess, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(W, a_t[i], out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(Y, 0.0 if working[i] else tb.ann_rate, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.subtract(tmp, C, out=tmp)
+        np.multiply(tmp, h, out=tmp)
+        np.add(X, tmp, out=X)
+        np.multiply(pi, mk.sigma, out=tmp)
+        np.multiply(tmp, sq, out=tmp)
+        np.multiply(tmp, Z, out=tmp)
+        np.add(X, tmp, out=X)
+        W, W_new = W_new, W
+
+        if i + 1 == tb.i_t0:
             y_t0 = Y.copy()
         if i + 1 in probe_idx:
             probe_x[i + 1] = X.copy()
     # final sliver: half-trapezoid with the terminal value dropped; the graded
     # mesh makes its width (hence the omission) negligible
-    util += 0.5 * h_prev * f_prev
+    np.multiply(f_prev, 0.5 * h_prev, out=tmp)
+    np.add(util, tmp, out=util)
     return util, X, y_t0, probe_x, clip
 
 
@@ -255,63 +335,33 @@ def simulate_cohort(cfg: SimulationConfig, s: Scenario,
     """Run the cohort simulation and compare against the closed-form value.
 
     Deterministic given (cfg, scenario): paths are drawn in fixed-size blocks
-    from counter-based streams keyed by (seed, block index), so the result is
-    independent of scheduling.
+    from counter-based streams keyed by (seed, block index).  The blocks share
+    one step loop and each block's normals are drawn row by row from its own
+    stream, so the result equals that of simulating the blocks one after
+    another, and is independent of scheduling.
     """
     _validate_config(cfg, s)
     validate(s)
     tb = _build_tables(cfg, s)
-    delta = tb.delta
     V = lifecycle.value_function(cfg.z, 0.0, tb.w_at_entry, 0.0, cfg.z,
-                                 cfg.theta, cfg.k, s, delta)
+                                 cfg.theta, cfg.k, s, tb.delta)
 
     probe_idx = {int(np.argmin(np.abs(tb.t - pt))): float(pt) for pt in probe_times}
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    util_parts, term_parts, y0_parts = [], [], []
-    probe_parts: dict[int, list] = {i: [] for i in probe_idx}
-    clip = 0
-    done = 0
-    block = 0
-    while done < n_units:
-        n_draw = min(BLOCK, n_units - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed,
-                                                    spawn_key=(block,))))
-        util, X, y_t0, probe_x, c = _simulate_block(cfg, s, tb, rng, n_draw,
-                                                    probe_idx)
-        util_parts.append(util)
-        term_parts.append(X)
-        if y_t0 is not None:
-            y0_parts.append(y_t0)
-        for idx, arr in probe_x.items():
-            probe_parts[idx].append(arr)
-        clip += c
-        done += n_draw
-        block += 1
-
-    # antithetic halves live in the two halves of every block: regroup so the
-    # first half of the concatenated array holds all +Z paths
-    def gather(parts):
-        if not cfg.antithetic:
-            return np.concatenate(parts)
-        plus = np.concatenate([p[: p.size // 2] for p in parts])
-        minus = np.concatenate([p[p.size // 2:] for p in parts])
-        return np.concatenate([plus, minus])
-
-    mean_u, se_u = _pair_stats(gather(util_parts), cfg.antithetic)
-    mean_x, se_x = _pair_stats(gather(term_parts), cfg.antithetic)
+    util, X, y_t0, probe_x, clip = _simulate_block(cfg, s, tb, n_units,
+                                                   probe_idx)
+    mean_u, se_u = _pair_stats(util, cfg.antithetic)
+    mean_x, se_x = _pair_stats(X, cfg.antithetic)
     mean_y = se_y = None
-    if y0_parts:
-        mean_y, se_y = _pair_stats(gather(y0_parts), cfg.antithetic)
-    probes = []
-    for idx, pt in sorted(probe_idx.items()):
-        mp, sp = _pair_stats(gather(probe_parts[idx]), cfg.antithetic)
-        probes.append((pt, mp, sp))
+    if y_t0 is not None:
+        mean_y, se_y = _pair_stats(y_t0, cfg.antithetic)
+    probes = tuple((pt, *_pair_stats(probe_x[idx], cfg.antithetic))
+                   for idx, pt in sorted(probe_idx.items()))
     return SimulationReport(
         mean_utility=mean_u, se_utility=se_u, closed_form_value=V,
         mean_terminal_wealth=mean_x, se_terminal_wealth=se_x,
         mean_y_at_t0=mean_y, se_y_at_t0=se_y, clipped_paths=clip,
-        n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, probes=tuple(probes))
+        n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, probes=probes)
 
 
 # --------------------------------------------------------------------------

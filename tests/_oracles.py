@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from penmix import demography, lifecycle, validate
+from penmix import demography, lifecycle, montecarlo, validate
 from penmix.scenario import Scenario
 
 
@@ -278,3 +278,108 @@ def welfare_per_node(s: Scenario, g, mode: str):
         return math.fsum(terms)
 
     return phi
+
+
+def _mc_block(cfg, s: Scenario, tb, rng, n_draw: int, probe_idx):
+    """One Monte Carlo block on its own, with its whole (n_steps, n_draw)
+    normal matrix drawn up front and a fresh array for every operation."""
+    mk = s.market
+    n_steps = len(tb.dts)
+    Z_base = rng.standard_normal((n_steps, n_draw))
+    npath = 2 * n_draw if cfg.antithetic else n_draw
+    W = np.full(npath, tb.w_at_entry)
+    Y = np.zeros(npath)
+    X = np.zeros(npath)
+    util = np.zeros(npath)
+    y_t0 = Y.copy() if tb.i_t0 == 0 else None
+    probe_x = {0: X.copy()} if 0 in probe_idx else {}
+    clip = 0
+    nu = validate(s).nu
+    one_minus_d = 1.0 - tb.delta
+    f_prev = None
+    h_prev = 0.0
+    for i in range(n_steps):
+        h = tb.dts[i]
+        sq = math.sqrt(h)
+        Z = Z_base[i]
+        if cfg.antithetic:
+            Z = np.concatenate([Z, -Z])
+        G_raw = X + tb.M[i] * W + tb.N[i] * Y
+        clip += int(np.count_nonzero(G_raw <= 0.0))
+        G = np.maximum(G_raw, 1e-12)
+        pi = cfg.pi_scale * (nu * G / (mk.sigma * one_minus_d)
+                             - (mk.xi * W * tb.M[i]
+                                + mk.beta * Y * tb.N[i] * tb.working[i]) / mk.sigma)
+        C = tb.cr_right[i] * G
+        f_right = tb.b_right[i] * C**tb.delta / tb.delta
+        if f_prev is not None:
+            f_left = tb.b_left[i] * (tb.cr_left[i] * G) ** tb.delta / tb.delta
+            util += 0.5 * h_prev * (f_prev + f_left)
+        f_prev, h_prev = f_right, h
+
+        growth_w = np.exp((mk.gamma - 0.5 * mk.xi**2) * h + mk.xi * sq * Z)
+        W_new = W * growth_w
+        if tb.working[i]:
+            growth_y = np.exp((mk.alpha - 0.5 * mk.beta**2) * h + mk.beta * sq * Z)
+            Y = Y * growth_y + cfg.k * h * 0.5 * (growth_y * W + W_new)
+        X = (X + (mk.r * X + (mk.mu - mk.r) * pi + tb.a_t[i] * W
+                  + (0.0 if tb.working[i] else tb.ann_rate) * Y - C) * h
+             + mk.sigma * pi * sq * Z)
+        W = W_new
+        if tb.i_t0 is not None and i + 1 == tb.i_t0:
+            y_t0 = Y.copy()
+        if i + 1 in probe_idx:
+            probe_x[i + 1] = X.copy()
+    util += 0.5 * h_prev * f_prev
+    return util, X, y_t0, probe_x, clip
+
+
+def simulate_cohort_per_block(cfg, s: Scenario, probe_times=()):
+    """`montecarlo.simulate_cohort` with the blocks simulated one after
+    another, each from its own stream, and the antithetic halves of the
+    blocks regrouped afterwards into [+Z of every block, -Z of every block]."""
+    montecarlo._validate_config(cfg, s)
+    tb = montecarlo._build_tables(cfg, s)
+    V = lifecycle.value_function(cfg.z, 0.0, tb.w_at_entry, 0.0, cfg.z,
+                                 cfg.theta, cfg.k, s, tb.delta)
+    probe_idx = {int(np.argmin(np.abs(tb.t - pt))): float(pt) for pt in probe_times}
+    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    util_parts, term_parts, y0_parts = [], [], []
+    probe_parts = {i: [] for i in probe_idx}
+    clip = done = block = 0
+    while done < n_units:
+        n_draw = min(montecarlo.BLOCK, n_units - done)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed,
+                                                    spawn_key=(block,))))
+        util, X, y_t0, probe_x, c = _mc_block(cfg, s, tb, rng, n_draw, probe_idx)
+        util_parts.append(util)
+        term_parts.append(X)
+        if y_t0 is not None:
+            y0_parts.append(y_t0)
+        for idx, arr in probe_x.items():
+            probe_parts[idx].append(arr)
+        clip += c
+        done += n_draw
+        block += 1
+
+    def gather(parts):
+        if not cfg.antithetic:
+            return np.concatenate(parts)
+        plus = np.concatenate([p[: p.size // 2] for p in parts])
+        minus = np.concatenate([p[p.size // 2:] for p in parts])
+        return np.concatenate([plus, minus])
+
+    def stats(parts):
+        return montecarlo._pair_stats(gather(parts), cfg.antithetic)
+
+    mean_u, se_u = stats(util_parts)
+    mean_x, se_x = stats(term_parts)
+    mean_y, se_y = stats(y0_parts) if y0_parts else (None, None)
+    probes = tuple((pt, *stats(probe_parts[idx]))
+                   for idx, pt in sorted(probe_idx.items()))
+    return montecarlo.SimulationReport(
+        mean_utility=mean_u, se_utility=se_u, closed_form_value=V,
+        mean_terminal_wealth=mean_x, se_terminal_wealth=se_x,
+        mean_y_at_t0=mean_y, se_y_at_t0=se_y, clipped_paths=clip,
+        n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, probes=probes)

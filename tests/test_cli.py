@@ -199,6 +199,27 @@ def test_verify_table_format(capsys, scenario_dir, tmp_path):
     assert {"perturbed_gap_se", "perturbed_ok", "passed"} <= doc.keys()
 
 
+@pytest.mark.parametrize("arg", [("--dt", "nan"), ("--dt", "inf"),
+                                 ("--seed", "-1")])
+def test_verify_bad_arguments(capsys, scenario_dir, arg):
+    code, out, err = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),
+                         "--paths", "64", *arg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_probes_on_entry_node(capsys, scenario_dir):
+    # at dt = 35 the probes and t0 of the older cohorts map to the entry node
+    code, out, err = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),
+                         "--paths", "64", "--dt", "35")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert len([l for l in lines if l.startswith("z=")]) == 3
+    assert lines[-1] == "overall: FAIL"
+    assert "error:" not in err
+
+
 def test_babyboom_requires_block(capsys, scenario_dir):
     code, _, err = run(capsys, "babyboom", str(scenario_dir / "scenario_us.json"))
     assert code == 4

@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from penmix import ConfigError, lifecycle, montecarlo, validate
 from penmix.montecarlo import SimulationConfig
+
+from _oracles import simulate_cohort_per_block
 
 FAST = dict(n_paths=2000, dt=0.05, seed=99)
 
@@ -104,6 +109,10 @@ def test_config_validation(us):
         # 0.03 does not divide the 35-year working span
         montecarlo.simulate_cohort(
             SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=100, dt=0.03), us)
+    for bad in (dict(dt=math.nan), dict(dt=math.inf), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            montecarlo.simulate_cohort(
+                SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=100, **bad), us)
 
 
 def test_probe_statistics_match_expected_wealth(us):
@@ -147,3 +156,56 @@ def test_babyboom_verify_rows_pass(us_bb):
     for row in rep.rows:
         assert row.utility_ok and row.terminal_ok and row.probes_ok, row.z
     assert [row.y0_ok for row in rep.rows] == [None, True, True]
+
+
+# (scenario fixture, z - t0, SimulationConfig fields, with probes)
+ORACLE_CASES = {
+    "t0": ("us", 0.0, dict(n_paths=4096), False),
+    "t0-40": ("us", -40.0, dict(n_paths=4096), False),
+    "partial-last-block": ("us", -10.0, dict(n_paths=2500), True),
+    "plain": ("us", 0.0, dict(n_paths=2049, antithetic=False), False),
+    "pi-scale": ("us", -40.0, dict(n_paths=2048, pi_scale=1.5), False),
+    "babyboom": ("us_bb", -30.0, dict(n_paths=2048), True),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_one_step_loop_matches_per_block_loop(request, case):
+    # every float of the report equals the one from simulating the blocks one
+    # after another, each from a whole normal matrix of its own stream
+    name, dz, fields, with_probes = ORACLE_CASES[case]
+    s = request.getfixturevalue(name)
+    z = s.policy.t0 + dz
+    cfg = SimulationConfig(z=z, theta=s.policy.theta0, k=s.policy.k0, dt=0.05,
+                           seed=11, **fields)
+    probes = montecarlo._probe_times(z, s) if with_probes else ()
+    rep = montecarlo.simulate_cohort(cfg, s, probe_times=probes)
+    assert rep == simulate_cohort_per_block(cfg, s, probe_times=probes)
+    assert len(rep.probes) == len(probes)
+    assert (rep.mean_y_at_t0 is not None) == (z < s.policy.t0)
+
+
+def test_entry_node_is_recorded(us):
+    # a probe time or t0 whose nearest mesh node is the entry node reads the
+    # entry state: X = Y = 0 on every path
+    cfg = SimulationConfig(z=-0.01, theta=0.08, k=0.12, n_paths=128, dt=0.05,
+                           seed=3)
+    rep = montecarlo.simulate_cohort(cfg, us, probe_times=[cfg.z])
+    assert rep.probes == ((cfg.z, 0.0, 0.0),)
+    assert (rep.mean_y_at_t0, rep.se_y_at_t0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n_paths", [4096, 20000])
+def test_memory_does_not_grow_with_steps(us, n_paths):
+    # 7 100 steps at dt = 0.01: a (steps x block) normal matrix alone would
+    # take 58 MB; the step loop keeps a fixed set of per-path buffers
+    cfg = SimulationConfig(z=us.policy.t0, theta=0.08, k=0.12,
+                           n_paths=n_paths, dt=0.01)
+    validate(us)
+    tracemalloc.start()
+    try:
+        montecarlo.simulate_cohort(cfg, us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
