@@ -7,10 +7,12 @@ compare two such output directories.
 
 The first form runs `validate`, `critical-ages`, `classify` (steps 1 and
 0.25), `optimize` (both weightings, mandatory and voluntary), `paths` (a
-working and a retired cohort), `verify --paths 512 --out` and, on the
-baby-boom scenario, `babyboom`, in-process through `penmix.cli.main`.  Each
-run leaves NAME.stdout, its `--out` artifact when it has one, and its exit
-code in exit_codes.json.
+working and a retired cohort), `sweep` (a 2 x 2 grid of `demo.rho` x
+`market.gamma` up to the scenario's own values, for `theta_star` and for
+`zeta_hat`, from spec files it writes into OUT_DIR), `verify --paths 512
+--out` and, on the baby-boom scenario, `babyboom`, in-process through
+`penmix.cli.main`.  Each run leaves NAME.stdout, its `--out` artifact when it
+has one, and its exit code in exit_codes.json.
 
 The second form prints, per file and per column (CSV) or key (JSON), the
 largest relative difference |x - y| / max(|x|, |y|) between the two
@@ -30,8 +32,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FIXTURES = ("scenario_us", "scenario_cn", "scenario_us_babyboom")
 
 
-def _runs(name: str):
-    """(run name, argv after the scenario path, --out suffix or None)."""
+def _runs(name: str, out_dir: Path):
+    """(run name, argv after the scenario path, --out suffix or None).
+
+    Writes the sweep spec files the runs read into out_dir.
+    """
     from penmix import load_scenario
 
     s = load_scenario(SCENARIOS / f"{name}.json")
@@ -47,6 +52,16 @@ def _runs(name: str):
                      ["optimize", "--weighting", weighting, "--voluntary"], None))
     for zeta in (30.0, 70.0):
         runs.append((f"paths-{zeta:g}", ["paths", "--zeta", repr(zeta)] + rates, ".csv"))
+    for target in ("theta_star", "zeta_hat"):
+        # a 2 x 2 grid ending at the scenario's own rho and gamma
+        spec = out_dir / f"{name}.sweep-{target}.spec.json"
+        spec.write_text(json.dumps({
+            "param1": {"path": "demo.rho", "lo": s.demo.rho - 0.005,
+                       "hi": s.demo.rho, "steps": 2},
+            "param2": {"path": "market.gamma", "lo": s.market.gamma - 0.005,
+                       "hi": s.market.gamma, "steps": 2},
+            "target": target}, indent=2) + "\n", encoding="utf-8")
+        runs.append((f"sweep-{target}", ["sweep", "--spec", str(spec)], ".csv"))
     if s.demo.babyboom is not None:
         runs.append(("babyboom", ["babyboom"], ".csv"))
     runs.append(("verify", ["verify", "--paths", "512"], ".json"))
@@ -60,7 +75,7 @@ def write_goldens(out_dir: Path) -> int:
     codes = {}
     for fixture in FIXTURES:
         scenario = str(SCENARIOS / f"{fixture}.json")
-        for run, argv, suffix in _runs(fixture):
+        for run, argv, suffix in _runs(fixture, out_dir):
             stem = f"{fixture}.{run}"
             args = [argv[0], scenario] + argv[1:]
             if suffix is not None:

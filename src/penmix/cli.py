@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +74,6 @@ def mortality_scale(s: Scenario, delta: float) -> Scenario:
         raise DomainError(f"mortality scale must be positive (got {delta})")
     return with_params(s, **{"demo.A": s.demo.A * delta,
                              "demo.B": s.demo.B * delta})
-
-
-def _pool_size() -> int:
-    raw = os.environ.get("PENMIX_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PENMIX_THREADS must be an integer (got {raw!r})")
-    if n < 0:
-        raise ConfigError(f"PENMIX_THREADS must be nonnegative (got {n})")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------------
@@ -246,19 +233,15 @@ def _cmd_sweep(args) -> int:
     (path1, vals1), (path2, vals2) = axes
     target = spec["target"]
 
-    cells = [(v1, v2) for v1 in vals1 for v2 in vals2]
-
-    def run_cell(cell):
-        v1, v2 = cell
-        try:
-            sc = _apply_param(_apply_param(s, path1, float(v1)), path2, float(v2))
-            value, reason = _sweep_value(sc, target, args.step)
-        except PenmixError as exc:
-            value, reason = math.nan, str(exc).replace(",", ";")
-        return float(v1), float(v2), value, reason
-
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        rows = list(pool.map(run_cell, cells))
+    rows = []
+    for v1 in vals1:
+        for v2 in vals2:
+            try:
+                sc = _apply_param(_apply_param(s, path1, float(v1)), path2, float(v2))
+                value, reason = _sweep_value(sc, target, args.step)
+            except PenmixError as exc:
+                value, reason = math.nan, str(exc).replace(",", ";")
+            rows.append((float(v1), float(v2), value, reason))
     _write_csv(args.out, [path1, path2, target, "reason"], rows)
     return 0
 

@@ -83,7 +83,7 @@ def _time_grid(z: float, s: Scenario, dt: float):
     """Uniform mesh at dt with a graded tail over the last TAIL_YEARS."""
     life = s.demo.omega - s.demo.a
     tail = min(TAIL_YEARS, (s.demo.omega - s.demo.tau) / 2.0)
-    n_uni = int(round((life - tail) / dt))
+    n_uni = int(math.floor((life - tail) / dt + 1e-9))
     t_uni = z + dt * np.arange(n_uni + 1)
     T = z + life
     tail_start = t_uni[-1]
@@ -132,7 +132,6 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
     # per-interval 10-point Gauss-Legendre (exact enough at any node spacing)
     cexp = lifecycle._growth_exponent(delta, s)
     pw = 1.0 / (1.0 - delta)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
 
     def integrand(tt):
         uu = tt - cfg.z
@@ -140,10 +139,7 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
               * np.where(uu >= ret_u - 1e-12, s.pref.lam, 1.0))
         return bb**pw * np.exp(cexp * uu)
 
-    mid = 0.5 * (tg[:-1] + tg[1:])
-    half = 0.5 * dts
-    seg = (integrand(mid[:, None] + half[:, None] * gl_x[None, :])
-           * gl_w[None, :]).sum(axis=1) * half
+    seg = demography._gauss_legendre(tg[:-1], tg[1:], integrand)
     inner = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     L = (np.exp(-cexp * u) * inner) ** (1.0 - delta)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -319,22 +319,36 @@ def save_scenario(s: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
 
+_SECTION_ALIASES = {"demography": "demo", "preference": "pref"}
+
+
 def with_params(s: Scenario, **dotted) -> Scenario:
-    """Return a copy with dotted-path overrides, e.g. with_params(s, **{"demo.rho": -0.01})."""
-    sections = {"market": s.market, "demo": s.demo, "demography": s.demo,
-                "policy": s.policy, "pref": s.pref, "preference": s.pref}
-    attr_of = {"market": "market", "demo": "demo", "demography": "demo",
-               "policy": "policy", "pref": "pref", "preference": "pref"}
-    updates: dict[str, dict] = {}
+    """Return a copy with dotted-path overrides, e.g. with_params(s, **{"demo.rho": -0.01}).
+
+    Every path names one number: `section.field`, or `demo.babyboom.field`
+    inside the baby-boom block (`demography.` and `preference.` also work).
+    """
     for path, value in dotted.items():
-        section, _, name = path.partition(".")
-        if section not in sections or not name:
+        names = path.split(".")
+        names[0] = _SECTION_ALIASES.get(names[0], names[0])
+        s = _with_number(s, names, value, path)
+    return s
+
+
+def _with_number(record, names, value, path: str):
+    """Copy of the record with the number that the field names lead to set
+    to value."""
+    name, rest = names[0], names[1:]
+    if name not in {f.name for f in fields(record)}:
+        raise SchemaError(f"unknown parameter path '{path}'")
+    child = getattr(record, name)
+    if isinstance(child, (int, float)):
+        if rest:
             raise SchemaError(f"unknown parameter path '{path}'")
-        obj = sections[section]
-        if not hasattr(obj, name):
-            raise SchemaError(f"unknown parameter path '{path}'")
-        updates.setdefault(attr_of[section], {})[name] = value
-    out = s
-    for attr, kwargs in updates.items():
-        out = replace(out, **{attr: replace(getattr(out, attr), **kwargs)})
-    return out
+        return replace(record, **{name: value})
+    if not rest:
+        raise SchemaError(f"parameter path '{path}' is a block: a path names one number")
+    if child is None:
+        raise SchemaError(f"parameter path '{path}': the scenario has no "
+                          f"{name} block")
+    return replace(record, **{name: _with_number(child, rest, value, path)})

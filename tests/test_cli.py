@@ -94,8 +94,7 @@ def test_paths_zeta_out_of_range(capsys, scenario_dir):
     assert "zeta" in err
 
 
-def test_sweep_rectangular_with_reasons(capsys, scenario_dir, tmp_path,
-                                        monkeypatch):
+def test_sweep_rectangular_with_reasons(capsys, scenario_dir, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "param1": {"path": "demo.rho", "lo": -0.005, "hi": 0.005, "steps": 2},
@@ -103,7 +102,6 @@ def test_sweep_rectangular_with_reasons(capsys, scenario_dir, tmp_path,
         "target": "zeta_hat",
     }))
     out_file = tmp_path / "sweep.csv"
-    monkeypatch.setenv("PENMIX_THREADS", "1")
     code, _, _ = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
                      "--spec", str(spec), "--out", str(out_file))
     assert code == 0
@@ -220,6 +218,17 @@ def test_verify_probes_on_entry_node(capsys, scenario_dir):
     assert "error:" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_coarse_dt_keeps_graded_tail(capsys, scenario_dir):
+    # (omega - a - 1) / 35 = 1.97: the uniform mesh stops at 35 years and the
+    # graded tail covers the rest, so no step has zero width
+    code, out, err = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),
+                         "--paths", "64", "--dt", "35")
+    assert code == 1, err
+    assert "nan" not in out
+    assert "perturbed-control gap: 1.25 SE" in out
+
+
 def test_babyboom_requires_block(capsys, scenario_dir):
     code, _, err = run(capsys, "babyboom", str(scenario_dir / "scenario_us.json"))
     assert code == 4
@@ -250,7 +259,7 @@ def test_longevity_raises_critical_age(us):
     assert ages[0] < ages[1] < ages[2]
 
 
-def test_sweep_babyboom_theta_star(capsys, scenario_dir, tmp_path, monkeypatch):
+def test_sweep_babyboom_theta_star(capsys, scenario_dir, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "param1": {"path": "policy.tau1", "lo": 0.24, "hi": 0.26, "steps": 2},
@@ -258,13 +267,32 @@ def test_sweep_babyboom_theta_star(capsys, scenario_dir, tmp_path, monkeypatch):
         "target": "theta_star",
     }))
     out_file = tmp_path / "sweep.csv"
-    monkeypatch.setenv("PENMIX_THREADS", "1")
     code, _, err = run(capsys, "sweep", str(scenario_dir / "scenario_us_babyboom.json"),
                        "--spec", str(spec), "--out", str(out_file))
     assert code == 0, err
     cells = [line.split(",") for line in out_file.read_text().strip().split("\n")[1:]]
     assert len(cells) == 4
     assert all(0.0 < float(c[2]) < float(c[1]) and c[3] == "" for c in cells)
+
+
+def test_sweep_babyboom_block_parameter(capsys, scenario_dir, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "demo.babyboom.rho2", "lo": -0.01, "hi": 0.0, "steps": 2},
+        "param2": {"path": "market.gamma", "lo": 0.015, "hi": 0.025, "steps": 2},
+        "target": "theta_star",
+    }))
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", str(scenario_dir / "scenario_us_babyboom.json"),
+                       "--spec", str(spec), "--out", str(out_file))
+    assert code == 0, err
+    lines = out_file.read_text().strip().split("\n")
+    assert lines[0] == "demo.babyboom.rho2,market.gamma,theta_star,reason"
+    cells = [line.split(",") for line in lines[1:]]
+    assert len(cells) == 4
+    assert all(math.isfinite(float(c[2])) and c[3] == "" for c in cells)
+    # rho2 moves theta* at either gamma
+    assert cells[0][2] != cells[2][2] and cells[1][2] != cells[3][2]
 
 
 def test_internal_error_exit_code(capsys, scenario_dir, monkeypatch):

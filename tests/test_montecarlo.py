@@ -19,16 +19,32 @@ def test_reports_are_deterministic(us):
     assert a == b
 
 
-def test_block_structure_does_not_change_result(us):
+def test_block_size_changes_streams_not_statistics(us):
+    # BLOCK = 256 splits the 1 000 antithetic pairs over four streams instead
+    # of one: other paths, the same distribution, the same step loop
     cfg = SimulationConfig(z=0.0, theta=0.08, k=0.12, **FAST)
     a = montecarlo.simulate_cohort(cfg, us)
     orig = montecarlo.BLOCK
     try:
-        montecarlo.BLOCK = 1024  # same as default: identity check of the knob
+        montecarlo.BLOCK = 256
         b = montecarlo.simulate_cohort(cfg, us)
+        assert b == simulate_cohort_per_block(cfg, us)
     finally:
         montecarlo.BLOCK = orig
-    assert a == b
+    assert a != b
+    for mean, se in (("mean_utility", "se_utility"),
+                     ("mean_terminal_wealth", "se_terminal_wealth")):
+        gap = abs(getattr(a, mean) - getattr(b, mean))
+        assert gap <= 3.0 * math.hypot(getattr(a, se), getattr(b, se))
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.5, 2.5, 35.0 / 17, 35.0])
+def test_time_grid_steps_are_positive(us, dt):
+    # the uniform part never reaches past the start of the graded tail
+    tg = montecarlo._time_grid(-10.0, us, dt)
+    assert np.all(np.diff(tg) > 0)
+    assert tg[-1] == -10.0 + us.demo.omega - us.demo.a
+    assert np.allclose(np.diff(tg[:int((us.demo.tau - us.demo.a) / dt) + 1]), dt)
 
 
 def test_utility_matches_value_function(us):

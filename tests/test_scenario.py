@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -146,3 +147,28 @@ def test_unknown_param_path_rejected(us):
         with_params(us, **{"market.bogus": 1.0})
     with pytest.raises(SchemaError):
         with_params(us, **{"nowhere.r": 1.0})
+
+
+def test_babyboom_param_paths(us_bb):
+    for section in ("demo", "demography"):
+        s = with_params(us_bb, **{f"{section}.babyboom.rho2": -0.01,
+                                  f"{section}.babyboom.t1": -45.0})
+        assert s.demo.babyboom == replace(us_bb.demo.babyboom, rho2=-0.01, t1=-45.0)
+        assert replace(s, demo=replace(s.demo, babyboom=us_bb.demo.babyboom)) == us_bb
+    with pytest.raises(SchemaError, match="unknown"):
+        with_params(us_bb, **{"demo.babyboom.bogus": 1.0})
+    with pytest.raises(SchemaError, match="unknown"):
+        with_params(us_bb, **{"demo.rho.x": 1.0})
+
+
+@pytest.mark.parametrize("path", ["demo.babyboom", "demography.babyboom"])
+def test_block_path_rejected(us, us_bb, path):
+    # a path must name a number, not the baby-boom record, with or without one
+    for s in (us, us_bb):
+        with pytest.raises(SchemaError, match="block"):
+            with_params(s, **{path: 1.0})
+
+
+def test_babyboom_path_needs_babyboom_block(us):
+    with pytest.raises(SchemaError, match="no babyboom block"):
+        with_params(us, **{"demo.babyboom.rho2": -0.01})
