@@ -16,8 +16,10 @@ has one, and its exit code in exit_codes.json.
 
 The second form prints, per file and per column (CSV) or key (JSON), the
 largest relative difference |x - y| / max(|x|, |y|) between the two
-directories, and the number of differing cells for text columns.  Files that
-are byte-identical print as such.
+directories, the column-scaled difference max |x - y| / max |x| (which stays
+small where a near-zero cell moves by round-off), and the number of
+differing cells for text columns.  Files that are byte-identical print as
+such.  It exits 1 when any file differs or is in one directory only.
 """
 import argparse
 import contextlib
@@ -96,6 +98,17 @@ def _rel(x: float, y: float) -> float:
     return math.inf if scale == 0 or not math.isfinite(scale) else abs(x - y) / scale
 
 
+def _scaled(nums) -> float:
+    """max |x - y| / max |x| over a column's (x, y) cell pairs: 0 when no
+    cell moves, inf when a moved cell is not finite or the column is all 0."""
+    gaps = [abs(x - y) for x, y in nums if _rel(x, y)]
+    if not gaps:
+        return 0.0
+    scale = max((abs(x) for x, _ in nums if math.isfinite(x)), default=0.0)
+    gap = max(gaps)
+    return gap / scale if scale > 0 and math.isfinite(gap) else math.inf
+
+
 def _number(text):
     try:
         return float(text)
@@ -138,21 +151,25 @@ def _column_diff(xs, ys) -> str:
     nums = [(_number(x), _number(y)) for x, y in zip(xs, ys)]
     if all(x is not None and y is not None and not isinstance(a, bool)
            for (x, y), a in zip(nums, xs)):
-        return f"max rel {max((_rel(x, y) for x, y in nums), default=0.0):.3g}"
+        rel = max((_rel(x, y) for x, y in nums), default=0.0)
+        return f"max rel {rel:.3g}, column-scaled {_scaled(nums):.3g}"
     differ = sum(x != y for x, y in zip(xs, ys))
     return f"{differ} of {len(xs)} cells differ"
 
 
 def compare(a: Path, b: Path) -> int:
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    code = 0
     for name in names:
         pa, pb = a / name, b / name
         if not pa.exists() or not pb.exists():
             print(f"{name}: only in {a if pa.exists() else b}")
+            code = 1
             continue
         if pa.read_bytes() == pb.read_bytes():
             print(f"{name}: identical")
             continue
+        code = 1
         ca, cb = _columns(pa), _columns(pb)
         print(f"{name}:")
         for col in list(ca) + [c for c in cb if c not in ca]:
@@ -160,7 +177,7 @@ def compare(a: Path, b: Path) -> int:
                 print(f"  {col}: only in {a if col in ca else b}")
             else:
                 print(f"  {col}: {_column_diff(ca[col], cb[col])}")
-    return 0
+    return code
 
 
 def main(argv=None) -> int:

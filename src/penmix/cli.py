@@ -175,8 +175,7 @@ def _cmd_babyboom(args) -> int:
     lo = bb.t1 - 5.0
     hi = bb.t2 + (s.demo.omega - s.demo.a) + 5.0
     ts = np.arange(lo, hi + 1e-9, args.grid)
-    rows = [(float(t), float(demography.bb_entrants(t, bb)), float(fn(t)))
-            for t in ts]
+    rows = zip(ts.tolist(), demography.bb_entrants(ts, bb).tolist(), fn(ts).tolist())
     _write_csv(args.out, ["t", "n", "Lambda"], rows)
     doc = _critical_ages_doc(s)
     doc["one_over_lambda_pre_boom"] = 1.0 / fn(bb.t1 - 1e-9)
@@ -232,6 +231,8 @@ def _cmd_sweep(args) -> int:
                                             int(p["steps"]))))
     (path1, vals1), (path2, vals2) = axes
     target = spec["target"]
+    # a bad path is one schema error up front, not a nan in every cell
+    _apply_param(_apply_param(s, path1, 1.0), path2, 1.0)
 
     rows = []
     for v1 in vals1:

@@ -111,7 +111,7 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     M1, M2, M3, N = coefs
     L = np.concatenate([lifecycle.L_table(t0 - z_ret, f.delta2, s),
                         lifecycle.L_table(t0 - z_wrk, f.delta1, s)])
-    x0, y0 = lifecycle._state_arrays(zs, deltas, coefs, L, s)
+    x0, y0 = lifecycle._expected_states(t0, zs, deltas, p.theta0, p.k0, coefs, L, s)
 
     L0, M02, M03 = dc.L0, dc.M02, dc.M03
     growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2

@@ -48,19 +48,21 @@ def _life_end(z: float, s: Scenario) -> float:
     return z + s.demo.omega - s.demo.a
 
 
-def discount_weight(u: float, z: float, s: Scenario) -> float:
-    """Utility discount b(u; z): interest discount, survival, retirement weight.
+def _discount(u, s: Scenario):
+    """Utility discount b at life-time u = t - z (elementwise): interest
+    discount, survival, and the retirement weight from u = tau - a onward
+    (the boundary instant counts as retired)."""
+    d = s.demo
+    return (np.exp(-s.market.r * u) * demography.survival(u + d.a, d)
+            * np.where(u >= d.tau - d.a, s.pref.lam, 1.0))
 
-    The retirement weight applies from u = z + tau - a onward (the boundary
-    instant counts as retired).
-    """
+
+def discount_weight(u: float, z: float, s: Scenario) -> float:
+    """Utility discount b(u; z) at calendar time u for the cohort entering at z."""
     age_time = u - z
     if not -1e-12 <= age_time <= s.demo.omega - s.demo.a + 1e-12:
         raise DomainError(f"u = {u} outside the life window of cohort z = {z}")
-    w = math.exp(-s.market.r * age_time) * demography.survival(age_time + s.demo.a, s.demo)
-    if age_time >= s.demo.tau - s.demo.a:
-        w *= s.pref.lam
-    return w
+    return float(_discount(age_time, s))
 
 
 # --------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def L_table(ages, delta: float, s: Scenario) -> np.ndarray:
     """L at every life-time u0 = t - z in `ages` for CRRA exponent delta.
 
     L(u0) = [e^{-c u0} I(u0)]^{1 - delta} with I(u0) the integral of
-    (e^{-ru} s(u) lambda(u))^{1/(1-delta)} e^{c u} over [u0, omega - a].  All
+    b(u)^{1/(1-delta)} e^{c u} over [u0, omega - a], b the discount.  All
     the I(u0) come from one right-to-left cumulative sum of Gauss-Legendre
     panels whose edges are the requested ages, retirement (where lambda
     jumps) and the end of life, each panel at most L_PANEL wide.  Ages are
@@ -96,13 +98,7 @@ def L_table(ages, delta: float, s: Scenario) -> np.ndarray:
 
     cexp = _growth_exponent(delta, s)
     p = 1.0 / (1.0 - delta)
-    lam = np.where(0.5 * (lo + hi) >= ret, s.pref.lam, 1.0)[:, None]
-
-    def integrand(u):
-        return ((np.exp(-s.market.r * u) * demography.survival(u + d.a, d) * lam) ** p
-                * np.exp(cexp * u))
-
-    seg = _gauss_legendre(lo, hi, integrand)
+    seg = _gauss_legendre(lo, hi, lambda u: _discount(u, s) ** p * np.exp(cexp * u))
     inner = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     L = (np.exp(-cexp * u0) * inner[np.searchsorted(edges, u0)]) ** (1.0 - delta)
     return np.where(u0 >= life - 1e-14, 0.0, L)
@@ -267,6 +263,22 @@ def value_function(t: float, x: float, w: float, y: float, z: float,
     return (1.0 / delta) * coeff_L(t, z, delta, s) * G**delta
 
 
+def _controls(t, z, x, w, y, theta, k, coefs, L, delta: float, s: Scenario):
+    """Optimal (pi_star, C_star), elementwise, at times t for the cohort
+    entering at z in state (x, w, y); `coefs` holds (M1, M2, M3, N) and `L`
+    the L coefficient at t."""
+    dc = validate(s)
+    mk = s.market
+    M1, M2, M3, N = coefs
+    M = M1 * theta + M2 * k + M3
+    G = x + M * w + N * y
+    working = (t - z) < s.demo.tau - s.demo.a
+    pi = (dc.nu * G / (mk.sigma * (1 - delta))
+          - (mk.xi * w * M + mk.beta * y * N * working) / mk.sigma)
+    C = (L / _discount(t - z, s)) ** (1.0 / (delta - 1.0)) * G
+    return pi, C
+
+
 def optimal_controls(t: float, x: float, w: float, y: float, z: float,
                      theta: float, k: float, s: Scenario, delta: float):
     """Optimal risky allocation and consumption rate (pi_star, C_star) at t."""
@@ -278,15 +290,9 @@ def optimal_controls(t: float, x: float, w: float, y: float, z: float,
     L = coeff_L(t, z, delta, s)
     if L <= 0:
         raise DomainError("controls undefined at the terminal age (L = 0)")
-    dc = validate(s)
-    mk = s.market
-    working = (t - z) < s.demo.tau - s.demo.a
-    M = coefs.M1 * theta + coefs.M2 * k + coefs.M3
-    pi = (dc.nu * G / (mk.sigma * (1 - delta))
-          - (mk.xi * w * M + mk.beta * y * coefs.N * working) / mk.sigma)
-    b = discount_weight(t, z, s)
-    C = (L / b) ** (1.0 / (delta - 1.0)) * G
-    return pi, C
+    pi, C = _controls(t, z, x, w, y, theta, k,
+                      (coefs.M1, coefs.M2, coefs.M3, coefs.N), L, delta, s)
+    return float(pi), float(C)
 
 
 # --------------------------------------------------------------------------
@@ -301,61 +307,74 @@ def _salary_accum(lo, hi, s: Scenario):
     return (np.exp(g * hi) - np.exp(g * lo)) / g
 
 
+def _eet_balance(t, z, k, s: Scenario, k_initial=None):
+    """E[Y(t)], elementwise, for the cohorts entering at z.
+
+    Contributions accrue at rate `k_initial` until t0 and `k` afterwards (at
+    `k` throughout when k_initial is None); the balance freezes at retirement.
+    """
+    d, mk = s.demo, s.market
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    te = np.minimum(t, z + d.tau - d.a)
+    cut = te if k_initial is None else np.clip(s.policy.t0, z, te)
+    k_initial = k if k_initial is None else k_initial
+    y = (k_initial * mk.W0 * np.exp(mk.alpha * te) * _salary_accum(z, cut, s)
+         + k * mk.W0 * np.exp(mk.alpha * te) * _salary_accum(cut, te, s))
+    return np.where(te > z, y, 0.0)
+
+
 def expected_eet_balance(t: float, z: float, s: Scenario, k: float,
                          k_initial: Optional[float] = None) -> float:
-    """E[Y(t)] for a cohort entering at z.
+    """E[Y(t)] for a cohort entering at z: contributions at rate `k_initial`
+    up to t0 and `k` afterwards (pass k_initial=None for a single fixed
+    rate); the balance freezes at retirement."""
+    return float(_eet_balance(t, z, k, s, k_initial))
 
-    Contributions accrue at rate `k_initial` up to t0 and `k` afterwards
-    (pass k_initial=None for a single fixed rate); the balance freezes at
-    retirement.
+
+def _expected_states(t, z, delta, theta, k, coefs, L, s: Scenario, switch=None):
+    """(E[X*(t)], E[Y(t)]), elementwise, for the cohorts entering at z, with
+    CRRA exponents `delta`, (M1, M2, M3, N) = `coefs` and `L` at t.
+
+    The rates (theta, k) held since entry or, with switch = (coefs, L) at
+    t0, (theta0, k0) until t0 and (theta, k) afterwards.  The expected
+    resource E[X + M W + N Y] follows the martingale representation of the
+    optimal wealth from an anchor t_a (the entry, where it is M W, or t0):
+    it grows by (L(t) / L(t_a))^(1/(1 - delta)) e^(g (t - t_a)) with
+    g = r / (1 - delta) + (2 - delta) nu^2 / (2 (1 - delta)^2); `g_a` is
+    its value per unit of salary at t_a.
     """
-    d, p, mk = s.demo, s.policy, s.market
-    te = min(t, z + d.tau - d.a)
-    if te <= z:
-        return 0.0
-    if k_initial is None or te <= p.t0:
-        rate_te = k if k_initial is None else k_initial
-        return float(rate_te * mk.W0 * math.exp(mk.alpha * te) * _salary_accum(z, te, s))
-    acc = k_initial * _salary_accum(z, min(p.t0, te), s)
-    if te > p.t0:
-        acc += k * _salary_accum(p.t0, te, s)
-    return float(mk.W0 * math.exp(mk.alpha * te) * acc)
-
-
-def _state_arrays(z, delta, coefs_t0, L_t0, s: Scenario):
-    """Expectation-based (x0, y0) at t0 for the cohorts entering at z.
-
-    `delta` holds each cohort's CRRA exponent, `coefs_t0` its (M1, M2, M3, N)
-    and `L_t0` its L at t0.  Assumes the initial rates (theta0, k0) prevailed
-    over each cohort's whole past; the private-wealth estimate follows the
-    martingale representation of the optimally controlled wealth.
-    """
-    d, p, mk = s.demo, s.policy, s.market
+    p, mk = s.policy, s.market
     dc = validate(s)
-    t0 = p.t0
     z, delta = np.asarray(z, dtype=float), np.asarray(delta, dtype=float)
-    te = np.minimum(t0, z + d.tau - d.a)
-    y0 = np.where(te > z, p.k0 * mk.W0 * np.exp(mk.alpha * te) * _salary_accum(z, te, s),
-                  0.0)
-    M1, M2, M3, N = coefs_t0
-    M_t0 = M1 * p.theta0 + M2 * p.k0 + M3
-    e1, e2, e3, _ = _coef_arrays(z, z, s)
-    M_z = e1 * p.theta0 + e2 * p.k0 + e3
-    classes, which = np.unique(delta, return_inverse=True)
-    L_z = np.array([entry_L(dl, s) for dl in classes])[which].reshape(delta.shape)
-    w0 = mk.W0 * math.exp(mk.gamma * t0)
+    if switch is None:
+        y = _eet_balance(t, z, k, s)
+        e1, e2, e3, _ = _coef_arrays(z, z, s)
+        classes, which = np.unique(delta, return_inverse=True)
+        L_a = np.array([entry_L(dl, s) for dl in classes])[which].reshape(delta.shape)
+        t_a, g_a = z, e1 * theta + e2 * k + e3
+    else:
+        coefs_t0, L_a = switch
+        x0, y0 = _expected_states(p.t0, z, delta, p.theta0, p.k0, coefs_t0, L_a, s)
+        c1, c2, c3, cn = coefs_t0
+        y = _eet_balance(t, z, k, s, k_initial=p.k0)
+        t_a = p.t0
+        g_a = (x0 + cn * y0) / (mk.W0 * math.exp(mk.gamma * t_a)) + (c1 * theta + c2 * k + c3)
+    M1, M2, M3, N = coefs
+    w = mk.W0 * np.exp(mk.gamma * t)
     drift = np.exp((-mk.gamma + mk.r / (1 - delta)
-                    + (2 - delta) * dc.nu**2 / (2 * (1 - delta) ** 2)) * (t0 - z))
-    x0 = -M_t0 * w0 - N * y0 + (L_t0 / L_z) ** (1.0 / (1 - delta)) * M_z * w0 * drift
-    return x0, y0
+                    + (2 - delta) * dc.nu**2 / (2 * (1 - delta) ** 2)) * (t - t_a))
+    x = (-(M1 * theta + M2 * k + M3) * w - N * y
+         + (L / L_a) ** (1.0 / (1 - delta)) * g_a * w * drift)
+    return x, y
 
 
 def estimate_initial_states(z: float, s: Scenario,
                             delta: Optional[float] = None) -> CohortState:
     """Expectation-based estimate of (x0, y0) at t0 for the cohort entering at z.
 
-    `delta` overrides the class exponent (used by quadrature callers at the
-    class boundary).  See `_state_arrays` for the estimate.
+    Assumes the initial rates (theta0, k0) prevailed over the cohort's whole
+    past.  `delta` overrides the class exponent (used by quadrature callers
+    at the class boundary).
     """
     d, p = s.demo, s.policy
     t0 = p.t0
@@ -363,50 +382,31 @@ def estimate_initial_states(z: float, s: Scenario,
         raise DomainError(f"cohort z = {z} is not alive-and-entered at t0 = {t0}")
     if delta is None:
         delta = delta_for_entry(z, s)
-    x0, y0 = _state_arrays(z, delta, _coef_arrays(t0, z, s),
-                           coeff_L(t0, z, delta, s), s)
+    x0, y0 = _expected_states(t0, z, delta, p.theta0, p.k0, _coef_arrays(t0, z, s),
+                              coeff_L(t0, z, delta, s), s)
     return CohortState(z=float(z), zeta=float(d.a + t0 - z), x0=float(x0),
                        y0=float(y0), delta=float(delta))
 
 
 def expected_wealth(t: float, z: float, s: Scenario, theta: float, k: float,
                     switch_at_t0: bool = True) -> float:
-    """E[X*(t)] for the cohort entering at z under rates (theta, k).
+    """E[X*(t)] at t in [z, z + omega - a] for the cohort entering at z under
+    rates (theta, k).
 
     With switch_at_t0 (and z <= t0) the cohort ran (theta0, k0) until t0 and
     (theta, k) afterwards, starting from the estimated (x0, y0); otherwise the
     rates (theta, k) apply for the whole life.
     """
-    d, p, mk = s.demo, s.policy, s.market
-    dc = validate(s)
+    p = s.policy
     delta = delta_for_entry(z, s)
-    T = _life_end(z, s)
-    if not min(z, p.t0) - 1e-9 <= t <= T + 1e-9:
-        raise DomainError(f"t = {t} outside the cohort's path domain")
-    grow = mk.r / (1 - delta) + (2 - delta) * dc.nu**2 / (2 * (1 - delta) ** 2)
-    c_t = coefficients(t, z, s)
-    M_t = c_t.M1 * theta + c_t.M2 * k + c_t.M3
-    L_t = coeff_L(t, z, delta, s)
+    L = coeff_L(t, z, delta, s)
+    if L <= 0.0:
+        return 0.0
+    switch = None
     if switch_at_t0 and z <= p.t0:
-        st = estimate_initial_states(z, s)
-        EY = expected_eet_balance(t, z, s, k, k_initial=p.k0)
-        c0 = coefficients(p.t0, z, s)
-        G0 = st.x0 + c0.N * st.y0 + (c0.M1 * theta + c0.M2 * k + c0.M3) \
-            * mk.W0 * math.exp(mk.gamma * p.t0)
-        L0 = coeff_L(p.t0, z, delta, s)
-        if L_t <= 0.0:
-            return 0.0
-        fac = (L0 / L_t) ** (1.0 / (delta - 1.0)) * G0 * math.exp(grow * (t - p.t0))
-    else:
-        EY = expected_eet_balance(t, z, s, k)
-        c_z = coefficients(z, z, s)
-        M_z = c_z.M1 * theta + c_z.M2 * k + c_z.M3
-        L_z = coeff_L(z, z, delta, s)
-        if L_t <= 0.0:
-            return 0.0
-        fac = (L_t / L_z) ** (1.0 / (1 - delta)) * M_z * mk.W0 \
-            * math.exp(mk.gamma * t) * math.exp((-mk.gamma + grow) * (t - z))
-    return -M_t * mk.W0 * math.exp(mk.gamma * t) - c_t.N * EY + fac
+        switch = (_coef_arrays(p.t0, z, s), coeff_L(p.t0, z, delta, s))
+    return float(_expected_states(t, z, delta, theta, k, _coef_arrays(t, z, s), L,
+                                  s, switch)[0])
 
 
 def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
@@ -416,12 +416,12 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     Returns a dict of equal-length arrays t, EX, EY, Epi, EC covering
     [max(z, t0), z + omega - a].  Controls are obtained by applying their
     linearity in (X, W, Y) to the expected states; at the terminal instant
-    they are evaluated just inside the boundary.
+    they are evaluated just inside the boundary.  A cohort entered by t0
+    switches from (theta0, k0) to the given rates at the first node.
     """
     if grid <= 0:
         raise DomainError(f"grid step must be positive (got {grid})")
-    d, p, mk = s.demo, s.policy, s.market
-    dc = validate(s)
+    p, mk = s.policy, s.market
     delta = delta_for_entry(z, s)
     start = max(z, p.t0)
     T = _life_end(z, s)
@@ -432,18 +432,10 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     # evaluate just inside the terminal boundary: the consumption rate
     # diverges while the resource vanishes, and only the product has a limit
     t_eff = np.minimum(ts, T - 1e-8)
-    EX = np.array([expected_wealth(t, z, s, theta_star, k_star) for t in t_eff])
-    EY = np.array([expected_eet_balance(t, z, s, k_star,
-                                        k_initial=p.k0 if z <= p.t0 else None)
-                   for t in t_eff])
+    coefs = _coef_arrays(t_eff, z, s)
+    L = L_table(t_eff - z, delta, s)
+    switch = (tuple(c[0] for c in coefs), L[0]) if z <= p.t0 else None
+    EX, EY = _expected_states(t_eff, z, delta, theta_star, k_star, coefs, L, s, switch)
     EW = mk.W0 * np.exp(mk.gamma * t_eff)
-    M1, M2, M3, N = _coef_arrays(t_eff, z, s)
-    M = M1 * theta_star + M2 * k_star + M3
-    EG = EX + M * EW + N * EY
-    working = (t_eff - z) < d.tau - d.a
-    Epi = dc.nu * EG / (mk.sigma * (1 - delta)) \
-        - (mk.xi * EW * M + mk.beta * EY * N * working) / mk.sigma
-    rate = np.array([(coeff_L(t, z, delta, s) / discount_weight(t, z, s))
-                     ** (1.0 / (delta - 1.0)) for t in t_eff])
-    EC = rate * EG
+    Epi, EC = _controls(t_eff, z, EX, EW, EY, theta_star, k_star, coefs, L, delta, s)
     return {"t": ts, "EX": EX, "EY": EY, "Epi": Epi, "EC": EC}

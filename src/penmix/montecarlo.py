@@ -80,12 +80,15 @@ class SimulationReport:
 
 
 def _time_grid(z: float, s: Scenario, dt: float):
-    """Uniform mesh at dt with a graded tail over the last TAIL_YEARS."""
+    """Uniform mesh at dt, one step shorter than dt where dt does not divide
+    the span, and a graded tail over the last TAIL_YEARS."""
     life = s.demo.omega - s.demo.a
     tail = min(TAIL_YEARS, (s.demo.omega - s.demo.tau) / 2.0)
     n_uni = int(math.floor((life - tail) / dt + 1e-9))
     t_uni = z + dt * np.arange(n_uni + 1)
     T = z + life
+    if T - tail - t_uni[-1] > 1e-9 * dt:
+        t_uni = np.append(t_uni, T - tail)
     tail_start = t_uni[-1]
     layer_dt = min(dt, TAIL_BASE_DT)
     J = max(4, int(round(TAIL_GRADE * (T - tail_start) / layer_dt)))
@@ -429,12 +432,13 @@ def verify_value_function(s: Scenario, cohorts: Sequence[float],
         if rep.mean_y_at_t0 is not None:
             y_closed = lifecycle.expected_eet_balance(p.t0, z, s, k)
             y_ok = abs(rep.mean_y_at_t0 - y_closed) <= 3 * max(rep.se_y_at_t0, 1e-300)
-        p_ok = True
-        for pt, mx, sx in rep.probes:
-            x_closed = lifecycle.expected_wealth(pt, z, s, theta, k,
-                                                 switch_at_t0=False)
-            if abs(mx - x_closed) > 3 * sx:
-                p_ok = False
+        pts = np.array([pt for pt, _, _ in rep.probes])
+        delta = delta_for_entry(z, s)
+        x_closed, _ = lifecycle._expected_states(
+            pts, z, delta, theta, k, lifecycle._coef_arrays(pts, z, s),
+            lifecycle.L_table(pts - z, delta, s), s)
+        p_ok = not any(abs(mx - xc) > 3 * sx
+                       for (_, mx, sx), xc in zip(rep.probes, x_closed))
         ok = u_ok and x_ok and p_ok and (y_ok is not False)
         rows.append(CohortCheck(z=z, report=rep, utility_ok=u_ok,
                                 terminal_ok=x_ok, y0_ok=y_ok, probes_ok=p_ok,

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from penmix import demography, lifecycle, montecarlo, validate
-from penmix.scenario import Scenario
+from penmix.scenario import Scenario, delta_for_entry
 
 
 def trapezoid_annuity(demo, r: float, hi: float = 60.0, dt: float = 1e-4) -> float:
@@ -114,6 +114,72 @@ def quad_L(u0: float, delta: float, s: Scenario) -> float:
     else:
         val = quad(g, u0, life, args=(s.pref.lam,), **opts)[0]
     return val ** (1.0 - delta)
+
+
+def expected_path_row(t: float, z: float, s: Scenario, theta: float, k: float,
+                      switch_at_t0: bool = True):
+    """(EX, EY, Epi, EC) at time t for the cohort entering at z, node by node
+    with scalar math and L by quad_L.
+
+    E[Y] accrues k0 until t0 and k afterwards (k throughout for a whole-life
+    path) and freezes at retirement.  E[X*] is the expected resource carried
+    by the martingale representation from entry, where G = M W, or, with
+    switch_at_t0 and z <= t0, from the whole-life (theta0, k0) state at t0,
+    minus M W + N E[Y]; the controls are applied to the expected states.
+    """
+    d, p, mk = s.demo, s.policy, s.market
+    dc = validate(s)
+    delta = delta_for_entry(z, s)
+    grow = mk.r / (1 - delta) + (2 - delta) * dc.nu**2 / (2 * (1 - delta) ** 2)
+    g = mk.gamma - mk.alpha
+    switch = switch_at_t0 and z <= p.t0
+
+    def salary(tt):
+        return mk.W0 * math.exp(mk.gamma * tt)
+
+    def accrued(lo, hi):
+        return hi - lo if abs(g) < 1e-14 else (math.exp(g * hi) - math.exp(g * lo)) / g
+
+    def eet(tt, k_before, k_after):
+        te = min(tt, z + d.tau - d.a)
+        if te <= z:
+            return 0.0
+        cut = min(max(p.t0, z), te)
+        return mk.W0 * math.exp(mk.alpha * te) * (k_before * accrued(z, cut)
+                                                  + k_after * accrued(cut, te))
+
+    def wealth(tt, G_a, t_a, ey, th, kk):
+        c = lifecycle.coefficients(tt, z, s)
+        ratio = (quad_L(tt - z, delta, s) / quad_L(t_a - z, delta, s)) ** (1.0 / (1 - delta))
+        EG = ratio * G_a * math.exp(grow * (tt - t_a))
+        return EG - (c.M1 * th + c.M2 * kk + c.M3) * salary(tt) - c.N * ey
+
+    def whole_life(tt, th, kk, ey):
+        c = lifecycle.coefficients(z, z, s)
+        return wealth(tt, (c.M1 * th + c.M2 * kk + c.M3) * salary(z), z, ey, th, kk)
+
+    if switch:
+        y0 = eet(p.t0, p.k0, p.k0)
+        x0 = whole_life(p.t0, p.theta0, p.k0, y0)
+        c0 = lifecycle.coefficients(p.t0, z, s)
+        G0 = x0 + (c0.M1 * theta + c0.M2 * k + c0.M3) * salary(p.t0) + c0.N * y0
+        EY = eet(t, p.k0, k)
+        EX = wealth(t, G0, p.t0, EY, theta, k)
+    else:
+        EY = eet(t, k, k)
+        EX = whole_life(t, theta, k, EY)
+
+    c = lifecycle.coefficients(t, z, s)
+    M = c.M1 * theta + c.M2 * k + c.M3
+    EG = EX + M * salary(t) + c.N * EY
+    working = (t - z) < d.tau - d.a
+    Epi = (dc.nu * EG / (mk.sigma * (1 - delta))
+           - (mk.xi * salary(t) * M + mk.beta * EY * c.N * working) / mk.sigma)
+    u = t - z
+    b = (math.exp(-mk.r * u) * demography.survival(u + d.a, d)
+         * (1.0 if working else s.pref.lam))
+    EC = (quad_L(u, delta, s) / b) ** (1.0 / (delta - 1.0)) * EG
+    return EX, EY, Epi, EC
 
 
 def quad_bb_m1(t: float, z: float, s: Scenario) -> float:
@@ -278,6 +344,21 @@ def welfare_per_node(s: Scenario, g, mode: str):
         return math.fsum(terms)
 
     return phi
+
+
+def whole_span_time_grid(z: float, s: Scenario, dt: float):
+    """The Monte Carlo mesh graded over the whole span from the last uniform
+    node to the terminal age: uniform at dt, then 2 x span / min(dt, 0.01)
+    quadratically graded steps (at least 4)."""
+    life = s.demo.omega - s.demo.a
+    tail = min(1.0, (s.demo.omega - s.demo.tau) / 2.0)
+    n_uni = int(math.floor((life - tail) / dt + 1e-9))
+    t_uni = z + dt * np.arange(n_uni + 1)
+    T = z + life
+    span = T - t_uni[-1]
+    J = max(4, int(round(2.0 * span / min(dt, 0.01))))
+    j = np.arange(1, J + 1)
+    return np.concatenate([t_uni, T - span * ((J - j) / J) ** 2.0])
 
 
 def _mc_block(cfg, s: Scenario, tb, rng, n_draw: int, probe_idx):

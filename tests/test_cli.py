@@ -87,6 +87,16 @@ def test_paths_csv(capsys, scenario_dir):
     assert abs(last[1]) < 1e-6
 
 
+def test_paths_at_the_terminal_age(capsys, scenario_dir):
+    # zeta = omega: the one node is evaluated just inside the end of life
+    code, out, err = run(capsys, "paths", str(scenario_dir / "scenario_us.json"),
+                         "--zeta", "100", "--theta", "0.1", "--k", "0.1")
+    assert code == 0, err
+    lines = out.strip().split("\n")
+    assert lines[0] == "t,EX,EY,Epi,EC" and len(lines) == 2
+    assert all(math.isfinite(float(v)) for v in lines[1].split(","))
+
+
 def test_paths_zeta_out_of_range(capsys, scenario_dir):
     code, _, err = run(capsys, "paths", str(scenario_dir / "scenario_us.json"),
                        "--zeta", "150", "--theta", "0.1", "--k", "0.1")
@@ -120,15 +130,39 @@ def test_sweep_rectangular_with_reasons(capsys, scenario_dir, tmp_path):
 
 
 def test_sweep_bad_target(capsys, scenario_dir, tmp_path):
+    # an unknown target, then parameter paths that name no number of the
+    # scenario: each is one schema error before any cell runs
+    spec = tmp_path / "spec.json"
+    for path1, target, fixture, word in (
+            ("demo.rho", "bogus", "scenario_us", "target"),
+            ("market.bogus", "zeta_hat", "scenario_us", "market.bogus"),
+            ("demo.babyboom", "zeta_hat", "scenario_us_babyboom", "block"),
+            ("demo.babyboom.rho2", "zeta_hat", "scenario_us", "babyboom")):
+        spec.write_text(json.dumps({
+            "param1": {"path": path1, "lo": -0.01, "hi": 0.0, "steps": 2},
+            "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.03, "steps": 2},
+            "target": target,
+        }))
+        code, out, err = run(capsys, "sweep", str(scenario_dir / f"{fixture}.json"),
+                             "--spec", str(spec))
+        assert code == 4 and word in err, (path1, err)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_bad_value_is_a_nan_row(capsys, scenario_dir, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
-        "param1": {"path": "demo.rho", "lo": -0.01, "hi": 0.0, "steps": 2},
-        "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.03, "steps": 2},
-        "target": "bogus",
+        "param1": {"path": "mortality.delta", "lo": 0.0, "hi": 1.0, "steps": 2},
+        "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.025, "steps": 2},
+        "target": "zeta_hat",
     }))
-    code, _, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
-                       "--spec", str(spec))
-    assert code == 4 and "target" in err
+    code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                         "--spec", str(spec))
+    assert code == 0, err
+    cells = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [c[2] == "nan" for c in cells] == [True, True, False, False]
+    assert all("mortality scale" in c[3] for c in cells[:2])
 
 
 def test_babyboom_command(capsys, scenario_dir, tmp_path):
@@ -220,13 +254,13 @@ def test_verify_probes_on_entry_node(capsys, scenario_dir):
 
 @pytest.mark.filterwarnings("error")
 def test_verify_coarse_dt_keeps_graded_tail(capsys, scenario_dir):
-    # (omega - a - 1) / 35 = 1.97: the uniform mesh stops at 35 years and the
-    # graded tail covers the rest, so no step has zero width
+    # (omega - a - 1) / 35 = 1.97: the uniform mesh stops at 35 years, one
+    # 34-year step reaches the graded last year, so no step has zero width
     code, out, err = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),
                          "--paths", "64", "--dt", "35")
     assert code == 1, err
     assert "nan" not in out
-    assert "perturbed-control gap: 1.25 SE" in out
+    assert "perturbed-control gap: 2.95 SE" in out
 
 
 def test_babyboom_requires_block(capsys, scenario_dir):

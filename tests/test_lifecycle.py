@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from penmix import DomainError, InsolventCohort, lifecycle, validate, with_params
 
-from _oracles import hjb_residual, quad_bb_m1, quad_L, random_interior_states
+from _oracles import (expected_path_row, hjb_residual, quad_bb_m1, quad_L,
+                      random_interior_states)
 
 # 50-digit evaluation of e^{-r*40} * s(70) * lambda at the US parameters
 B_WEIGHT_US_40 = 0.6204629894631967
@@ -304,3 +305,25 @@ def test_bb_m1_leg_against_split_quad(us_bb):
     np.testing.assert_allclose(
         lifecycle._bb_m1(0.0, zs, us_bb, eps),
         [float(lifecycle._bb_m1(0.0, z, us_bb, eps)) for z in zs], rtol=1e-14)
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_expected_paths_against_per_node_oracle(request, fixture):
+    s = request.getfixturevalue(fixture)
+    t0, theta, k = s.policy.t0, 0.1169, 0.1331
+    for z in (t0, t0 - 10.0, t0 - 40.0, t0 + 5.0):
+        table = lifecycle.expected_paths(z, s, theta, k, grid=1.0)
+        T = z + s.demo.omega - s.demo.a
+        rows = np.array([expected_path_row(min(t, T - 1e-8), z, s, theta, k)
+                         for t in table["t"]])
+        for j, col in enumerate(("EX", "EY", "Epi", "EC")):
+            scale = np.max(np.abs(rows[:, j]))
+            np.testing.assert_allclose(table[col], rows[:, j], rtol=0.0,
+                                       atol=1e-12 * scale, err_msg=f"{col} z={z}")
+    # whole-life expected wealth of a future entrant and of an existing cohort
+    for z in (t0 + 5.0, t0 - 10.0):
+        life = s.demo.omega - s.demo.a
+        for t in (z + 0.3 * life, z + 0.6 * life, z + life - 1e-3):
+            got = lifecycle.expected_wealth(t, z, s, theta, k, switch_at_t0=False)
+            want = expected_path_row(t, z, s, theta, k, switch_at_t0=False)[0]
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -7,7 +7,7 @@ import pytest
 from penmix import ConfigError, lifecycle, montecarlo, validate
 from penmix.montecarlo import SimulationConfig
 
-from _oracles import simulate_cohort_per_block
+from _oracles import simulate_cohort_per_block, whole_span_time_grid
 
 FAST = dict(n_paths=2000, dt=0.05, seed=99)
 
@@ -45,6 +45,19 @@ def test_time_grid_steps_are_positive(us, dt):
     assert np.all(np.diff(tg) > 0)
     assert tg[-1] == -10.0 + us.demo.omega - us.demo.a
     assert np.allclose(np.diff(tg[:int((us.demo.tau - us.demo.a) / dt) + 1]), dt)
+    # grading covers the last year only: at dt = 35, 1 + 1 + 200 steps
+    assert tg.size - 1 <= math.ceil((us.demo.omega - us.demo.a - 1.0) / dt) + 200
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_time_grid_unchanged_where_dt_divides_the_span(request, fixture):
+    # the reference statistics of the Monte Carlo oracle rest on these meshes
+    s = request.getfixturevalue(fixture)
+    for dt in (0.01, 0.025, 0.05, 0.1, 0.25, 0.5):
+        for dz in (0.0, -10.0, -40.0):
+            z = s.policy.t0 + dz
+            np.testing.assert_array_equal(montecarlo._time_grid(z, s, dt),
+                                          whole_span_time_grid(z, s, dt))
 
 
 def test_utility_matches_value_function(us):
