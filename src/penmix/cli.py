@@ -165,8 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_babyboom(args) -> int:
-    if args.grid <= 0:
-        raise DomainError(f"grid step must be positive (got {args.grid})")
+    if not (args.grid > 0 and math.isfinite(args.grid)):
+        raise DomainError(f"grid step must be positive and finite (got {args.grid})")
     s = load_scenario(args.scenario)
     if s.demo.babyboom is None:
         raise SchemaError("scenario has no demography.babyboom block")

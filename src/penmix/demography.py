@@ -128,14 +128,22 @@ def annuity_factor(demo: DemographyParams, r: float) -> float:
 # baby-boom entrant flow and time-varying support ratio
 # --------------------------------------------------------------------------
 
+def _bb_n_t2(bb: BabyBoomParams) -> float:
+    """Entrant density at the end of the boom, where the rho2 regime starts."""
+    return bb.nm / (1.0 + (bb.nm / bb.n1 - 1.0) * math.exp(-bb.kappa * (bb.t2 - bb.t1)))
+
+
+def _bb_logistic(t, bb: BabyBoomParams):
+    """Logistic entrant density of the boom regime t1 < t <= t2."""
+    return bb.nm / (1.0 + (bb.nm / bb.n1 - 1.0) * np.exp(-bb.kappa * np.clip(t - bb.t1, 0.0, None)))
+
+
 def bb_entrants(t, bb: BabyBoomParams):
     """Entrant density n(t): exponential / logistic / exponential, continuous."""
     t = np.asarray(t, dtype=float)
-    n_t2 = bb.nm / (1.0 + (bb.nm / bb.n1 - 1.0) * math.exp(-bb.kappa * (bb.t2 - bb.t1)))
     pre = bb.n1 * np.exp(bb.rho1 * (t - bb.t1))
-    mid = bb.nm / (1.0 + (bb.nm / bb.n1 - 1.0) * np.exp(-bb.kappa * np.clip(t - bb.t1, 0.0, None)))
-    post = n_t2 * np.exp(bb.rho2 * (t - bb.t2))
-    out = np.where(t <= bb.t1, pre, np.where(t <= bb.t2, mid, post))
+    post = _bb_n_t2(bb) * np.exp(bb.rho2 * (t - bb.t2))
+    out = np.where(t <= bb.t1, pre, np.where(t <= bb.t2, _bb_logistic(t, bb), post))
     return float(out) if out.ndim == 0 else out
 
 
@@ -168,32 +176,77 @@ class SupportRatioFn:
             out = np.full_like(t, self.value)
             return float(out) if out.ndim == 0 else out
         t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            if t <= self.t_lo:
+                return self.value
+            return self._right_value if t >= self.t_hi else float(self._interp(t))
         clipped = np.clip(t, self.t_lo, self.t_hi)
-        out = np.where(t <= self.t_lo, self.value,
-                       np.where(t >= self.t_hi, self._right_value, self._interp(clipped)))
-        return float(out) if out.ndim == 0 else out
+        return np.where(t <= self.t_lo, self.value,
+                        np.where(t >= self.t_hi, self._right_value, self._interp(clipped)))
+
+
+def _bb_cumulative(demo: DemographyParams, rho: float, xs) -> np.ndarray:
+    """F(x), the integral of e^{-rho (u - a)} s(u) over [a, x], at the ages
+    xs in [a, omega] (any shape).
+
+    One cumulative sum of Gauss-Legendre panels at most BB_PANEL wide (tau is
+    an edge), plus one partial panel from the edge at or left of x up to x,
+    once per distinct x: clipped kinks repeat the range ends, so there are
+    at most (omega - a) / BB_GRID_STEP of them however long the table is.
+    """
+    a = demo.a
+
+    def g(u):
+        return np.exp(-rho * (u - a)) * survival(u, demo)
+
+    lo, hi, _ = _panels(np.array([a, demo.tau]), np.array([demo.tau, demo.omega]), BB_PANEL)
+    edges = np.append(lo, demo.omega)
+    cum = np.append(0.0, np.cumsum(_gauss_legendre(lo, hi, g)))
+    x, back = np.unique(xs, return_inverse=True)
+    j = np.searchsorted(edges, x, side="right") - 1
+    return (cum[j] + _gauss_legendre(edges[j], x, g))[back].reshape(np.shape(xs))
+
+
+def _bb_logistic_mass(ts, k2, k1, demo: DemographyParams) -> np.ndarray:
+    """Integrals of n(t - u + a) s(u) over the ages [k2, k1] (shape (node,
+    range), k2 <= k1) where the entrants at ts came in during the logistic
+    boom: Gauss-Legendre panels at most BB_PANEL wide, summed per node."""
+    bb, a = demo.babyboom, demo.a
+    plo, phi, own = _panels(k2.ravel(), k1.ravel(), BB_PANEL)
+    t_of = ts[own // k1.shape[1]][:, None]
+    vals = _gauss_legendre(plo, phi,
+                           lambda u: _bb_logistic(t_of - u + a, bb) * survival(u, demo))
+    return np.bincount(own, weights=vals, minlength=k1.size).reshape(k1.shape)
 
 
 def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
     """Worker and retiree masses at times ts: the integrals of n(t - u + a) s(u)
     over ages [a, tau] and [tau, omega], shape (len(ts), 2).
 
-    Each age range is split at the regime kinks u = t - t1 + a and
-    u = t - t2 + a, inside which the integrand is smooth, and each piece is
-    cut into Gauss-Legendre panels at most BB_PANEL wide.
+    The entrant time t - u + a passes t2 and t1 at the regime kinks
+    u = t - t2 + a and u = t - t1 + a.  Younger than the first kink the
+    density is n(t2) e^{rho2 (t - t2)} e^{-rho2 (u - a)}, older than the
+    second n1 e^{rho1 (t - t1)} e^{-rho1 (u - a)}, so those two pieces are a
+    prefactor in t times a difference of one `_bb_cumulative` table per rate.
+    Only the logistic piece between the kinks has panels per node, built
+    BB_CHUNK nodes at a time.
     """
     bb, a = demo.babyboom, demo.a
     ts = np.asarray(ts, dtype=float)
-    kinks = np.column_stack([ts - bb.t2 + a, ts - bb.t1 + a])
-    # (node, age range, edge): each range's ends with the kinks clipped into it
-    edges = np.stack([
-        np.column_stack([np.full(ts.size, lo), np.clip(kinks, lo, hi), np.full(ts.size, hi)])
-        for lo, hi in ((a, demo.tau), (demo.tau, demo.omega))], axis=1)
-    plo, phi, own = _panels(edges[..., :-1].ravel(), edges[..., 1:].ravel(), BB_PANEL)
-    t_of = ts[own // 6][:, None]
-    vals = _gauss_legendre(plo, phi,
-                           lambda u: bb_entrants(t_of - u + a, bb) * survival(u, demo))
-    return np.bincount(own // 3, weights=vals, minlength=2 * ts.size).reshape(ts.size, 2)
+    col = ts[:, None]
+    lo, hi = np.array([a, demo.tau]), np.array([demo.tau, demo.omega])
+    # the kinks clipped into each age range, shape (node, range)
+    k2 = np.clip(col - bb.t2 + a, lo, hi)
+    k1 = np.clip(col - bb.t1 + a, lo, hi)
+    # row 0: F at the range ends; rows 1 on: F at the kinks of each node
+    F2 = _bb_cumulative(demo, bb.rho2, np.vstack([lo, k2]))
+    F1 = _bb_cumulative(demo, bb.rho1, np.vstack([hi, k1]))
+    post = _bb_n_t2(bb) * np.exp(bb.rho2 * (col - bb.t2)) * (F2[1:] - F2[0])
+    pre = bb.n1 * np.exp(bb.rho1 * (col - bb.t1)) * (F1[0] - F1[1:])
+    mid = np.vstack([_bb_logistic_mass(ts[i:i + BB_CHUNK], k2[i:i + BB_CHUNK],
+                                       k1[i:i + BB_CHUNK], demo)
+                     for i in range(0, ts.size, BB_CHUNK)])
+    return post + mid + pre
 
 
 @lru_cache(maxsize=16)
@@ -209,8 +262,7 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     # the last step is shortened so that the table ends exactly at t_hi
     ts = np.arange(t_lo, t_hi, BB_GRID_STEP)
     ts = np.append(ts[ts < t_hi - 1e-9], t_hi)
-    mass = np.vstack([_bb_masses(ts[i:i + BB_CHUNK], demo)
-                      for i in range(0, ts.size, BB_CHUNK)])
+    mass = _bb_masses(ts, demo)
     table = mass[:, 0] / mass[:, 1]
     return SupportRatioFn(mode="babyboom", value=float(table[0]),
                           t_lo=float(ts[0]), t_hi=float(ts[-1]),

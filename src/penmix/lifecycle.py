@@ -419,8 +419,8 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     they are evaluated just inside the boundary.  A cohort entered by t0
     switches from (theta0, k0) to the given rates at the first node.
     """
-    if grid <= 0:
-        raise DomainError(f"grid step must be positive (got {grid})")
+    if not (grid > 0 and math.isfinite(grid)):
+        raise DomainError(f"grid step must be positive and finite (got {grid})")
     p, mk = s.policy, s.market
     delta = delta_for_entry(z, s)
     start = max(z, p.t0)

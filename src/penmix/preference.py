@@ -75,35 +75,56 @@ def m2_boundary_diagnostics(s: Scenario):
     return m2a, dm2_tau
 
 
+def _first_crossing(vals):
+    """(first i with v[i] == 0 or a sign change v[i] v[i+1] < 0, number of
+    zeros and sign changes); i is 0 when there is none."""
+    zero = vals == 0.0
+    change = vals[:-1] * vals[1:] < 0
+    return (int(np.argmax(np.append(zero[:-1] | change, zero[-1]))),
+            int(zero.sum() + change.sum()))
+
+
+def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float):
+    """First root of f on a bracket [a, b] with a sign change, to width xtol.
+
+    Each round subdivides the bracket 32 ways by five levels of midpoints in
+    one call of f and keeps the first sub-bracket with a zero or a sign
+    change.  The midpoints are the points bisection would visit, so with one
+    sign change in [a, b] the root is bisection's, bit for bit.
+    """
+    halvings = math.ceil(math.log2((b - a) / xtol)) if b - a > xtol else 0
+    while halvings > 0:
+        n = 2 ** min(halvings, 5)
+        halvings -= 5
+        grid = np.empty(n + 1)
+        grid[0], grid[n] = a, b
+        stride = n
+        while stride > 1:   # midpoints of the previous level, coarse to fine
+            grid[stride // 2::stride] = 0.5 * (grid[:-1:stride] + grid[stride::stride])
+            stride //= 2
+        vals = np.concatenate(([fa], np.asarray(f(grid[1:-1]), dtype=float), [fb]))
+        j, _ = _first_crossing(vals)
+        if vals[j] == 0.0:
+            return float(grid[j])
+        a, b, fa, fb = grid[j], grid[j + 1], vals[j], vals[j + 1]
+    return float(0.5 * (a + b))
+
+
 def _scan_root(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
                xtol: float = 1e-8):
-    """Bracket-scan then bisect; returns (first root or None, crossing count).
+    """Bracket-scan then refine; returns (first root or None, crossing count).
 
-    f is elementwise: the bracket grid is one call on an array of ages, each
-    bisection step one call on a single age.
+    f is elementwise: the bracket grid is one call on an array of ages, and
+    `_refine` narrows the first bracket with a zero or a sign change.
     """
-    xs = np.append(np.arange(lo, hi, step), hi).tolist()
-    vals = np.asarray(f(np.array(xs)), dtype=float).tolist()
-    roots = []
-    for i in range(len(xs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(xs[i])
-            continue
-        if va * vb < 0:
-            a_, b_ = xs[i], xs[i + 1]
-            fa = va
-            while b_ - a_ > xtol:
-                mid = 0.5 * (a_ + b_)
-                fm = float(f(mid))
-                if fa * fm <= 0:
-                    b_ = mid
-                else:
-                    a_, fa = mid, fm
-            roots.append(0.5 * (a_ + b_))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return (roots[0] if roots else None), len(roots)
+    xs = np.append(np.arange(lo, hi, step), hi)
+    vals = np.asarray(f(xs), dtype=float)
+    i, count = _first_crossing(vals)
+    if count == 0:
+        return None, 0
+    if vals[i] == 0.0:
+        return float(xs[i]), count
+    return _refine(f, xs[i], xs[i + 1], vals[i], vals[i + 1], xtol), count
 
 
 def critical_age_paygo_savings(s: Scenario) -> Optional[float]:
@@ -178,16 +199,11 @@ def critical_age_eet_savings(s: Scenario) -> EetSavingsCase:
         return EetSavingsCase(None, "all_prefer_savings", m2a, dm2)
     if dm2 <= 0:
         return EetSavingsCase(None, "all_prefer_eet", m2a, dm2)
-    # unique sign change + -> - on [a, tau) guaranteed by the case conditions
-    f = lambda zeta: tilde_coefficients(zeta, s)[1]
-    lo, hi = d.a, d.tau - 1e-9
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return EetSavingsCase(0.5 * (lo + hi), "interior", m2a, dm2)
+    # unique sign change + -> - on [a, tau) guaranteed by the case conditions;
+    # when it lies within round-off of tau the grid misses it: root at the end
+    hi = d.tau - 1e-9
+    root, _ = _scan_root(lambda zeta: _tilde_arrays(zeta, s)[1], d.a, hi)
+    return EetSavingsCase(hi if root is None else root, "interior", m2a, dm2)
 
 
 def _ordering_string(mt1: float, mt2: float) -> str:
@@ -271,8 +287,8 @@ class PreferenceReport:
 
 def preference_map(s: Scenario, step: float = 1.0) -> PreferenceReport:
     """Full preference report with per-age orderings on a grid over [a, omega]."""
-    if step <= 0:
-        raise DomainError(f"age step must be positive (got {step})")
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"age step must be positive and finite (got {step})")
     d = s.demo
     lam_fp, lam_ep = thresholds(s)
     zh, zh_n = _critical_age_paygo_savings_diag(s)

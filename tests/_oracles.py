@@ -10,6 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from penmix import demography, lifecycle, montecarlo, validate
+from penmix.preference import BB_SCAN_STEP
 from penmix.scenario import Scenario, delta_for_entry
 
 
@@ -234,6 +235,37 @@ def quad_bb_support_ratio(t: float, demo) -> float:
                    for e0, e1 in zip(edges, edges[1:]))
 
     return mass(a, demo.tau) / mass(demo.tau, demo.omega)
+
+
+def scan_root_by_bisection(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
+                           xtol: float = 1e-8):
+    """Bracket-scan then bisect; returns (first root or None, crossing count).
+
+    f is elementwise: the bracket grid is one call on an array of ages, each
+    bisection step one call on a single age.
+    """
+    xs = np.append(np.arange(lo, hi, step), hi).tolist()
+    vals = np.asarray(f(np.array(xs)), dtype=float).tolist()
+    roots = []
+    for i in range(len(xs) - 1):
+        va, vb = vals[i], vals[i + 1]
+        if va == 0.0:
+            roots.append(xs[i])
+            continue
+        if va * vb < 0:
+            a_, b_ = xs[i], xs[i + 1]
+            fa = va
+            while b_ - a_ > xtol:
+                mid = 0.5 * (a_ + b_)
+                fm = float(f(mid))
+                if fa * fm <= 0:
+                    b_ = mid
+                else:
+                    a_, fa = mid, fm
+            roots.append(0.5 * (a_ + b_))
+    if vals[-1] == 0.0:
+        roots.append(xs[-1])
+    return (roots[0] if roots else None), len(roots)
 
 
 def voluntary_theta_ratios(g, m: float):

@@ -179,14 +179,30 @@ def test_babyboom_command(capsys, scenario_dir, tmp_path):
     assert lines[0] == "t,n,Lambda"
 
 
-@pytest.mark.parametrize("grid", ["0", "-1"])
+@pytest.mark.parametrize("grid", ["0", "-1", "nan", "inf"])
 def test_babyboom_grid_must_be_positive(capsys, scenario_dir, tmp_path, grid):
     out_file = tmp_path / "bb.csv"
     code, out, err = run(capsys, "babyboom", str(scenario_dir / "scenario_us_babyboom.json"),
                          "--grid", grid, "--out", str(out_file))
     assert code == 2
     assert out == "" and not out_file.exists()
-    assert err == f"error: grid step must be positive (got {float(grid)})\n"
+    assert err == f"error: grid step must be positive and finite (got {float(grid)})\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command, option, message", [
+    ("classify", "--step", "age step"),
+    ("paths", "--grid", "grid step"),
+])
+def test_age_and_time_steps_must_be_positive_and_finite(capsys, scenario_dir, tmp_path,
+                                                        command, option, message, value):
+    out_file = tmp_path / "out.csv"
+    extra = ["--zeta", "40", "--theta", "0.08", "--k", "0.12"] if command == "paths" else []
+    code, out, err = run(capsys, command, str(scenario_dir / "scenario_us_babyboom.json"),
+                         *extra, f"{option}={value}", "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err == f"error: {message} must be positive and finite (got {float(value)})\n"
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])

@@ -229,3 +229,29 @@ def test_bb_table_emits_no_warning(us_bb):
         warnings.simplefilter("error")
         fn = demography.support_ratio_fn(demo)
     assert np.all(np.isfinite(fn(fn.nodes)))
+
+
+#: blocks at the edges of the factorised masses: a boom longer than the life
+#: span (the logistic piece covers a whole age range), one shorter than the
+#: table step, and flat entrant flows on both sides of the boom
+BB_EDGE_BLOCKS = {"longer than omega - a": dict(t2=-40.0 + 80.0),
+                  "shorter than a step": dict(t2=-40.0 + 0.05),
+                  "rho1 = rho2 = 0": dict(rho1=0.0, rho2=0.0)}
+
+
+@pytest.mark.parametrize("name", BB_EDGE_BLOCKS)
+def test_bb_table_nodes_match_quad_oracle_on_edge_blocks(us_bb, name):
+    bb = dataclasses.replace(us_bb.demo.babyboom, t1=-40.0, **BB_EDGE_BLOCKS[name])
+    demo = dataclasses.replace(us_bb.demo, babyboom=bb)
+    fn = demography.support_ratio_fn(demo)
+    oracle = np.array([quad_bb_support_ratio(t, demo) for t in fn.nodes])
+    np.testing.assert_allclose(fn(fn.nodes), oracle, rtol=1e-12, atol=0)
+
+
+def test_bb_scalar_calls_match_array_calls(us_bb):
+    fn = demography.support_ratio_fn(us_bb.demo)
+    ts = np.concatenate([[fn.t_lo - 1.0, fn.t_lo, fn.t_hi, fn.t_hi + 1.0],
+                         np.linspace(fn.t_lo, fn.t_hi, 37)])
+    scalars = [fn(float(t)) for t in ts]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == fn(ts).tolist()

@@ -327,3 +327,9 @@ def test_expected_paths_against_per_node_oracle(request, fixture):
             got = lifecycle.expected_wealth(t, z, s, theta, k, switch_at_t0=False)
             want = expected_path_row(t, z, s, theta, k, switch_at_t0=False)[0]
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("grid", [0.0, -1.0, math.nan, math.inf])
+def test_expected_paths_grid_must_be_positive_and_finite(us, grid):
+    with pytest.raises(DomainError, match="positive and finite"):
+        lifecycle.expected_paths(0.0, us, 0.08, 0.12, grid=grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penmix import DomainError, demography, lifecycle, preference, validate, with_params
+
+from _oracles import scan_root_by_bisection
+from test_demography import _bb_blocks
 
 
 def test_tilde_matches_lifecycle_coefficients(us):
@@ -154,6 +158,15 @@ def test_interior_eet_savings_root_detected(us):
     assert abs(preference.tilde_coefficients(case.zeta_bar, s2)[1]) < 1e-6
 
 
+def test_interior_eet_savings_root_matches_whole_range_bisection(us):
+    # 64.51305897866018 is Mt2's root by 32 halvings of [a, tau - 1e-9] at the
+    # first interior tau2 of the scan above
+    s2 = with_params(us, **{"policy.tau2": 0.47000000000000003})
+    case = preference.critical_age_eet_savings(s2)
+    assert case.flag == "interior"
+    assert case.zeta_bar == pytest.approx(64.51305897866018, abs=1e-8)
+
+
 def test_classify_us_examples(us):
     assert preference.classify(40.0, us).ordering == "E>P>I"
     assert preference.classify(50.0, us).ordering == "P>E>I"
@@ -272,3 +285,47 @@ def test_degenerate_babyboom_matches_constant_report(us):
     red = preference.preference_map(degen, step=10.0)
     assert red.zeta_hat == pytest.approx(base.zeta_hat, abs=1e-4)
     assert red.zeta_tilde == pytest.approx(base.zeta_tilde, abs=1e-4)
+
+
+def _bb_scenario(s, bb):
+    return dataclasses.replace(s, demo=dataclasses.replace(s.demo, babyboom=bb))
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_scan_matches_bisection_oracle_on_bb_blocks(us_bb, column):
+    d = us_bb.demo
+    for name, bb in _bb_blocks(d):
+        s = _bb_scenario(us_bb, bb)
+
+        def f(zeta):
+            return preference._tilde_arrays(zeta, s)[column]
+
+        assert (preference._scan_root(f, d.a, d.tau - 1e-9)
+                == scan_root_by_bisection(f, d.a, d.tau - 1e-9)), name
+
+
+def test_scan_two_sign_changes_gives_the_first_root():
+    def f(x):
+        return (x - 31.3) * (x - 47.9)
+
+    root, crossings = preference._scan_root(f, 30.0, 65.0 - 1e-9)
+    assert crossings == 2
+    assert root == pytest.approx(31.3, abs=1e-8)
+    assert (root, crossings) == scan_root_by_bisection(f, 30.0, 65.0 - 1e-9)
+
+
+def test_scan_exact_zeros_on_the_grids():
+    # a zero on the 0.25-year bracket grid is the root itself
+    assert preference._scan_root(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
+    assert scan_root_by_bisection(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
+    # so is one on a refinement grid; bisection only closes in on it
+    root, crossings = preference._scan_root(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
+    assert (root, crossings) == (40.125, 1)
+    oracle, _ = scan_root_by_bisection(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
+    assert abs(oracle - root) <= 1e-8
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_preference_map_step_must_be_positive_and_finite(us, step):
+    with pytest.raises(DomainError, match="positive and finite"):
+        preference.preference_map(us, step=step)
