@@ -11,8 +11,11 @@ working and a retired cohort), `sweep` (a 2 x 2 grid of `demo.rho` x
 `market.gamma` up to the scenario's own values, for `theta_star` and for
 `zeta_hat`, from spec files it writes into OUT_DIR), `verify --paths 512
 --out` and, on the baby-boom scenario, `babyboom`, in-process through
-`penmix.cli.main`.  Each run leaves NAME.stdout, its `--out` artifact when it
-has one, and its exit code in exit_codes.json.
+`penmix.cli.main`.  It also writes copies of the US and baby-boom scenarios
+with `policy.tau2 = 0.47` into OUT_DIR, where zeta_bar is interior, and runs
+`critical-ages` and `classify --step 1` on them.  Each run leaves
+NAME.stdout, its `--out` artifact when it has one, and its exit code in
+exit_codes.json.
 
 The second form prints, per file and per column (CSV) or key (JSON), the
 largest relative difference |x - y| / max(|x|, |y|) between the two
@@ -32,6 +35,8 @@ from pathlib import Path
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FIXTURES = ("scenario_us", "scenario_cn", "scenario_us_babyboom")
+#: fixtures also run with this retirement tax rate (an interior zeta_bar)
+TAU2_FIXTURES, TAU2 = ("scenario_us", "scenario_us_babyboom"), 0.47
 
 
 def _runs(name: str, out_dir: Path):
@@ -74,12 +79,21 @@ def write_goldens(out_dir: Path) -> int:
     from penmix import cli
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    jobs = [(fixture, SCENARIOS / f"{fixture}.json", _runs(fixture, out_dir))
+            for fixture in FIXTURES]
+    for fixture in TAU2_FIXTURES:
+        doc = json.loads((SCENARIOS / f"{fixture}.json").read_text(encoding="utf-8"))
+        doc["policy"]["tau2"] = TAU2
+        name = f"{fixture}.tau2-{TAU2:g}"
+        path = out_dir / f"{name}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        jobs.append((name, path, [("critical-ages", ["critical-ages"], None),
+                                  ("classify-1", ["classify", "--step", "1"], ".csv")]))
     codes = {}
-    for fixture in FIXTURES:
-        scenario = str(SCENARIOS / f"{fixture}.json")
-        for run, argv, suffix in _runs(fixture, out_dir):
+    for fixture, scenario, runs in jobs:
+        for run, argv, suffix in runs:
             stem = f"{fixture}.{run}"
-            args = [argv[0], scenario] + argv[1:]
+            args = [argv[0], str(scenario)] + argv[1:]
             if suffix is not None:
                 args += ["--out", str(out_dir / f"{stem}{suffix}")]
             buf = io.StringIO()

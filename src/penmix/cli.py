@@ -9,6 +9,7 @@ region, 4 validation failure, 5 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,60 +248,59 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache   # one parser per process: main looks the handlers up per call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="penmix",
                                  description="pension-mix solver")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", default=None, help="output file")
-        p.set_defaults(fn=fn)
         return p
 
-    add("validate", _cmd_validate, help="check assumptions, print derived constants")
-    add("critical-ages", _cmd_critical_ages, help="critical ages and thresholds")
+    add("validate", help="check assumptions, print derived constants")
+    add("critical-ages", help="critical ages and thresholds")
 
-    p = add("classify", _cmd_classify, help="per-age preference orderings (CSV)")
+    p = add("classify", help="per-age preference orderings (CSV)")
     p.add_argument("--step", type=float, default=1.0, help="age grid step")
 
-    p = add("optimize", _cmd_optimize, help="optimal contribution rates")
+    p = add("optimize", help="optimal contribution rates")
     p.add_argument("--weighting", choices=government.WEIGHTINGS, required=True)
     p.add_argument("--voluntary", action="store_true",
                    help="voluntary EET participation")
     p.add_argument("--step", type=float, default=government.Z_STEP,
                    help="entry-time grid step")
 
-    p = add("paths", _cmd_paths, help="expected optimal paths (CSV)")
+    p = add("paths", help="expected optimal paths (CSV)")
     p.add_argument("--zeta", type=float, required=True, help="cohort age at t0")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--grid", type=float, default=0.25, help="time grid step")
 
-    p = add("sweep", _cmd_sweep, help="two-parameter sweep (CSV)")
+    p = add("sweep", help="two-parameter sweep (CSV)")
     p.add_argument("--spec", required=True, help="sweep spec JSON file")
     p.add_argument("--step", type=float, default=government.Z_STEP,
                    help="entry-time grid step for optimizer targets")
 
-    p = add("verify", _cmd_verify, help="Monte Carlo verification table")
+    p = add("verify", help="Monte Carlo verification table")
     p.add_argument("--paths", type=int, default=20000)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=20240)
 
-    p = add("babyboom", _cmd_babyboom, help="entrant flow and Lambda(t) (CSV)")
+    p = add("babyboom", help="entrant flow and Lambda(t) (CSV)")
     p.add_argument("--grid", type=float, default=0.5, help="time grid step")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.fn(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -152,7 +152,7 @@ class SupportRatioFn:
     """Support ratio as a function of time.
 
     In constant mode the value is t-independent. In babyboom mode the ratio is
-    tabulated on a grid over [t_lo, t_hi] (step `grid_step`, the last step
+    tabulated on a grid over [t_lo, t_hi] (step `BB_GRID_STEP`, the last step
     shortened to end at t_hi) with monotone-cubic interpolation between nodes
     and constant extension outside.
     """
@@ -161,7 +161,6 @@ class SupportRatioFn:
     value: float                 # constant-mode value (babyboom: left-plateau value)
     t_lo: float = -math.inf
     t_hi: float = math.inf
-    grid_step: float = 0.0
     _interp: Optional[PchipInterpolator] = None
     _right_value: float = 0.0
 
@@ -266,7 +265,6 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     table = mass[:, 0] / mass[:, 1]
     return SupportRatioFn(mode="babyboom", value=float(table[0]),
                           t_lo=float(ts[0]), t_hi=float(ts[-1]),
-                          grid_step=BB_GRID_STEP,
                           _interp=PchipInterpolator(ts, table),
                           _right_value=float(table[-1]))
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import demography, lifecycle
+from . import demography, lifecycle, preference
 from .errors import DomainError, EmptyRegion, InsolventCohort
 from .scenario import Scenario, validate
 
@@ -469,14 +469,12 @@ class ThetaBounds:
 
 def _a1_a2_intervals(s: Scenario):
     """Age-interval form of the sets A1 / A2 from the preference case flags."""
-    from . import preference
-
     d = s.demo
     dc = validate(s)
-    lam_fp, lam_ep = preference.thresholds(s)
-    m2a, dm2 = preference.m2_boundary_diagnostics(s)
-    zh = preference.critical_age_paygo_savings(s)
-    zt = preference.critical_age_paygo_eet(s)
+    report, eet = preference._analyse(s)
+    lam_fp, lam_ep = report.lambda_fp, report.lambda_ep
+    zh, zt = report.zeta_hat, report.zeta_tilde
+    m2a, dm2 = eet.m2_at_entry, eet.dm2_at_retirement
     a1 = [(d.tau, d.omega)]
     if m2a < 0 and (dc.Lambda > lam_fp or dc.Lambda > lam_ep):
         a1.append((d.a, d.tau))

@@ -8,7 +8,7 @@ the critical ages zeta_hat, zeta_bar, zeta_tilde respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -67,12 +67,8 @@ def thresholds(s: Scenario):
 
 def m2_boundary_diagnostics(s: Scenario):
     """(Mt2(a), Mt2'(tau)): the boundary values deciding the EET-vs-savings case."""
-    d, p = s.demo, s.policy
-    dc = validate(s)
-    m2a = tilde_coefficients(d.a, s)[1]
-    dm2_tau = (1 - p.tau1) - (1 - p.tau2) * (1 - math.exp(-s.market.r * (d.omega - d.tau))) \
-        / (s.market.r * dc.a_tau)
-    return m2a, dm2_tau
+    eet = _analyse(s)[1]
+    return eet.m2_at_entry, eet.dm2_at_retirement
 
 
 def _first_crossing(vals):
@@ -84,14 +80,20 @@ def _first_crossing(vals):
             int(zero.sum() + change.sum()))
 
 
-def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float):
-    """First root of f on a bracket [a, b] with a sign change, to width xtol.
+def _first_root(xs, vals, xtol: float = 1e-8):
+    """Generator of (first root or None, crossing count) of a column with
+    values vals on the bracket grid xs: it yields each round's ages and is
+    sent their values.
 
-    Each round subdivides the bracket 32 ways by five levels of midpoints in
-    one call of f and keeps the first sub-bracket with a zero or a sign
-    change.  The midpoints are the points bisection would visit, so with one
-    sign change in [a, b] the root is bisection's, bit for bit.
+    Each round cuts the first bracket with a zero or a sign change 32 ways by
+    five levels of midpoints, the points bisection would visit, and keeps the
+    first sub-bracket with a zero or a sign change.  So with one sign change
+    in the bracket the root is bisection's, bit for bit.
     """
+    i, count = _first_crossing(vals)
+    if count == 0 or vals[i] == 0.0:
+        return (None if count == 0 else float(xs[i])), count
+    a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
     halvings = math.ceil(math.log2((b - a) / xtol)) if b - a > xtol else 0
     while halvings > 0:
         n = 2 ** min(halvings, 5)
@@ -102,78 +104,57 @@ def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float):
         while stride > 1:   # midpoints of the previous level, coarse to fine
             grid[stride // 2::stride] = 0.5 * (grid[:-1:stride] + grid[stride::stride])
             stride //= 2
-        vals = np.concatenate(([fa], np.asarray(f(grid[1:-1]), dtype=float), [fb]))
+        vals = np.concatenate(([fa], (yield grid[1:-1]), [fb]))
         j, _ = _first_crossing(vals)
         if vals[j] == 0.0:
-            return float(grid[j])
+            return float(grid[j]), count
         a, b, fa, fb = grid[j], grid[j + 1], vals[j], vals[j + 1]
-    return float(0.5 * (a + b))
+    return float(0.5 * (a + b)), count
 
 
-def _scan_root(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
-               xtol: float = 1e-8):
-    """Bracket-scan then refine; returns (first root or None, crossing count).
+def _first_roots(f, xs, vals, wanted):
+    """[(first root or None, crossing count)] of each wanted column of
+    vals = f(xs) on the bracket grid xs; (None, 0) for the others.
 
-    f is elementwise: the bracket grid is one call on an array of ages, and
-    `_refine` narrows the first bracket with a zero or a sign change.
+    f maps a 1-D array of ages to a sequence of columns.  The columns are
+    refined together: each round is one call of f on the concatenated ages
+    that every column's `_first_root` asks for.
     """
-    xs = np.append(np.arange(lo, hi, step), hi)
-    vals = np.asarray(f(xs), dtype=float)
-    i, count = _first_crossing(vals)
-    if count == 0:
-        return None, 0
-    if vals[i] == 0.0:
-        return float(xs[i]), count
-    return _refine(f, xs[i], xs[i + 1], vals[i], vals[i + 1], xtol), count
+    out = [(None, 0)] * len(vals)
+    gens = {c: _first_root(xs, vals[c]) for c in np.flatnonzero(wanted)}
+    sent = dict.fromkeys(gens)   # None primes each generator
+    while True:
+        asks = {}
+        for c, values in sent.items():
+            try:
+                asks[c] = gens[c].send(values)
+            except StopIteration as stop:
+                out[c] = stop.value
+        if not asks:
+            return out
+        cols = f(np.concatenate(list(asks.values())))
+        ends = np.cumsum([ages.size for ages in asks.values()])
+        sent = {c: cols[c][end - ages.size:end] for (c, ages), end in zip(asks.items(), ends)}
+
+
+def _scan_root(f, lo: float, hi: float):
+    """Bracket-scan then refine one elementwise f; returns (first root or
+    None, crossing count)."""
+    xs = np.append(np.arange(lo, hi, BB_SCAN_STEP), hi)
+    vals = (np.asarray(f(xs), dtype=float),)
+    return _first_roots(lambda ages: (f(ages),), xs, vals, [True])[0]
 
 
 def critical_age_paygo_savings(s: Scenario) -> Optional[float]:
     """Age above which PAYGO is preferred to individual savings; None when
     every age prefers PAYGO."""
-    age, _ = _critical_age_paygo_savings_diag(s)
-    return age
-
-
-def _critical_age_paygo_savings_diag(s: Scenario):
-    d, p = s.demo, s.policy
-    dc = validate(s)
-    if d.babyboom is not None:
-        mt1 = lambda zeta: _tilde_arrays(zeta, s)[0]
-        if mt1(d.a) > 0:
-            return None, 0
-        return _scan_root(mt1, d.a, d.tau - 1e-9)
-    lam_fp, _ = thresholds(s)
-    if dc.Lambda > lam_fp:
-        return None, 0
-    eps = dc.epsilon
-    zh = d.tau + (1.0 / eps) * math.log(
-        1.0 + (dc.Lambda - dc.Lambda * math.exp(eps * (d.omega - d.tau))) / (1 - p.tau1))
-    return zh, 1
+    return _analyse(s)[0].zeta_hat
 
 
 def critical_age_paygo_eet(s: Scenario) -> Optional[float]:
     """Age above which PAYGO is preferred to EET; None when every age prefers
     PAYGO."""
-    age, _ = _critical_age_paygo_eet_diag(s)
-    return age
-
-
-def _critical_age_paygo_eet_diag(s: Scenario):
-    d, p = s.demo, s.policy
-    dc = validate(s)
-    if d.babyboom is not None:
-        diff = lambda zeta: _tilde_arrays(zeta, s)[2]
-        if diff(d.a) > 0:
-            return None, 0
-        return _scan_root(diff, d.a, d.tau - 1e-9)
-    _, lam_ep = thresholds(s)
-    if dc.Lambda > lam_ep:
-        return None, 0
-    eps, epst, r, a_tau = dc.epsilon, dc.epsilon_tilde, s.market.r, dc.a_tau
-    zt = d.tau + (1.0 / (eps - epst)) * math.log(
-        1.0 - dc.Lambda * (math.exp(eps * (d.omega - d.tau)) - 1.0) * r * (eps - epst)
-        * a_tau / (eps * (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau)))))
-    return zt, 1
+    return _analyse(s)[0].zeta_tilde
 
 
 @dataclass(frozen=True)
@@ -186,24 +167,17 @@ class EetSavingsCase:
     dm2_at_retirement: float      # Mt2'(tau)
 
 
+def _eet_analysis(s: Scenario):
+    epst = validate(s).epsilon_tilde
+    if epst <= 0:
+        raise AssumptionError(
+            f"EET-vs-savings comparison requires epsilon_tilde > 0 (got {epst})")
+    return _analyse(s)
+
+
 def critical_age_eet_savings(s: Scenario) -> EetSavingsCase:
     """EET-vs-savings case split; requires epsilon_tilde > 0."""
-    dc = validate(s)
-    if dc.epsilon_tilde <= 0:
-        raise AssumptionError(
-            f"EET-vs-savings comparison requires epsilon_tilde > 0 "
-            f"(got {dc.epsilon_tilde})")
-    d = s.demo
-    m2a, dm2 = m2_boundary_diagnostics(s)
-    if m2a < 0:
-        return EetSavingsCase(None, "all_prefer_savings", m2a, dm2)
-    if dm2 <= 0:
-        return EetSavingsCase(None, "all_prefer_eet", m2a, dm2)
-    # unique sign change + -> - on [a, tau) guaranteed by the case conditions;
-    # when it lies within round-off of tau the grid misses it: root at the end
-    hi = d.tau - 1e-9
-    root, _ = _scan_root(lambda zeta: _tilde_arrays(zeta, s)[1], d.a, hi)
-    return EetSavingsCase(hi if root is None else root, "interior", m2a, dm2)
+    return _eet_analysis(s)[1]
 
 
 def _ordering_string(mt1: float, mt2: float) -> str:
@@ -249,13 +223,9 @@ class Classification:
 def classify(zeta: float, s: Scenario) -> Classification:
     """Preference ordering of the cohort aged zeta, plus the scenario case."""
     mt1, mt2, _diff = tilde_coefficients(zeta, s)
-    zh, _ = _critical_age_paygo_savings_diag(s)
-    zt, _ = _critical_age_paygo_eet_diag(s)
-    eet = critical_age_eet_savings(s)
     return Classification(
         zeta=zeta, mt1=mt1, mt2=mt2, mt1_minus_mt2=_diff,
-        ordering=_ordering_string(mt1, mt2),
-        case_label=_case_label(zh is not None, zt is not None, eet.flag))
+        ordering=_ordering_string(mt1, mt2), case_label=_eet_analysis(s)[0].case_label)
 
 
 @dataclass(frozen=True)
@@ -285,23 +255,55 @@ class PreferenceReport:
         }
 
 
+def _analyse(s: Scenario):
+    """(PreferenceReport without orderings, EetSavingsCase) in one pass.
+
+    zeta_hat and zeta_tilde are closed forms unless a baby boom makes Mt1
+    time-varying.  Every root that needs a scan shares one `_tilde_arrays`
+    call on the bracket grid over [a, tau), whose first node is the entry
+    age, and one joint refinement; with no scan only Mt2(a) is evaluated.
+    """
+    d, p = s.demo, s.policy
+    dc = validate(s)
+    lam_fp, lam_ep = thresholds(s)
+    eps, epst, r, a_tau = dc.epsilon, dc.epsilon_tilde, s.market.r, dc.a_tau
+    dm2 = (1 - p.tau1) - (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau))) / (r * a_tau)
+    bb = d.babyboom is not None
+    hi = d.tau - 1e-9
+    xs = np.append(np.arange(d.a, hi, BB_SCAN_STEP), hi) if bb or dm2 > 0 else np.array([d.a])
+    vals = _tilde_arrays(xs, s)
+    m2a = float(vals[1][0])
+    flag = "all_prefer_savings" if m2a < 0 else "interior" if dm2 > 0 else "all_prefer_eet"
+    # a PAYGO lead at the entry age holds at every age: no critical age
+    wanted = (bb and not vals[0][0] > 0, flag == "interior", bb and not vals[2][0] > 0)
+    (zh, zh_n), (zbar, _), (zt, zt_n) = _first_roots(
+        lambda ages: _tilde_arrays(ages, s), xs, vals, wanted)
+    if not bb:
+        grow = math.exp(eps * (d.omega - d.tau))
+        zh_n, zt_n = int(dc.Lambda <= lam_fp), int(dc.Lambda <= lam_ep)
+        zh = d.tau + (1.0 / eps) * math.log(
+            1.0 + (dc.Lambda - dc.Lambda * grow) / (1 - p.tau1)) if zh_n else None
+        zt = d.tau + (1.0 / (eps - epst)) * math.log(
+            1.0 - dc.Lambda * (grow - 1.0) * r * (eps - epst) * a_tau
+            / (eps * (1 - p.tau2) * (1 - math.exp(-r * (d.omega - d.tau))))) if zt_n else None
+    if flag == "interior" and zbar is None:
+        zbar = hi   # Mt2's one sign change lies within round-off of tau
+    report = PreferenceReport(
+        lambda_fp=lam_fp, lambda_ep=lam_ep, zeta_hat=zh, zeta_tilde=zt,
+        zeta_bar=zbar, eet_flag=flag,
+        case_label=_case_label(zh is not None, zt is not None, flag),
+        diagnostics=(("zeta_hat_crossings", zh_n), ("zeta_tilde_crossings", zt_n)))
+    return report, EetSavingsCase(zbar, flag, m2a, dm2)
+
+
 def preference_map(s: Scenario, step: float = 1.0) -> PreferenceReport:
     """Full preference report with per-age orderings on a grid over [a, omega]."""
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"age step must be positive and finite (got {step})")
     d = s.demo
-    lam_fp, lam_ep = thresholds(s)
-    zh, zh_n = _critical_age_paygo_savings_diag(s)
-    zt, zt_n = _critical_age_paygo_eet_diag(s)
-    eet = critical_age_eet_savings(s)
-    label = _case_label(zh is not None, zt is not None, eet.flag)
     n = math.floor((d.omega - d.a) / step + 1e-9)
     ages = np.minimum(d.a + step * np.arange(n + 1), d.omega)
     columns = (v.tolist() for v in _tilde_arrays(ages, s))
     rows = tuple((zeta, mt1, mt2, diff, _ordering_string(mt1, mt2))
                  for zeta, mt1, mt2, diff in zip(ages.tolist(), *columns))
-    return PreferenceReport(
-        lambda_fp=lam_fp, lambda_ep=lam_ep, zeta_hat=zh, zeta_tilde=zt,
-        zeta_bar=eet.zeta_bar, eet_flag=eet.flag, case_label=label,
-        orderings=rows,
-        diagnostics=(("zeta_hat_crossings", zh_n), ("zeta_tilde_crossings", zt_n)))
+    return replace(_eet_analysis(s)[0], orderings=rows)

@@ -236,10 +236,10 @@ def _validate_cached(s: Scenario) -> DerivedConstants:
 # --------------------------------------------------------------------------
 
 _SECTIONS = {
-    "market": (MarketParams, ("r", "mu", "sigma", "gamma", "xi", "alpha", "beta")),
-    "demography": (DemographyParams, ("a", "tau", "omega", "rho", "A", "B", "c")),
-    "policy": (PolicyParams, ("theta0", "k0", "m", "tau1", "tau2")),
-    "preference": (PreferenceParams, ("delta0", "delta1", "delta2")),
+    "market": ("r", "mu", "sigma", "gamma", "xi", "alpha", "beta"),
+    "demography": ("a", "tau", "omega", "rho", "A", "B", "c"),
+    "policy": ("theta0", "k0", "m", "tau1", "tau2"),
+    "preference": ("delta0", "delta1", "delta2"),
 }
 _BB_FIELDS = ("t1", "t2", "n1", "nm", "kappa", "rho1", "rho2")
 
@@ -258,22 +258,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key not in doc:
             raise SchemaError(f"missing required section '{key}'")
 
-    mkt = _require(doc["market"], "market", _SECTIONS["market"][1])
+    mkt = _require(doc["market"], "market", _SECTIONS["market"])
     mkt["W0"] = float(doc["market"].get("W0", 1.0))
 
-    dem = _require(doc["demography"], "demography", _SECTIONS["demography"][1])
+    dem = _require(doc["demography"], "demography", _SECTIONS["demography"])
     dem["n0"] = float(doc["demography"].get("n0", 10.0))
     bb_doc = doc["demography"].get("babyboom")
     if bb_doc is not None:
         dem["babyboom"] = BabyBoomParams(**_require(bb_doc, "demography.babyboom", _BB_FIELDS))
 
-    pol = _require(doc["policy"], "policy", _SECTIONS["policy"][1])
+    pol = _require(doc["policy"], "policy", _SECTIONS["policy"])
     pol["t0"] = float(doc["policy"].get("t0", 0.0))
 
     pref_doc = doc["preference"]
     if "lambda" not in pref_doc:
         raise SchemaError("missing required field preference.lambda")
-    prf = _require(pref_doc, "preference", _SECTIONS["preference"][1])
+    prf = _require(pref_doc, "preference", _SECTIONS["preference"])
     prf["lam"] = float(pref_doc["lambda"])
 
     s = Scenario(market=MarketParams(**mkt), demo=DemographyParams(**dem),

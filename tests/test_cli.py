@@ -74,6 +74,19 @@ def test_optimize_json(capsys, scenario_dir, tmp_path):
     assert doc["theta_star"] + doc["k_star"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_back_to_back_calls_share_no_state(capsys, scenario_dir):
+    us = str(scenario_dir / "scenario_us.json")
+    run(capsys, "optimize", us, "--weighting", "population", "--step", "0.5", "--voluntary")
+    code, out, _ = run(capsys, "optimize", us, "--weighting", "population", "--step", "0.5")
+    assert code == 0
+    assert json.loads(out)["mode"] == "mandatory"
+    run(capsys, "classify", us, "--step", "0.25")
+    code, out, _ = run(capsys, "classify", us)
+    assert code == 0
+    ages = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+    assert ages[0] == 30.0 and {b - a for a, b in zip(ages, ages[1:])} == {1.0}
+
+
 def test_paths_csv(capsys, scenario_dir):
     code, out, _ = run(capsys, "paths", str(scenario_dir / "scenario_us.json"),
                        "--zeta", "30", "--theta", "0.1169", "--k", "0.1331",

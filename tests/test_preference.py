@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penmix import DomainError, demography, lifecycle, preference, validate, with_params
+from penmix import (DomainError, demography, government, lifecycle, preference, validate,
+                    with_params)
 
 from _oracles import scan_root_by_bisection
 from test_demography import _bb_blocks
@@ -251,16 +252,25 @@ def test_babyboom_numeric_critical_ages(us_bb):
     assert dict(report.diagnostics)["zeta_hat_crossings"] == 1
 
 
-@pytest.mark.parametrize("column", [0, 2])
+def _with_tau2(s, tau2):
+    """s with the retirement tax rate tau2; 0.47 puts the US zeta_bar inside
+    [a, tau) (tau1 <= tau2 is warned about but legal)."""
+    return dataclasses.replace(s, policy=dataclasses.replace(s.policy, tau2=tau2))
+
+
+@pytest.mark.filterwarnings("ignore:tau1")
+@pytest.mark.parametrize("column", [0, 1, 2])
 def test_babyboom_scan_grid_matches_scalar_scan(us_bb, column):
-    d = us_bb.demo
+    # Mt2 changes sign on [a, tau) only at an interior zeta_bar
+    s = _with_tau2(us_bb, 0.47) if column == 1 else us_bb
+    d = s.demo
     lo, hi = d.a, d.tau - 1e-9
 
     def vectorised(zeta):
-        return preference._tilde_arrays(zeta, us_bb)[column]
+        return preference._tilde_arrays(zeta, s)[column]
 
     scalar = np.vectorize(
-        lambda zeta: preference.tilde_coefficients(float(zeta), us_bb)[column], otypes=[float])
+        lambda zeta: preference.tilde_coefficients(float(zeta), s)[column], otypes=[float])
     xs = np.append(np.arange(lo, hi, preference.BB_SCAN_STEP), hi)
     assert vectorised(xs).tolist() == scalar(xs).tolist()
     root, crossings = preference._scan_root(vectorised, lo, hi)
@@ -291,17 +301,61 @@ def _bb_scenario(s, bb):
     return dataclasses.replace(s, demo=dataclasses.replace(s.demo, babyboom=bb))
 
 
-@pytest.mark.parametrize("column", [0, 2])
+def _bb_cases(us_bb):
+    """(name, scenario) for every `_bb_blocks` block, with the fixture's tau2
+    and with an interior zeta_bar."""
+    for name, bb in _bb_blocks(us_bb.demo):
+        s = _bb_scenario(us_bb, bb)
+        yield name, s
+        yield f"{name}, tau2 = 0.47", _with_tau2(s, 0.47)
+
+
+@pytest.mark.filterwarnings("ignore:tau1")
+@pytest.mark.parametrize("column", [0, 1, 2])
 def test_scan_matches_bisection_oracle_on_bb_blocks(us_bb, column):
     d = us_bb.demo
-    for name, bb in _bb_blocks(d):
-        s = _bb_scenario(us_bb, bb)
+    for name, s in _bb_cases(us_bb):
 
         def f(zeta):
             return preference._tilde_arrays(zeta, s)[column]
 
         assert (preference._scan_root(f, d.a, d.tau - 1e-9)
                 == scan_root_by_bisection(f, d.a, d.tau - 1e-9)), name
+
+
+@pytest.mark.filterwarnings("ignore:tau1")
+def test_preference_map_matches_bisection_oracle_on_bb_blocks(us_bb):
+    # one shared bracket grid and one joint refinement give each column's
+    # own bisection root and crossing count
+    d = us_bb.demo
+    for name, s in _bb_cases(us_bb):
+        report = preference.preference_map(s, step=5.0)
+        (zh, zh_n), (zb, _), (zt, zt_n) = (
+            scan_root_by_bisection(lambda zeta: preference._tilde_arrays(zeta, s)[c],
+                                   d.a, d.tau - 1e-9) for c in range(3))
+        assert (report.zeta_hat, report.zeta_tilde, report.zeta_bar) == (zh, zt, zb), name
+        assert dict(report.diagnostics) == {"zeta_hat_crossings": zh_n,
+                                            "zeta_tilde_crossings": zt_n}, name
+        for zeta in (d.a, 40.0, 70.0):
+            assert preference.classify(zeta, s).case_label == report.case_label, name
+
+
+def test_one_bracket_grid_per_analysis(us_bb, monkeypatch):
+    # one call on the shared bracket grid and five joint refinement rounds,
+    # plus one for the per-age rows of the map
+    calls = []
+    tilde = preference._tilde_arrays
+
+    def counted(zeta, s):
+        calls.append(zeta)
+        return tilde(zeta, s)
+
+    monkeypatch.setattr(preference, "_tilde_arrays", counted)
+    preference.preference_map(us_bb, step=5.0)
+    assert len(calls) <= 7
+    calls.clear()
+    government.voluntary_theta_bounds(us_bb)
+    assert len(calls) <= 6
 
 
 def test_scan_two_sign_changes_gives_the_first_root():
