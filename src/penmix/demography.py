@@ -22,10 +22,8 @@ from .scenario import BabyBoomParams, DemographyParams
 QUAD_ABS_TOL = 1e-10
 #: grid step (years) of the cached Lambda(t) table
 BB_GRID_STEP = 0.1
-#: widest Gauss-Legendre panel (years) of the Lambda(t) mass integrals
+#: widest Gauss-Legendre panel (years) of the Lambda(t) cumulative mass tables
 BB_PANEL = 1.0
-#: Lambda(t) table nodes integrated together (bounds the temporaries)
-BB_CHUNK = 16
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -206,32 +204,70 @@ def _bb_cumulative(demo: DemographyParams, rho: float, xs) -> np.ndarray:
     return (cum[j] + _gauss_legendre(edges[j], x, g))[back].reshape(np.shape(xs))
 
 
-def _bb_logistic_mass(ts, k2, k1, demo: DemographyParams) -> np.ndarray:
-    """Integrals of n(t - u + a) s(u) over the ages [k2, k1] (shape (node,
-    range), k2 <= k1) where the entrants at ts came in during the logistic
-    boom: Gauss-Legendre panels at most BB_PANEL wide, summed per node."""
-    bb, a = demo.babyboom, demo.a
-    plo, phi, own = _panels(k2.ravel(), k1.ravel(), BB_PANEL)
-    t_of = ts[own // k1.shape[1]][:, None]
-    vals = _gauss_legendre(plo, phi,
-                           lambda u: _bb_logistic(t_of - u + a, bb) * survival(u, demo))
-    return np.bincount(own, weights=vals, minlength=k1.size).reshape(k1.shape)
+def _bb_logistic_masses(count: int, demo: DemographyParams) -> np.ndarray:
+    """Integrals of n(t - u + a) s(u) over the ages [a, tau] and [tau, omega]
+    (shape (count, 2)) restricted to the entrants of the logistic boom, at
+    the lattice nodes t_i = t1 + BB_GRID_STEP * i, i < count.
+
+    With v = t_i - u + a the entry time, cut [t1, t2] into cells of one
+    step with 10 Gauss-Legendre nodes each: cell j of node i is age cell
+    d = i - j, [a + (d - 1) h, a + d h], so the density is evaluated once per
+    cell node, survival once per age-cell node, and the full cells of every
+    node are one discrete convolution in d per Gauss-Legendre node.  What the
+    full cells miss, the partial cell at t2 and the partial age cells at an
+    off-lattice range edge, is at most two slivers per node and range,
+    each under one step wide and ending exactly at the range edges.
+    """
+    bb, a, h = demo.babyboom, demo.a, BB_GRID_STEP
+    i = np.arange(count)
+    # a length within 1e-9 steps of a whole number is whole: the slivers
+    # take up the round-off, with either sign
+    J = math.floor((bb.t2 - bb.t1) / h + 1e-9)   # full entry-time cells
+    mid = 0.5 * h * (1.0 + _GL_X)
+    dens = _bb_logistic(bb.t1 + h * np.arange(J)[:, None] + mid, bb) * (0.5 * h * _GL_W)
+    last = math.floor((demo.omega - a) / h + 1e-9)
+    surv = survival(a + h * np.arange(1, last + 1)[:, None] - mid, demo)
+    out = np.zeros((count, 2))
+    slivers = []
+    for r, (lo, hi) in enumerate(((a, demo.tau), (demo.tau, demo.omega))):
+        # lattice ages e_lo h and e_hi h bound the full age cells of the range
+        e_lo = math.ceil((lo - a) / h - 1e-9)
+        e_hi = math.floor((hi - a) / h + 1e-9)
+        if J > 0 and e_hi > e_lo:
+            conv = sum(np.convolve(dens[:, k], surv[e_lo:e_hi, k]) for k in range(_GL_X.size))
+            out[e_lo + 1:e_lo + 1 + conv.size, r] = conv[:max(count - e_lo - 1, 0)]
+        # the range's part of the boom, [d_lo, d_hi], and of the full cells,
+        # [c_lo, c_hi] (empty when c_lo >= c_hi)
+        d_lo = np.maximum(lo, a + h * i - (bb.t2 - bb.t1))
+        d_hi = np.maximum(np.minimum(hi, a + h * i), d_lo)
+        c_lo = a + h * np.maximum(e_lo, i - J)
+        c_hi = a + h * np.minimum(e_hi, i)
+        cut = np.minimum(c_lo, d_hi)
+        slivers.append(((d_lo, cut), (np.maximum(cut, c_hi), d_hi)))
+    ends = np.array(slivers)   # (range, sliver, lo | hi, node)
+    lo, hi = ends[:, :, 0], ends[:, :, 1]
+    keep = lo != hi
+    t_of = np.broadcast_to(bb.t1 + h * i, lo.shape)[keep][:, None]
+    part = np.zeros(lo.shape)
+    part[keep] = _gauss_legendre(lo[keep], hi[keep],
+                                 lambda u: _bb_logistic(t_of - u + a, bb) * survival(u, demo))
+    return out + part.sum(axis=1).T
 
 
 def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
-    """Worker and retiree masses at times ts: the integrals of n(t - u + a) s(u)
-    over ages [a, tau] and [tau, omega], shape (len(ts), 2).
+    """Worker and retiree masses at the table nodes ts: the integrals of
+    n(t - u + a) s(u) over ages [a, tau] and [tau, omega], shape (len(ts), 2).
+    All nodes but the last are the lattice t1 + BB_GRID_STEP * i; the last is
+    t2 + omega - a, where no living cohort entered before t2.
 
     The entrant time t - u + a passes t2 and t1 at the regime kinks
     u = t - t2 + a and u = t - t1 + a.  Younger than the first kink the
     density is n(t2) e^{rho2 (t - t2)} e^{-rho2 (u - a)}, older than the
     second n1 e^{rho1 (t - t1)} e^{-rho1 (u - a)}, so those two pieces are a
     prefactor in t times a difference of one `_bb_cumulative` table per rate.
-    Only the logistic piece between the kinks has panels per node, built
-    BB_CHUNK nodes at a time.
+    The logistic piece between the kinks is `_bb_logistic_masses`.
     """
     bb, a = demo.babyboom, demo.a
-    ts = np.asarray(ts, dtype=float)
     col = ts[:, None]
     lo, hi = np.array([a, demo.tau]), np.array([demo.tau, demo.omega])
     # the kinks clipped into each age range, shape (node, range)
@@ -242,9 +278,7 @@ def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
     F1 = _bb_cumulative(demo, bb.rho1, np.vstack([hi, k1]))
     post = _bb_n_t2(bb) * np.exp(bb.rho2 * (col - bb.t2)) * (F2[1:] - F2[0])
     pre = bb.n1 * np.exp(bb.rho1 * (col - bb.t1)) * (F1[0] - F1[1:])
-    mid = np.vstack([_bb_logistic_mass(ts[i:i + BB_CHUNK], k2[i:i + BB_CHUNK],
-                                       k1[i:i + BB_CHUNK], demo)
-                     for i in range(0, ts.size, BB_CHUNK)])
+    mid = np.vstack([_bb_logistic_masses(ts.size - 1, demo), np.zeros(2)])
     return post + mid + pre
 
 
@@ -258,8 +292,9 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     # Lambda(t) is constant outside [t1, t2 + omega - a]: before t1 every living
     # cohort entered in the rho1 regime, after t2 + omega - a in the rho2 regime.
     t_lo, t_hi = bb.t1, bb.t2 + demo.omega - demo.a
-    # the last step is shortened so that the table ends exactly at t_hi
-    ts = np.arange(t_lo, t_hi, BB_GRID_STEP)
+    # nodes exactly on the lattice t1 + step * i (np.arange drifts), the last
+    # step shortened so that the table ends exactly at t_hi
+    ts = t_lo + BB_GRID_STEP * np.arange(math.ceil((t_hi - t_lo) / BB_GRID_STEP) + 1)
     ts = np.append(ts[ts < t_hi - 1e-9], t_hi)
     mass = _bb_masses(ts, demo)
     table = mass[:, 0] / mass[:, 1]

@@ -104,9 +104,12 @@ def L_table(ages, delta: float, s: Scenario) -> np.ndarray:
     return np.where(u0 >= life - 1e-14, 0.0, L)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=16)
 def _L_of_age(u0: float, delta: float, s: Scenario) -> float:
     """L at life-time u0 = t - z in [0, omega - a]; independent of z otherwise.
+
+    Each entry holds its scenario, so the cache is bounded like the other
+    per-scenario caches; its scalar callers make a few lookups per scenario.
 
     Arguments and result are coerced to Python floats: numpy scalars hash
     equal to floats, so one cache entry serves both and must not leak

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -255,8 +256,10 @@ class PreferenceReport:
         }
 
 
+@lru_cache(maxsize=64)
 def _analyse(s: Scenario):
-    """(PreferenceReport without orderings, EetSavingsCase) in one pass.
+    """(PreferenceReport without orderings, EetSavingsCase) in one pass,
+    cached per scenario.
 
     zeta_hat and zeta_tilde are closed forms unless a baby boom makes Mt1
     time-varying.  Every root that needs a scan shares one `_tilde_arrays`

@@ -213,12 +213,21 @@ def _bb_blocks(d):
     yield "sliver", dataclasses.replace(bb, **BB_SLIVER_BLOCK)
 
 
+def _check_bb_table(demo, name=""):
+    """Table nodes exactly on the lattice t1 + step * i up to t_hi, and
+    Lambda there within 1e-12 of the quad oracle."""
+    fn = demography.support_ratio_fn(demo)
+    bb, n = demo.babyboom, fn.nodes.size - 1
+    lattice = bb.t1 + demography.BB_GRID_STEP * np.arange(n)
+    assert fn.nodes[:-1].tolist() == lattice.tolist(), name
+    assert fn.nodes[-1] == bb.t2 + demo.omega - demo.a, name
+    oracle = np.array([quad_bb_support_ratio(t, demo) for t in fn.nodes])
+    np.testing.assert_allclose(fn(fn.nodes), oracle, rtol=1e-12, atol=0, err_msg=name)
+
+
 def test_bb_table_nodes_match_quad_oracle(us_bb):
     for name, bb in _bb_blocks(us_bb.demo):
-        demo = dataclasses.replace(us_bb.demo, babyboom=bb)
-        fn = demography.support_ratio_fn(demo)
-        oracle = np.array([quad_bb_support_ratio(t, demo) for t in fn.nodes])
-        np.testing.assert_allclose(fn(fn.nodes), oracle, rtol=1e-12, atol=0, err_msg=name)
+        _check_bb_table(dataclasses.replace(us_bb.demo, babyboom=bb), name)
 
 
 def test_bb_table_emits_no_warning(us_bb):
@@ -231,21 +240,23 @@ def test_bb_table_emits_no_warning(us_bb):
     assert np.all(np.isfinite(fn(fn.nodes)))
 
 
-#: blocks at the edges of the factorised masses: a boom longer than the life
-#: span (the logistic piece covers a whole age range), one shorter than the
-#: table step, and flat entrant flows on both sides of the boom
-BB_EDGE_BLOCKS = {"longer than omega - a": dict(t2=-40.0 + 80.0),
-                  "shorter than a step": dict(t2=-40.0 + 0.05),
-                  "rho1 = rho2 = 0": dict(rho1=0.0, rho2=0.0)}
+#: blocks at the edges of the factorised masses, as (babyboom, demography)
+#: changes: a boom longer than the life span (the logistic piece covers a
+#: whole age range), one shorter than the table step, flat entrant flows on
+#: both sides of the boom, and ages off the table lattice with a boom that is
+#: no whole number of steps (partial cells at t2, a, tau and omega)
+BB_EDGE_BLOCKS = {"longer than omega - a": (dict(t2=-40.0 + 80.0), {}),
+                  "shorter than a step": (dict(t2=-40.0 + 0.05), {}),
+                  "rho1 = rho2 = 0": (dict(rho1=0.0, rho2=0.0), {}),
+                  "ages off the lattice": (dict(t2=-40.0 + 20.037),
+                                           dict(a=30.04, tau=64.97, omega=99.93))}
 
 
 @pytest.mark.parametrize("name", BB_EDGE_BLOCKS)
 def test_bb_table_nodes_match_quad_oracle_on_edge_blocks(us_bb, name):
-    bb = dataclasses.replace(us_bb.demo.babyboom, t1=-40.0, **BB_EDGE_BLOCKS[name])
-    demo = dataclasses.replace(us_bb.demo, babyboom=bb)
-    fn = demography.support_ratio_fn(demo)
-    oracle = np.array([quad_bb_support_ratio(t, demo) for t in fn.nodes])
-    np.testing.assert_allclose(fn(fn.nodes), oracle, rtol=1e-12, atol=0)
+    bb_changes, demo_changes = BB_EDGE_BLOCKS[name]
+    bb = dataclasses.replace(us_bb.demo.babyboom, t1=-40.0, **bb_changes)
+    _check_bb_table(dataclasses.replace(us_bb.demo, babyboom=bb, **demo_changes))
 
 
 def test_bb_scalar_calls_match_array_calls(us_bb):

@@ -340,9 +340,8 @@ def test_preference_map_matches_bisection_oracle_on_bb_blocks(us_bb):
             assert preference.classify(zeta, s).case_label == report.case_label, name
 
 
-def test_one_bracket_grid_per_analysis(us_bb, monkeypatch):
-    # one call on the shared bracket grid and five joint refinement rounds,
-    # plus one for the per-age rows of the map
+def _count_tilde_calls(monkeypatch):
+    """Start with no cached analysis and record every `_tilde_arrays` call."""
     calls = []
     tilde = preference._tilde_arrays
 
@@ -351,11 +350,36 @@ def test_one_bracket_grid_per_analysis(us_bb, monkeypatch):
         return tilde(zeta, s)
 
     monkeypatch.setattr(preference, "_tilde_arrays", counted)
+    preference._analyse.cache_clear()
+    return calls
+
+
+def test_one_bracket_grid_per_analysis(us_bb, monkeypatch):
+    # one call on the shared bracket grid and five joint refinement rounds,
+    # plus one for the per-age rows of the map
+    calls = _count_tilde_calls(monkeypatch)
     preference.preference_map(us_bb, step=5.0)
     assert len(calls) <= 7
+    preference._analyse.cache_clear()
     calls.clear()
     government.voluntary_theta_bounds(us_bb)
     assert len(calls) <= 6
+
+
+def test_one_analysis_per_scenario(us_bb, monkeypatch):
+    # the map's rows are its own call; every other critical-age question,
+    # here on an equal scenario built anew, reads the cached analysis
+    calls = _count_tilde_calls(monkeypatch)
+    preference.preference_map(us_bb, step=5.0)
+    analysis = len(calls) - 1
+    assert 1 <= analysis <= 6
+    again = dataclasses.replace(us_bb, policy=dataclasses.replace(us_bb.policy))
+    preference.critical_age_paygo_savings(again)
+    preference.critical_age_paygo_eet(again)
+    preference.critical_age_eet_savings(again)
+    government.voluntary_theta_bounds(again)
+    preference.preference_map(again, step=5.0)
+    assert len(calls) == analysis + 2
 
 
 def test_scan_two_sign_changes_gives_the_first_root():
