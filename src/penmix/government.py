@@ -27,6 +27,9 @@ Z_STEP = 0.05
 WEIGHTINGS = ("population", "equal")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: an optimum closer than this to theta = 0 or k = 0 is searched for on
+#: that edge, whose ends a golden section never evaluates
+EDGE_TOL = 1e-6
 
 
 def _simpson(lo: float, hi: float, step: float):
@@ -274,11 +277,17 @@ class AdmissibleRegion:
 def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
     """Solvency constraints G(z) >= 0 on the entry-time grid, plus the box."""
     g = _grid(s, step)
-    region = AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=s.policy.m, step=step)
-    for theta in np.linspace(0.0, s.policy.m, 26):
-        for k in np.linspace(0.0, s.policy.m, 26):
-            if theta + k <= s.policy.m and region.contains(theta, k, tol=0.0):
-                return region
+    m = s.policy.m
+    region = AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=m, step=step)
+    h0, h1, h2 = region.halfplanes.T
+    # a 26 x 26 probe grid, one theta at a time: `contains` with tol = 0 at
+    # every probe k with theta + k <= m (m <= 1, so the box holds them all)
+    probes = np.linspace(0.0, m, 26)
+    for theta in probes:
+        ks = probes[theta + probes <= m]
+        vals = (h0 + h1 * theta)[:, None] + np.multiply.outer(h2, ks)
+        if np.any(np.all(vals >= 0.0, axis=0)):
+            return region
     raise EmptyRegion("no feasible (theta, k) found on the probe grid")
 
 
@@ -308,8 +317,14 @@ class OptimalMix:
         }
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-7):
-    """Golden-section maximizer for a unimodal f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float, tol: float = 1e-7, ends: bool = False):
+    """Golden-section maximizer for a unimodal f on [lo, hi].
+
+    The search never evaluates the ends of [lo, hi]; with `ends`, each end
+    that the final bracket still touches is evaluated too and returned when
+    it is at least as good as the bracket's midpoint.
+    """
+    a, b = lo, hi
     evals = 0
     c = hi - _GOLDEN * (hi - lo)
     d_ = lo + _GOLDEN * (hi - lo)
@@ -326,7 +341,16 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7):
             fd = f(d_)
         evals += 1
     x = 0.5 * (lo + hi)
-    return x, f(x), evals + 1
+    fx = f(x)
+    evals += 1
+    if ends:
+        for end, touched in ((a, lo == a), (b, hi == b)):
+            if touched:
+                f_end = f(end)
+                evals += 1
+                if f_end >= fx:
+                    x, fx = end, f_end
+    return x, fx, evals
 
 
 def _feasible_interval(c0: np.ndarray, c1: np.ndarray,
@@ -354,29 +378,75 @@ def _line_interval(g: CohortGrid, point, direction, lo: float, hi: float):
     return bounds if bounds is not None and bounds[0] <= bounds[1] else None
 
 
+def _coarse_grid(g: CohortGrid, m: float, mode: str):
+    """Best cell of the 101 x 101 rate grid on theta + k <= m.
+
+    Returns (value, (theta, k), cells scored): the first strict maximum in
+    row-major order, (-inf, None, n) when no cell is solvent.  Each theta-row
+    is one array pass over a (k, live row) buffer of terms w G^power, summed
+    per k in the same row order as `_phi`, so every cell keeps its bits.
+    Rows with c2 == 0 (a frozen EET balance) do not depend on k: their terms
+    are computed once per theta.
+    """
+    rates = np.linspace(0.0, m, 101)
+    c0, c1, c2 = (np.ascontiguousarray(col) for col in g.rows[g.live].T)
+    w, p = g.weights[mode], g.power
+    # table-order runs of k-free (c2 == 0) and k-dependent rows; each
+    # k-dependent run gets a contiguous (k, row) scratch for its G
+    free = c2 == 0.0
+    cuts = [0, *(np.flatnonzero(free[1:] != free[:-1]) + 1), free.size]
+    runs = [(slice(a, b), None if free[a] else np.empty((rates.size, b - a)))
+            for a, b in zip(cuts, cuts[1:])]
+    terms = np.empty((rates.size, free.size))
+    best_val, best_pt, evals = -math.inf, None, 0
+    for theta in rates:
+        nk = int(np.count_nonzero(theta + rates <= m + 1e-12))
+        evals += nk
+        base = c0 + c1 * theta
+        if any(np.any(base[cols] <= 0.0) for cols, G in runs if G is None):
+            continue
+        bad = np.zeros(nk, dtype=bool)
+        for cols, G in runs:
+            if G is not None:
+                np.multiply.outer(rates[:nk], c2[cols], out=G[:nk])
+                G[:nk] += base[cols]
+                bad |= (G[:nk] <= 0.0).any(axis=1)
+        # each G is monotone in k, so the solvent cells are one k-range
+        ok = np.flatnonzero(~bad)
+        if not ok.size:
+            continue
+        lo, hi = ok[0], ok[-1] + 1
+        for cols, G in runs:
+            if G is None:
+                terms[lo:hi, cols] = w[cols] * base[cols] ** p[cols]
+            else:
+                np.power(G[lo:hi], p[cols], out=G[lo:hi])
+                np.multiply(G[lo:hi], w[cols], out=terms[lo:hi, cols])
+        vals = terms[lo:hi].sum(axis=1)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, best_pt = float(vals[j]), (float(theta), float(rates[lo + j]))
+    return best_val, best_pt, evals
+
+
 def optimize_mix(s: Scenario, mode: str = "population",
                  step: float = Z_STEP) -> OptimalMix:
     """Global maximizer of the welfare objective over the admissible region.
 
     Concavity makes a coarse-grid pass plus golden-section refinement (along
-    the cap face and per coordinate) sufficient for 1e-4 accuracy.
+    the cap face and per coordinate) sufficient for 1e-4 accuracy.  The
+    101 x 101 grid is scored one theta-row per array pass (`_coarse_grid`);
+    `evaluations` counts each of its cells and each golden-section point.
+    An optimum within EDGE_TOL of theta = 0 or k = 0 is searched for again
+    on that edge, ends included, so an active edge returns exactly 0 and an
+    active corner exactly (m, 0) or (0, m).
     """
     _check_mode(mode)
     validate(s)
     m = s.policy.m
     g = _grid(s, step)
-    evals = 0
 
-    rates = np.linspace(0.0, m, 101)
-    best_val, best_pt = -math.inf, None
-    for theta in rates:
-        for k in rates:
-            if theta + k > m + 1e-12:
-                continue
-            v = _phi(g, theta, k, mode)
-            evals += 1
-            if v > best_val:
-                best_val, best_pt = v, (float(theta), float(k))
+    best_val, best_pt, evals = _coarse_grid(g, m, mode)
     if best_pt is None or not math.isfinite(best_val):
         raise EmptyRegion("no feasible (theta, k) on the coarse grid")
 
@@ -409,6 +479,19 @@ def optimize_mix(s: Scenario, mode: str = "population",
 
     if face_pt is not None and face_val >= val:
         pt, val = face_pt, face_val
+
+    # the edges theta = 0 and k = 0 as points at(t), t in [0, m]
+    for axis, at in ((0, lambda t: (0.0, t)), (1, lambda t: (t, 0.0))):
+        if pt[axis] >= EDGE_TOL:
+            continue
+        rng = _line_interval(g, (0.0, 0.0), at(1.0), 0.0, m)
+        if rng is None:
+            continue
+        t, v, n = _golden_max(lambda t: _phi(g, *at(t), mode), *rng,
+                              tol=1e-7, ends=True)
+        evals += n
+        if v >= val:
+            pt, val = at(t), v
     theta_star, k_star = pt
     return OptimalMix(theta_star=theta_star, k_star=k_star, objective=val,
                       weighting=mode, cap_binding=theta_star + k_star >= m - 1e-6,
@@ -544,7 +627,7 @@ def optimize_voluntary(s: Scenario, mode: str = "population",
     g = _grid(s, step)
     theta, val, evals = _golden_max(
         lambda t: _voluntary_phi(g, t, mode),
-        bounds.lower, bounds.upper, tol=1e-7)
+        bounds.lower, bounds.upper, tol=1e-7, ends=True)
     k_rep = voluntary_k_star(theta, s.policy.t0, s).value
     return OptimalMix(theta_star=theta, k_star=k_rep, objective=val,
                       weighting=mode,

@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from penmix import demography, lifecycle, montecarlo, validate
+from penmix import demography, government, lifecycle, montecarlo, validate
 from penmix.preference import BB_SCAN_STEP
 from penmix.scenario import Scenario, delta_for_entry
 
@@ -496,3 +496,62 @@ def simulate_cohort_per_block(cfg, s: Scenario, probe_times=()):
         mean_terminal_wealth=mean_x, se_terminal_wealth=se_x,
         mean_y_at_t0=mean_y, se_y_at_t0=se_y, clipped_paths=clip,
         n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, probes=probes)
+
+
+def coarse_grid_scalar(g, m: float, mode: str):
+    """The optimizer's 101 x 101 coarse grid on theta + k <= m, one
+    `government._phi` call per cell: (best value, (theta, k), cells scored),
+    the first strict maximum in row-major order."""
+    rates = np.linspace(0.0, m, 101)
+    best_val, best_pt, evals = -math.inf, None, 0
+    for theta in rates:
+        for k in rates:
+            if theta + k > m + 1e-12:
+                continue
+            v = government._phi(g, theta, k, mode)
+            evals += 1
+            if v > best_val:
+                best_val, best_pt = v, (float(theta), float(k))
+    return best_val, best_pt, evals
+
+
+def optimize_mix_no_edge_search(s: Scenario, mode: str, step: float, coarse=None):
+    """`government.optimize_mix` without its box-edge search: the scalar
+    coarse grid (or `coarse`, its result when already at hand), a golden
+    section on the cap face and the coordinate golden sections, which never
+    land exactly on theta = 0 or k = 0."""
+    g = government._grid(s, step)
+    m = s.policy.m
+    phi = government._phi
+    best_val, best_pt, evals = coarse or coarse_grid_scalar(g, m, mode)
+    face = government._line_interval(g, (0.0, m), (1.0, -1.0), 0.0, m)
+    face_pt, face_val = None, -math.inf
+    if face is not None:
+        th, face_val, n = government._golden_max(
+            lambda t: phi(g, t, m - t, mode), face[0], face[1], tol=1e-7)
+        evals += n
+        face_pt = (th, m - th)
+    pt, val = best_pt, best_val
+    for _ in range(12):
+        theta, k = pt
+        rng_t = government._line_interval(g, (0.0, k), (1.0, 0.0), 0.0, m - k)
+        if rng_t is not None:
+            theta, val, n = government._golden_max(
+                lambda t: phi(g, t, k, mode), *rng_t, tol=1e-7)
+            evals += n
+        rng_k = government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
+        new_k = k
+        if rng_k is not None:
+            new_k, val, n = government._golden_max(
+                lambda kk: phi(g, theta, kk, mode), *rng_k, tol=1e-7)
+            evals += n
+        moved = abs(theta - pt[0]) + abs(new_k - pt[1])
+        pt = (theta, new_k)
+        if moved < 1e-6:
+            break
+    if face_pt is not None and face_val >= val:
+        pt, val = face_pt, face_val
+    return government.OptimalMix(
+        theta_star=pt[0], k_star=pt[1], objective=val, weighting=mode,
+        cap_binding=pt[0] + pt[1] >= m - 1e-6, grid_step=step,
+        mode="mandatory", evaluations=evals)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penmix import (
+    EmptyRegion,
     InsolventCohort,
     PenmixError,
     government,
@@ -17,7 +20,12 @@ from penmix import (
 )
 from penmix.scenario import scenario_from_dict, scenario_to_dict
 
-from _oracles import voluntary_theta_ratios, welfare_per_node
+from _oracles import (
+    coarse_grid_scalar,
+    optimize_mix_no_edge_search,
+    voluntary_theta_ratios,
+    welfare_per_node,
+)
 
 STEP = 0.05
 
@@ -368,3 +376,164 @@ def test_welfare_matches_per_node_oracle(fixture, mode, request):
     for theta in rng.uniform(bounds.lower, bounds.upper, size=6):
         got = government.voluntary_objective(theta, s, mode, step=STEP)
         assert got == pytest.approx(phi(theta), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_coarse_grid_matches_scalar_oracle(fixture, mode, request):
+    # the array pass picks the same cell with the same bits and counts the
+    # same cells as one _phi call per cell
+    s = request.getfixturevalue(fixture)
+    g = government._grid(s, STEP)
+    val, pt, evals = government._coarse_grid(g, s.policy.m, mode)
+    want_val, want_pt, want_evals = coarse_grid_scalar(g, s.policy.m, mode)
+    assert val.hex() == want_val.hex()
+    assert (pt, evals) == (want_pt, want_evals) and evals == 5151
+    if fixture == "cn":
+        # CN's retirees make every k insolvent on the theta-rows below 0.06
+        rates = np.linspace(0.0, s.policy.m, 101)
+        assert all(government._phi(g, 0.0575, k, mode) == -math.inf
+                   for k in rates[rates <= s.policy.m - 0.0575])
+        assert math.isfinite(government._phi(g, 0.06, 0.0, mode))
+
+
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_coarse_grid_matches_scalar_oracle_on_rows_cut_in_k(us, mode):
+    # two worker rows rewritten to G = c (k - 0.05) and G = c (0.2 - k):
+    # each theta-row is solvent for k in (0.05, 0.2) only, and not at all
+    # once m - theta < 0.05
+    g = government._grid(us, STEP)
+    rows = g.rows.copy()
+    up, down = np.flatnonzero(g.live & (rows[:, 2] > 0))[:2]
+    c_up, c_down = rows[up, 2], rows[down, 2]
+    rows[up] = (-0.05 * c_up, 0.0, c_up)
+    rows[down] = (0.2 * c_down, 0.0, -c_down)
+    cut = dataclasses.replace(g, rows=rows)
+    assert government._phi(cut, 0.1, 0.05, mode) == -math.inf
+    assert math.isfinite(government._phi(cut, 0.1, 0.0525, mode))
+    assert government._phi(cut, 0.0, 0.2, mode) == -math.inf
+    assert government._phi(cut, 0.2025, 0.0475, mode) == -math.inf
+    val, pt, evals = government._coarse_grid(cut, us.policy.m, mode)
+    want_val, want_pt, want_evals = coarse_grid_scalar(cut, us.policy.m, mode)
+    assert val.hex() == want_val.hex()
+    assert (pt, evals) == (want_pt, want_evals)
+
+
+def _perturbed_scenarios(us, cn, n, seed):
+    """US/CN scenarios, alternating, with demo.rho moved by up to 0.004 and
+    the two tax rates redrawn; draws without a cohort grid are skipped."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        s0 = (us, cn)[i % 2]
+        params = {"demo.rho": s0.demo.rho + rng.uniform(-0.004, 0.004),
+                  "policy.tau1": rng.uniform(0.1, 0.3),
+                  "policy.tau2": rng.uniform(0.1, 0.48)}
+        try:
+            s = with_params(s0, **params)
+            government._grid(s, 0.25)
+        except PenmixError:
+            continue
+        yield s
+
+
+def test_coarse_grid_and_optimizer_match_oracle_on_perturbed_scenarios(us, cn):
+    # bit-equal coarse grid everywhere, and the whole OptimalMix of the
+    # grid-and-golden optimizer wherever the edge search does not fire;
+    # where it fires, the optimum moved onto the edge and is no worse
+    step = 0.25
+    checked, fired, insolvent_cells = 0, 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for s in _perturbed_scenarios(us, cn, 22, seed=3):
+            g = government._grid(s, step)
+            checked += 1
+            for mode in government.WEIGHTINGS:
+                val, pt, evals = government._coarse_grid(g, s.policy.m, mode)
+                want = coarse_grid_scalar(g, s.policy.m, mode)
+                assert val.hex() == want[0].hex()
+                assert (pt, evals) == want[1:]
+                insolvent_cells += government._phi(g, 0.0, s.policy.m, mode) == -math.inf
+                mix = government.optimize_mix(s, mode, step)
+                old = optimize_mix_no_edge_search(s, mode, step, coarse=want)
+                if min(old.theta_star, old.k_star) >= government.EDGE_TOL:
+                    assert mix == old
+                    continue
+                fired += 1
+                assert 0.0 in (mix.theta_star, mix.k_star)
+                assert mix.objective >= old.objective
+    assert checked >= 20 and fired and insolvent_cells
+
+
+def _edge_case(s0, rho, tau1, tau2):
+    return with_params(s0, **{"demo.rho": rho, "policy.tau1": tau1,
+                              "policy.tau2": tau2})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_optimum_on_the_k_zero_edge_is_exact(cn, mode):
+    # the golden sections used to stop at k* ~ 4e-8, below phi(theta*, 0);
+    # the edge search's theta* is as good up to its own 1e-7 bracket
+    s = _edge_case(cn, -0.0037, 0.189, 0.454)
+    mix = government.optimize_mix(s, mode, step=0.25)
+    assert mix.k_star == 0.0 and 0.0 < mix.theta_star < s.policy.m
+    old = optimize_mix_no_edge_search(s, mode, 0.25)
+    edge = government.objective(old.theta_star, 0.0, s, mode, step=0.25)
+    assert mix.objective > old.objective
+    assert mix.objective >= edge - 1e-13 * abs(edge)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_optimum_at_the_cap_corner_is_exact(us, mode):
+    # theta* used to come back as m - 4e-8 with k* ~ 4e-8
+    s = _edge_case(us, -0.0029, 0.203, 0.453)
+    m = s.policy.m
+    mix = government.optimize_mix(s, mode, step=0.25)
+    assert (mix.theta_star, mix.k_star) == (m, 0.0) and mix.cap_binding
+    assert mix.objective >= government.objective(m, 0.0, s, mode, step=0.25)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_voluntary_optimum_on_the_upper_bound_is_exact(us, mode):
+    # theta* used to come back as upper - 4e-8, below phi(upper)
+    s = _edge_case(us, -0.0029, 0.203, 0.453)
+    bounds = government.voluntary_theta_bounds(s, step=0.25)
+    vol = government.optimize_voluntary(s, mode, step=0.25)
+    assert vol.theta_star == bounds.upper
+    assert vol.objective >= government.voluntary_objective(bounds.upper, s, mode, step=0.25)
+
+
+def test_optimizer_buffer_memory(us):
+    # one warm optimize_mix allocates at most about twice the coarse grid's
+    # (101, live rows) term buffer
+    government.optimize_mix(us)
+    buffer_bytes = 101 * int(government._grid(us, government.Z_STEP).live.sum()) * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        government.optimize_mix(us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * buffer_bytes
+
+
+@pytest.mark.parametrize("shift, feasible", [(1.0, True), (1.0 + 1e-12, False)])
+def test_admissible_region_probe_grid(us, monkeypatch, shift, feasible):
+    # one more cohort row theta >= shift * m: only the last probe (m, 0) of
+    # the 26 x 26 grid passes it, and, shifted past m, none does
+    m = us.policy.m
+    g = government._grid(us, STEP)
+    extra = dataclasses.replace(
+        g, z=np.append(g.z, g.z[-1]),
+        rows=np.insert(g.rows, g.z.size, (-shift * m, 1.0, 0.0), axis=0))
+    monkeypatch.setattr(government, "_grid", lambda s, step: extra)
+    if feasible:
+        region = government.admissible_region(us, step=STEP)
+        assert region.contains(m, 0.0, tol=0.0)
+        assert not region.contains(m - m / 25, 0.0, tol=0.0)
+    else:
+        with pytest.raises(EmptyRegion, match="no feasible .* on the probe grid"):
+            government.admissible_region(us, step=STEP)
