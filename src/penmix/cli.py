@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     UtilityExplosion,
 )
-from .scenario import Scenario, load_scenario, validate, with_params
+from .scenario import Scenario, _number, load_scenario, validate, with_params
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -215,6 +215,8 @@ def _cmd_sweep(args) -> int:
         spec = json.loads(Path(args.spec).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.spec}: {exc}")
+    if not isinstance(spec, dict):
+        raise SchemaError("sweep spec must be a JSON object")
     for key in ("param1", "param2", "target"):
         if key not in spec:
             raise SchemaError(f"sweep spec missing '{key}'")
@@ -223,13 +225,18 @@ def _cmd_sweep(args) -> int:
     axes = []
     for key in ("param1", "param2"):
         p = spec[key]
+        if not isinstance(p, dict):
+            raise SchemaError(f"sweep spec {key} must be an object (got {p!r})")
         for f in ("path", "lo", "hi", "steps"):
             if f not in p:
                 raise SchemaError(f"sweep spec {key} missing '{f}'")
-        if int(p["steps"]) < 2:
-            raise SchemaError(f"sweep {key}.steps must be >= 2")
-        axes.append((p["path"], np.linspace(float(p["lo"]), float(p["hi"]),
-                                            int(p["steps"]))))
+        if not isinstance(p["path"], str):
+            raise SchemaError(f"sweep {key}.path must be a string (got {p['path']!r})")
+        steps = p["steps"]
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
+            raise SchemaError(f"sweep {key}.steps must be an integer >= 2 (got {steps!r})")
+        axes.append((p["path"], np.linspace(_number(p["lo"], f"sweep {key}.lo"),
+                                            _number(p["hi"], f"sweep {key}.hi"), steps)))
     (path1, vals1), (path2, vals2) = axes
     target = spec["target"]
     # a bad path is one schema error up front, not a nan in every cell

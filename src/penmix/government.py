@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,9 +27,6 @@ Z_STEP = 0.05
 WEIGHTINGS = ("population", "equal")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: an optimum closer than this to theta = 0 or k = 0 is searched for on
-#: that edge, whose ends a golden section never evaluates
-EDGE_TOL = 1e-6
 
 
 def _simpson(lo: float, hi: float, step: float):
@@ -66,6 +63,7 @@ class CohortGrid:
     x0: np.ndarray
     y0: np.ndarray
     w0: float
+    m: float                  # the cap on theta + k
     step: float
     M02: float
     M03: float
@@ -79,6 +77,31 @@ class CohortGrid:
     live: np.ndarray          # rows in the welfare sum (L > 0)
     power: np.ndarray         # delta per live row
     weights: dict             # weighting -> w per live row
+
+    @cached_property
+    def theta_range(self) -> Optional[tuple]:
+        """(theta_lo, theta_hi): the thetas in [0, m] whose k-segment in
+        [0, m - theta] is solvent against every row, or None if none is.
+
+        The k-free rows (c2 = 0) give an interval of theta.  Inside it the
+        segment's length hi - lo is concave (hi is a min, lo a max of affine
+        functions of theta): one golden section finds its maximum, and a
+        bisection to the last float each end where it drops below 0.
+        """
+        c0, c1, c2 = self.rows.T
+        free = c2 == 0.0
+        box = _feasible_interval(c0[free], c1[free], 0.0, self.m)
+        if box is None or box[0] > box[1]:
+            return None
+
+        def length(theta):
+            seg = _feasible_interval(c0 + c1 * theta, c2, 0.0, self.m - theta)
+            return -math.inf if seg is None else seg[1] - seg[0]
+
+        top, longest, _ = _golden_max(length, *box, ends=True)
+        if longest < 0.0:
+            return None
+        return _last_feasible(length, box[0], top), _last_feasible(length, box[1], top)
 
 
 def _check_step(step: float) -> None:
@@ -182,7 +205,7 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
         arr.setflags(write=False)   # shared by every caller of the cached grid
     return CohortGrid(
         z=zs, delta=deltas, L=L, M1=M1, M2=M2, M3=M3, N=N, x0=x0, y0=y0,
-        w0=w0, step=step, M02=M02, M03=M03, rows=rows, vol_rows=vol_rows,
+        w0=w0, m=p.m, step=step, M02=M02, M03=M03, rows=rows, vol_rows=vol_rows,
         live=live, power=power, weights=weights)
 
 
@@ -253,6 +276,10 @@ def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
 # admissible region
 # --------------------------------------------------------------------------
 
+_EMPTY = ("no (theta, k) with theta, k >= 0 and theta + k <= m keeps every "
+          "cohort solvent")
+
+
 @dataclass(frozen=True)
 class AdmissibleRegion:
     """Intersection of per-cohort solvency half-planes with the rate box.
@@ -265,9 +292,7 @@ class AdmissibleRegion:
     step: float
 
     def contains(self, theta: float, k: float, tol: float = 1e-12) -> bool:
-        if theta < -tol or k < -tol or theta + k > self.m + tol:
-            return False
-        if theta > 1 + tol or k > 1 + tol:
+        if theta < -tol or k < -tol or theta + k > self.m + tol:   # m <= 1
             return False
         vals = (self.halfplanes[:, 0] + self.halfplanes[:, 1] * theta
                 + self.halfplanes[:, 2] * k)
@@ -275,20 +300,16 @@ class AdmissibleRegion:
 
 
 def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
-    """Solvency constraints G(z) >= 0 on the entry-time grid, plus the box."""
+    """Solvency constraints G(z) >= 0 on the entry-time grid, plus the box.
+
+    Raises EmptyRegion when no (theta, k) of the box keeps every row of the
+    grid, future entrants included, solvent: exactly when the grid's
+    `theta_range` is empty.
+    """
     g = _grid(s, step)
-    m = s.policy.m
-    region = AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=m, step=step)
-    h0, h1, h2 = region.halfplanes.T
-    # a 26 x 26 probe grid, one theta at a time: `contains` with tol = 0 at
-    # every probe k with theta + k <= m (m <= 1, so the box holds them all)
-    probes = np.linspace(0.0, m, 26)
-    for theta in probes:
-        ks = probes[theta + probes <= m]
-        vals = (h0 + h1 * theta)[:, None] + np.multiply.outer(h2, ks)
-        if np.any(np.all(vals >= 0.0, axis=0)):
-            return region
-    raise EmptyRegion("no feasible (theta, k) found on the probe grid")
+    if g.theta_range is None:
+        raise EmptyRegion(_EMPTY)
+    return AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=s.policy.m, step=step)
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +318,8 @@ def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
 
 @dataclass(frozen=True)
 class OptimalMix:
-    """Optimizer output for one weighting mode."""
+    """Optimizer output for one weighting mode; `evaluations` counts the
+    welfare evaluations of the search."""
 
     theta_star: float
     k_star: float
@@ -325,11 +347,10 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7, ends: bool = False):
     it is at least as good as the bracket's midpoint.
     """
     a, b = lo, hi
-    evals = 0
     c = hi - _GOLDEN * (hi - lo)
     d_ = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d_)
-    evals += 2
+    evals = 2
     while hi - lo > tol:
         if fc > fd:
             hi, d_, fd = d_, c, fc
@@ -351,6 +372,21 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7, ends: bool = False):
                 if f_end >= fx:
                     x, fx = end, f_end
     return x, fx, evals
+
+
+def _last_feasible(f, out: float, inside: float) -> float:
+    """The point nearest `out` between `out` and `inside` where the concave
+    f is >= 0, to the last float, given f(inside) >= 0."""
+    if f(out) >= 0.0:
+        return out
+    while True:
+        mid = 0.5 * (out + inside)
+        if mid == out or mid == inside:
+            return inside
+        if f(mid) >= 0.0:
+            inside = mid
+        else:
+            out = mid
 
 
 def _feasible_interval(c0: np.ndarray, c1: np.ndarray,
@@ -378,121 +414,41 @@ def _line_interval(g: CohortGrid, point, direction, lo: float, hi: float):
     return bounds if bounds is not None and bounds[0] <= bounds[1] else None
 
 
-def _coarse_grid(g: CohortGrid, m: float, mode: str):
-    """Best cell of the 101 x 101 rate grid on theta + k <= m.
-
-    Returns (value, (theta, k), cells scored): the first strict maximum in
-    row-major order, (-inf, None, n) when no cell is solvent.  Each theta-row
-    is one array pass over a (k, live row) buffer of terms w G^power, summed
-    per k in the same row order as `_phi`, so every cell keeps its bits.
-    Rows with c2 == 0 (a frozen EET balance) do not depend on k: their terms
-    are computed once per theta.
-    """
-    rates = np.linspace(0.0, m, 101)
-    c0, c1, c2 = (np.ascontiguousarray(col) for col in g.rows[g.live].T)
-    w, p = g.weights[mode], g.power
-    # table-order runs of k-free (c2 == 0) and k-dependent rows; each
-    # k-dependent run gets a contiguous (k, row) scratch for its G
-    free = c2 == 0.0
-    cuts = [0, *(np.flatnonzero(free[1:] != free[:-1]) + 1), free.size]
-    runs = [(slice(a, b), None if free[a] else np.empty((rates.size, b - a)))
-            for a, b in zip(cuts, cuts[1:])]
-    terms = np.empty((rates.size, free.size))
-    best_val, best_pt, evals = -math.inf, None, 0
-    for theta in rates:
-        nk = int(np.count_nonzero(theta + rates <= m + 1e-12))
-        evals += nk
-        base = c0 + c1 * theta
-        if any(np.any(base[cols] <= 0.0) for cols, G in runs if G is None):
-            continue
-        bad = np.zeros(nk, dtype=bool)
-        for cols, G in runs:
-            if G is not None:
-                np.multiply.outer(rates[:nk], c2[cols], out=G[:nk])
-                G[:nk] += base[cols]
-                bad |= (G[:nk] <= 0.0).any(axis=1)
-        # each G is monotone in k, so the solvent cells are one k-range
-        ok = np.flatnonzero(~bad)
-        if not ok.size:
-            continue
-        lo, hi = ok[0], ok[-1] + 1
-        for cols, G in runs:
-            if G is None:
-                terms[lo:hi, cols] = w[cols] * base[cols] ** p[cols]
-            else:
-                np.power(G[lo:hi], p[cols], out=G[lo:hi])
-                np.multiply(G[lo:hi], w[cols], out=terms[lo:hi, cols])
-        vals = terms[lo:hi].sum(axis=1)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_pt = float(vals[j]), (float(theta), float(rates[lo + j]))
-    return best_val, best_pt, evals
-
-
 def optimize_mix(s: Scenario, mode: str = "population",
                  step: float = Z_STEP) -> OptimalMix:
     """Global maximizer of the welfare objective over the admissible region.
 
-    Concavity makes a coarse-grid pass plus golden-section refinement (along
-    the cap face and per coordinate) sufficient for 1e-4 accuracy.  The
-    101 x 101 grid is scored one theta-row per array pass (`_coarse_grid`);
-    `evaluations` counts each of its cells and each golden-section point.
-    An optimum within EDGE_TOL of theta = 0 or k = 0 is searched for again
-    on that edge, ends included, so an active edge returns exactly 0 and an
-    active corner exactly (m, 0) or (0, m).
+    phi is concave, so psi(theta) = max_k phi(theta, k) is concave too: one
+    golden section over the grid's `theta_range`, each of whose points is a
+    golden section over that theta's solvent k-segment, finds the optimum
+    to its 1e-7 brackets.  Both evaluate the ends their final bracket still
+    touches, so an optimum on the cap face, on theta = 0 or k = 0, or at a
+    corner lies exactly there.  `evaluations` counts the inner sections'
+    points.
     """
     _check_mode(mode)
     validate(s)
     m = s.policy.m
     g = _grid(s, step)
+    if g.theta_range is None:
+        raise EmptyRegion(_EMPTY)
+    evals, k_at = 0, {}
 
-    best_val, best_pt, evals = _coarse_grid(g, m, mode)
-    if best_pt is None or not math.isfinite(best_val):
-        raise EmptyRegion("no feasible (theta, k) on the coarse grid")
-
-    # 1-D search along the binding face theta + k = m
-    face = _line_interval(g, (0.0, m), (1.0, -1.0), 0.0, m)
-    face_pt, face_val = None, -math.inf
-    if face is not None:
-        th, face_val, n = _golden_max(lambda t: _phi(g, t, m - t, mode),
-                                      face[0], face[1], tol=1e-7)
+    def psi(theta):
+        nonlocal evals
+        seg = _line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
+        if seg is None:   # round-off can empty a zero-width segment
+            return -math.inf
+        k_at[theta], val, n = _golden_max(lambda k: _phi(g, theta, k, mode),
+                                          *seg, ends=True)
         evals += n
-        face_pt = (th, m - th)
+        return val
 
-    # interior refinement: coordinate golden-section from the grid best
-    pt, val = best_pt, best_val
-    for _ in range(12):
-        theta, k = pt
-        rng_t = _line_interval(g, (0.0, k), (1.0, 0.0), 0.0, m - k)
-        if rng_t is not None:
-            theta, val, n = _golden_max(lambda t: _phi(g, t, k, mode), *rng_t, tol=1e-7)
-            evals += n
-        rng_k = _line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
-        new_k = k
-        if rng_k is not None:
-            new_k, val, n = _golden_max(lambda kk: _phi(g, theta, kk, mode), *rng_k, tol=1e-7)
-            evals += n
-        moved = abs(theta - pt[0]) + abs(new_k - pt[1])
-        pt = (theta, new_k)
-        if moved < 1e-6:
-            break
-
-    if face_pt is not None and face_val >= val:
-        pt, val = face_pt, face_val
-
-    # the edges theta = 0 and k = 0 as points at(t), t in [0, m]
-    for axis, at in ((0, lambda t: (0.0, t)), (1, lambda t: (t, 0.0))):
-        if pt[axis] >= EDGE_TOL:
-            continue
-        rng = _line_interval(g, (0.0, 0.0), at(1.0), 0.0, m)
-        if rng is None:
-            continue
-        t, v, n = _golden_max(lambda t: _phi(g, *at(t), mode), *rng,
-                              tol=1e-7, ends=True)
-        evals += n
-        if v >= val:
-            pt, val = at(t), v
-    theta_star, k_star = pt
+    theta_star, val, _ = _golden_max(psi, *g.theta_range, ends=True)
+    if not math.isfinite(val):
+        raise EmptyRegion("every admissible (theta, k) leaves a cohort with "
+                          "resource G = 0")
+    k_star = k_at[theta_star]
     return OptimalMix(theta_star=theta_star, k_star=k_star, objective=val,
                       weighting=mode, cap_binding=theta_star + k_star >= m - 1e-6,
                       grid_step=step, mode="mandatory", evaluations=evals)

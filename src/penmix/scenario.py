@@ -7,6 +7,8 @@ the currency unit).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -244,12 +246,27 @@ _SECTIONS = {
 _BB_FIELDS = ("t1", "t2", "n1", "nm", "kappa", "rho1", "rho2")
 
 
-def _require(section: dict, section_name: str, names) -> dict:
+def _number(value, name: str) -> float:
+    """A JSON number as a float; SchemaError naming the field otherwise
+    (true, false, NaN and Infinity are not numbers)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise SchemaError(f"field {name} must be a finite number (got {value!r})")
+    return float(value)
+
+
+def _numbers(section, section_name: str, names, **defaults) -> dict:
+    """The named fields of one object section, plus the optional ones in
+    `defaults`, as floats."""
+    if not isinstance(section, dict):
+        raise SchemaError(f"section {section_name} must be an object (got {section!r})")
     out = {}
     for name in names:
         if name not in section:
             raise SchemaError(f"missing required field {section_name}.{name}")
-        out[name] = float(section[name])
+        out[name] = _number(section[name], f"{section_name}.{name}")
+    for name, default in defaults.items():
+        out[name] = _number(section.get(name, default), f"{section_name}.{name}")
     return out
 
 
@@ -258,23 +275,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key not in doc:
             raise SchemaError(f"missing required section '{key}'")
 
-    mkt = _require(doc["market"], "market", _SECTIONS["market"])
-    mkt["W0"] = float(doc["market"].get("W0", 1.0))
-
-    dem = _require(doc["demography"], "demography", _SECTIONS["demography"])
-    dem["n0"] = float(doc["demography"].get("n0", 10.0))
+    mkt = _numbers(doc["market"], "market", _SECTIONS["market"], W0=1.0)
+    dem = _numbers(doc["demography"], "demography", _SECTIONS["demography"], n0=10.0)
     bb_doc = doc["demography"].get("babyboom")
     if bb_doc is not None:
-        dem["babyboom"] = BabyBoomParams(**_require(bb_doc, "demography.babyboom", _BB_FIELDS))
-
-    pol = _require(doc["policy"], "policy", _SECTIONS["policy"])
-    pol["t0"] = float(doc["policy"].get("t0", 0.0))
-
-    pref_doc = doc["preference"]
-    if "lambda" not in pref_doc:
-        raise SchemaError("missing required field preference.lambda")
-    prf = _require(pref_doc, "preference", _SECTIONS["preference"])
-    prf["lam"] = float(pref_doc["lambda"])
+        dem["babyboom"] = BabyBoomParams(**_numbers(bb_doc, "demography.babyboom", _BB_FIELDS))
+    pol = _numbers(doc["policy"], "policy", _SECTIONS["policy"], t0=0.0)
+    prf = _numbers(doc["preference"], "preference", ("lambda", *_SECTIONS["preference"]))
+    prf["lam"] = prf.pop("lambda")
 
     s = Scenario(market=MarketParams(**mkt), demo=DemographyParams(**dem),
                  policy=PolicyParams(**pol), pref=PreferenceParams(**prf))

@@ -499,9 +499,9 @@ def simulate_cohort_per_block(cfg, s: Scenario, probe_times=()):
 
 
 def coarse_grid_scalar(g, m: float, mode: str):
-    """The optimizer's 101 x 101 coarse grid on theta + k <= m, one
-    `government._phi` call per cell: (best value, (theta, k), cells scored),
-    the first strict maximum in row-major order."""
+    """The grid-and-golden optimizer's 101 x 101 coarse grid on
+    theta + k <= m, one `government._phi` call per cell: (best value,
+    (theta, k), cells scored), the first strict maximum in row-major order."""
     rates = np.linspace(0.0, m, 101)
     best_val, best_pt, evals = -math.inf, None, 0
     for theta in rates:
@@ -515,15 +515,14 @@ def coarse_grid_scalar(g, m: float, mode: str):
     return best_val, best_pt, evals
 
 
-def optimize_mix_no_edge_search(s: Scenario, mode: str, step: float, coarse=None):
-    """`government.optimize_mix` without its box-edge search: the scalar
-    coarse grid (or `coarse`, its result when already at hand), a golden
-    section on the cap face and the coordinate golden sections, which never
-    land exactly on theta = 0 or k = 0."""
+def optimize_mix_no_edge_search(s: Scenario, mode: str, step: float):
+    """The grid-and-golden optimizer without its box-edge search: the
+    scalar coarse grid, a golden section on the cap face and the coordinate
+    golden sections, which never land exactly on theta = 0 or k = 0."""
     g = government._grid(s, step)
     m = s.policy.m
     phi = government._phi
-    best_val, best_pt, evals = coarse or coarse_grid_scalar(g, m, mode)
+    best_val, best_pt, evals = coarse_grid_scalar(g, m, mode)
     face = government._line_interval(g, (0.0, m), (1.0, -1.0), 0.0, m)
     face_pt, face_val = None, -math.inf
     if face is not None:
@@ -555,3 +554,28 @@ def optimize_mix_no_edge_search(s: Scenario, mode: str, step: float, coarse=None
         theta_star=pt[0], k_star=pt[1], objective=val, weighting=mode,
         cap_binding=pt[0] + pt[1] >= m - 1e-6, grid_step=step,
         mode="mandatory", evaluations=evals)
+
+
+def optimize_mix_grid_golden(s: Scenario, mode: str, step: float):
+    """The grid-and-golden optimizer: `optimize_mix_no_edge_search`, then,
+    for theta* or k* below 1e-6, a golden section along that edge with its
+    ends evaluated, kept when at least as good."""
+    old = optimize_mix_no_edge_search(s, mode, step)
+    g = government._grid(s, step)
+    m = s.policy.m
+    pt, val, evals = (old.theta_star, old.k_star), old.objective, old.evaluations
+    # the edges theta = 0 and k = 0 as points at(t), t in [0, m]
+    for axis, at in ((0, lambda t: (0.0, t)), (1, lambda t: (t, 0.0))):
+        if pt[axis] >= 1e-6:
+            continue
+        rng = government._line_interval(g, (0.0, 0.0), at(1.0), 0.0, m)
+        if rng is None:
+            continue
+        t, v, n = government._golden_max(
+            lambda t: government._phi(g, *at(t), mode), *rng, tol=1e-7, ends=True)
+        evals += n
+        if v >= val:
+            pt, val = at(t), v
+    return dataclasses.replace(old, theta_star=pt[0], k_star=pt[1], objective=val,
+                               cap_binding=pt[0] + pt[1] >= m - 1e-6,
+                               evaluations=evals)

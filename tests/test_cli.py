@@ -163,6 +163,35 @@ def test_sweep_bad_target(capsys, scenario_dir, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("param1, word", [
+    ({"steps": "x"}, "param1.steps"),
+    ({"lo": "a"}, "param1.lo"),
+    ({"hi": None}, "param1.hi"),
+    ({"hi": float("inf")}, "param1.hi"),
+    ({"steps": 2.7}, "param1.steps"),
+    ({"steps": 1}, "param1.steps"),
+    ({"path": 5}, "param1.path"),
+    (5, "param1"),
+], ids=["steps-text", "lo-text", "hi-null", "hi-infinite", "steps-fraction", "steps-one",
+        "path-number", "param-number"])
+def test_sweep_malformed_spec_is_a_schema_error(capsys, scenario_dir, tmp_path,
+                                                param1, word):
+    # lo and hi are numbers, steps an integer >= 2, path a string
+    if isinstance(param1, dict):
+        param1 = {"path": "demo.rho", "lo": -0.01, "hi": 0.0, "steps": 2, **param1}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": param1,
+        "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.03, "steps": 2},
+        "target": "zeta_hat",
+    }))
+    code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                         "--spec", str(spec))
+    assert code == 4 and word in err and "internal" not in err, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_bad_value_is_a_nan_row(capsys, scenario_dir, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -21,7 +21,7 @@ from penmix import (
 from penmix.scenario import scenario_from_dict, scenario_to_dict
 
 from _oracles import (
-    coarse_grid_scalar,
+    optimize_mix_grid_golden,
     optimize_mix_no_edge_search,
     voluntary_theta_ratios,
     welfare_per_node,
@@ -378,31 +378,58 @@ def test_welfare_matches_per_node_oracle(fixture, mode, request):
         assert got == pytest.approx(phi(theta), rel=1e-13, abs=0.0)
 
 
+def _assert_matches_oracle(mix, old):
+    # the same optimum within the golden brackets, and no worse
+    assert abs(mix.theta_star - old.theta_star) <= 1e-7
+    assert abs(mix.k_star - old.k_star) <= 1e-7
+    assert mix.objective >= old.objective - 1e-13 * abs(old.objective)
+    assert mix.cap_binding == old.cap_binding
+    assert 0 < mix.evaluations < old.evaluations
+
+
 @pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
-def test_coarse_grid_matches_scalar_oracle(fixture, mode, request):
-    # the array pass picks the same cell with the same bits and counts the
-    # same cells as one _phi call per cell
+def test_optimizer_matches_grid_golden_oracle(fixture, mode, request):
+    s = request.getfixturevalue(fixture)
+    _assert_matches_oracle(government.optimize_mix(s, mode, STEP),
+                           optimize_mix_grid_golden(s, mode, STEP))
+
+
+def _k_segment(g, theta):
+    return government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, g.m - theta)
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_theta_range_ends_are_the_last_solvent_thetas(fixture, request):
+    # the k-segment is non-empty at both ends and empty just outside each
+    # end that is not a box end
     s = request.getfixturevalue(fixture)
     g = government._grid(s, STEP)
-    val, pt, evals = government._coarse_grid(g, s.policy.m, mode)
-    want_val, want_pt, want_evals = coarse_grid_scalar(g, s.policy.m, mode)
-    assert val.hex() == want_val.hex()
-    assert (pt, evals) == (want_pt, want_evals) and evals == 5151
+    lo, hi = g.theta_range
+    assert 0.0 <= lo < hi <= s.policy.m
+    assert _k_segment(g, lo) is not None and _k_segment(g, hi) is not None
+    if lo > 0.0:
+        assert _k_segment(g, lo - 1e-9) is None
+    if hi < s.policy.m:
+        assert _k_segment(g, hi + 1e-9) is None
     if fixture == "cn":
-        # CN's retirees make every k insolvent on the theta-rows below 0.06
-        rates = np.linspace(0.0, s.policy.m, 101)
-        assert all(government._phi(g, 0.0575, k, mode) == -math.inf
-                   for k in rates[rates <= s.policy.m - 0.0575])
-        assert math.isfinite(government._phi(g, 0.06, 0.0, mode))
+        # CN's retirees make every k insolvent just below theta ~ 0.0576
+        assert lo == pytest.approx(0.0576, abs=1e-4)
+        ks = np.linspace(0.0, s.policy.m - lo, 101)
+        for mode in government.WEIGHTINGS:
+            assert all(government._phi(g, lo - 1e-9, k, mode) == -math.inf for k in ks)
+            assert math.isfinite(government._phi(g, lo + 1e-9, 0.1, mode))
+    else:
+        assert lo == 0.0
 
 
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
-def test_coarse_grid_matches_scalar_oracle_on_rows_cut_in_k(us, mode):
+def test_theta_range_and_optimizer_on_rows_cut_in_k(us, monkeypatch, mode):
     # two worker rows rewritten to G = c (k - 0.05) and G = c (0.2 - k):
-    # each theta-row is solvent for k in (0.05, 0.2) only, and not at all
-    # once m - theta < 0.05
+    # each theta is solvent for k in (0.05, 0.2) only, and not at all once
+    # m - theta < 0.05
     g = government._grid(us, STEP)
+    m = us.policy.m
     rows = g.rows.copy()
     up, down = np.flatnonzero(g.live & (rows[:, 2] > 0))[:2]
     c_up, c_down = rows[up, 2], rows[down, 2]
@@ -413,10 +440,14 @@ def test_coarse_grid_matches_scalar_oracle_on_rows_cut_in_k(us, mode):
     assert math.isfinite(government._phi(cut, 0.1, 0.0525, mode))
     assert government._phi(cut, 0.0, 0.2, mode) == -math.inf
     assert government._phi(cut, 0.2025, 0.0475, mode) == -math.inf
-    val, pt, evals = government._coarse_grid(cut, us.policy.m, mode)
-    want_val, want_pt, want_evals = coarse_grid_scalar(cut, us.policy.m, mode)
-    assert val.hex() == want_val.hex()
-    assert (pt, evals) == (want_pt, want_evals)
+    lo, hi = cut.theta_range
+    assert lo == 0.0 and hi == pytest.approx(m - 0.05, abs=1e-15)
+    assert _k_segment(cut, hi) is not None
+    assert _k_segment(cut, np.nextafter(hi, 1.0)) is None
+    monkeypatch.setattr(government, "_grid", lambda s, step: cut)
+    mix = government.optimize_mix(us, mode, STEP)
+    assert 0.05 < mix.k_star < 0.2
+    _assert_matches_oracle(mix, optimize_mix_grid_golden(us, mode, STEP))
 
 
 def _perturbed_scenarios(us, cn, n, seed):
@@ -436,32 +467,20 @@ def _perturbed_scenarios(us, cn, n, seed):
         yield s
 
 
-def test_coarse_grid_and_optimizer_match_oracle_on_perturbed_scenarios(us, cn):
-    # bit-equal coarse grid everywhere, and the whole OptimalMix of the
-    # grid-and-golden optimizer wherever the edge search does not fire;
-    # where it fires, the optimum moved onto the edge and is no worse
+def test_optimizer_matches_grid_golden_oracle_on_perturbed_scenarios(us, cn):
+    # the draws hold cap-face optima, k = 0 edges and (m, 0) corners
     step = 0.25
-    checked, fired, insolvent_cells = 0, 0, 0
+    checked, k_edges, corners = 0, 0, 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        for s in _perturbed_scenarios(us, cn, 22, seed=3):
-            g = government._grid(s, step)
+        for s in _perturbed_scenarios(us, cn, 22, seed=6):
             checked += 1
             for mode in government.WEIGHTINGS:
-                val, pt, evals = government._coarse_grid(g, s.policy.m, mode)
-                want = coarse_grid_scalar(g, s.policy.m, mode)
-                assert val.hex() == want[0].hex()
-                assert (pt, evals) == want[1:]
-                insolvent_cells += government._phi(g, 0.0, s.policy.m, mode) == -math.inf
                 mix = government.optimize_mix(s, mode, step)
-                old = optimize_mix_no_edge_search(s, mode, step, coarse=want)
-                if min(old.theta_star, old.k_star) >= government.EDGE_TOL:
-                    assert mix == old
-                    continue
-                fired += 1
-                assert 0.0 in (mix.theta_star, mix.k_star)
-                assert mix.objective >= old.objective
-    assert checked >= 20 and fired and insolvent_cells
+                _assert_matches_oracle(mix, optimize_mix_grid_golden(s, mode, step))
+                k_edges += mix.k_star == 0.0
+                corners += (mix.theta_star, mix.k_star) == (s.policy.m, 0.0)
+    assert checked >= 20 and k_edges > corners > 0
 
 
 def _edge_case(s0, rho, tau1, tau2):
@@ -473,7 +492,7 @@ def _edge_case(s0, rho, tau1, tau2):
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
 def test_optimum_on_the_k_zero_edge_is_exact(cn, mode):
     # the golden sections used to stop at k* ~ 4e-8, below phi(theta*, 0);
-    # the edge search's theta* is as good up to its own 1e-7 bracket
+    # the nested search's theta* is as good up to its own 1e-7 bracket
     s = _edge_case(cn, -0.0037, 0.189, 0.454)
     mix = government.optimize_mix(s, mode, step=0.25)
     assert mix.k_star == 0.0 and 0.0 < mix.theta_star < s.policy.m
@@ -506,10 +525,10 @@ def test_voluntary_optimum_on_the_upper_bound_is_exact(us, mode):
 
 
 def test_optimizer_buffer_memory(us):
-    # one warm optimize_mix allocates at most about twice the coarse grid's
-    # (101, live rows) term buffer
+    # one warm optimize_mix allocates a few arrays of grid-row length at a
+    # time: each objective evaluation's G, its live rows and their terms
     government.optimize_mix(us)
-    buffer_bytes = 101 * int(government._grid(us, government.Z_STEP).live.sum()) * 8
+    row_bytes = len(government._grid(us, government.Z_STEP).rows) * 8
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -517,23 +536,46 @@ def test_optimizer_buffer_memory(us):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * buffer_bytes
+    assert peak <= 6 * row_bytes
 
 
-@pytest.mark.parametrize("shift, feasible", [(1.0, True), (1.0 + 1e-12, False)])
-def test_admissible_region_probe_grid(us, monkeypatch, shift, feasible):
-    # one more cohort row theta >= shift * m: only the last probe (m, 0) of
-    # the 26 x 26 grid passes it, and, shifted past m, none does
+@pytest.mark.parametrize("extra, point", [
+    # theta >= m = 0.25: only the corner (m, 0) is left, where the new row's
+    # resource is 0
+    ([(-0.25, 1.0, 0.0)], (0.25, 0.0)),
+    # theta >= (1 + 1e-12) m: nothing is
+    ([(-0.25 * (1.0 + 1e-12), 1.0, 0.0)], None),
+    # theta in [0.103, 0.104], k in [0.1205, 0.1215]: a sliver between the
+    # points of any 0.01-spaced grid
+    ([(-0.103, 1.0, 0.0), (0.104, -1.0, 0.0), (-0.1205, 0.0, 1.0),
+      (0.1215, 0.0, -1.0)], (0.1035, 0.121)),
+], ids=["corner", "past-the-cap", "sliver"])
+def test_admissible_region_is_empty_exactly_when_no_theta_is(us, monkeypatch,
+                                                              extra, point):
+    # the first live retiree rows of the US grid rewritten to the extra rows
+    # c0 + c1 theta + c2 k >= 0
     m = us.policy.m
     g = government._grid(us, STEP)
-    extra = dataclasses.replace(
-        g, z=np.append(g.z, g.z[-1]),
-        rows=np.insert(g.rows, g.z.size, (-shift * m, 1.0, 0.0), axis=0))
-    monkeypatch.setattr(government, "_grid", lambda s, step: extra)
-    if feasible:
-        region = government.admissible_region(us, step=STEP)
-        assert region.contains(m, 0.0, tol=0.0)
+    rows = g.rows.copy()
+    rows[np.flatnonzero(g.live & (rows[:, 2] == 0.0))[:len(extra)]] = extra
+    cut = dataclasses.replace(g, rows=rows)
+    monkeypatch.setattr(government, "_grid", lambda s, step: cut)
+    if point is None:
+        assert cut.theta_range is None
+        for call in (government.admissible_region, government.optimize_mix):
+            with pytest.raises(EmptyRegion, match="keeps every cohort solvent"):
+                call(us, step=STEP)
+        return
+    region = government.admissible_region(us, step=STEP)
+    assert region.contains(*point, tol=0.0)
+    lo, hi = cut.theta_range
+    assert lo <= point[0] <= hi
+    if point == (m, 0.0):
+        assert (lo, hi) == (m, m)
         assert not region.contains(m - m / 25, 0.0, tol=0.0)
+        with pytest.raises(EmptyRegion, match="resource G = 0"):
+            government.optimize_mix(us, step=STEP)
     else:
-        with pytest.raises(EmptyRegion, match="no feasible .* on the probe grid"):
-            government.admissible_region(us, step=STEP)
+        assert (lo, hi) == pytest.approx((0.103, 0.104), abs=1e-15)
+        mix = government.optimize_mix(us, step=STEP)
+        assert region.contains(mix.theta_star, mix.k_star, tol=0.0)

@@ -51,6 +51,38 @@ def test_missing_field_named(us):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("section, field, value, word", [
+    ("market", "r", "abc", "market.r"),
+    ("market", "r", None, "market.r"),
+    ("market", "r", [1], "market.r"),
+    ("market", "r", True, "market.r"),
+    ("market", "W0", "1", "market.W0"),
+    ("policy", "t0", "x", "policy.t0"),
+    ("policy", "t0", float("nan"), "policy.t0"),
+    ("demography", "A", float("inf"), "demography.A"),
+    ("preference", "lambda", "x", "preference.lambda"),
+    ("market", None, 3, "market"),
+])
+def test_non_number_field_is_schema_error(us, tmp_path, capsys, section, field,
+                                          value, word):
+    # a field (or, with field None, a whole section) that is not a finite
+    # JSON number (an object): a schema error that names it, exit 4 from the
+    # CLI; Python's json reads and writes NaN and Infinity
+    from penmix.cli import main
+    doc = scenario_to_dict(us)
+    if field is None:
+        doc[section] = value
+    else:
+        doc[section][field] = value
+    with pytest.raises(SchemaError, match=word):
+        scenario_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1
+
+
 def test_malformed_file_is_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
