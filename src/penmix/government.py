@@ -103,6 +103,17 @@ class CohortGrid:
             return None
         return _last_feasible(length, box[0], top), _last_feasible(length, box[1], top)
 
+    @cached_property
+    def k_split(self) -> tuple:
+        """(free, dep), each (indices into `rows`, slots in the live order
+        of the welfare sum): the live rows whose resource does not move with
+        k (c2 = 0, such as the retirees, whose EET balance is frozen), and
+        those whose resource does."""
+        index = np.flatnonzero(self.live)
+        c2 = self.rows[index, 2]
+        return tuple((index[slots], slots) for slots in (
+            np.flatnonzero(c2 == 0.0), np.flatnonzero(c2 != 0.0)))
+
 
 def _check_step(step: float) -> None:
     if not (step > 0 and math.isfinite(step)):
@@ -210,10 +221,9 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
 
 
 def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
-    """sum w G^power over the live rows of resources G (one per row of
-    g.rows); -inf when one of them is insolvent."""
-    G = G[g.live]
-    if np.any(G <= 0.0):
+    """sum w G^power over the resources G of the live rows, in table order;
+    -inf when one of them is insolvent."""
+    if (G <= 0.0).any():
         return -math.inf
     return float((g.weights[mode] * G ** g.power).sum())
 
@@ -225,7 +235,7 @@ def _resources(g: CohortGrid, theta: float, k) -> np.ndarray:
 
 
 def _phi(g: CohortGrid, theta: float, k: float, mode: str) -> float:
-    return _welfare(g, _resources(g, theta, k), mode)
+    return _welfare(g, _resources(g, theta, k)[g.live], mode)
 
 
 def _check_mode(mode: str) -> None:
@@ -242,14 +252,15 @@ def objective(theta: float, k: float, s: Scenario, mode: str = "population",
         raise InsolventCohort(
             f"(theta, k) = ({theta}, {k}) violates the cap theta + k <= {s.policy.m}")
     g = _grid(s, step)
-    G = _resources(g, theta, k)
-    bad = np.flatnonzero(g.live & (G <= 0.0))
+    G = _resources(g, theta, k)[g.live]
+    bad = np.flatnonzero(G <= 0.0)
     if bad.size:
-        who = (f"cohort z = {g.z[bad[0]]:.3f} has" if bad[0] < g.z.size
+        row = np.flatnonzero(g.live)[bad[0]]
+        who = (f"cohort z = {g.z[row]:.3f} has" if row < g.z.size
                else "future entrants have")
         raise InsolventCohort(
             f"{who} nonpositive resource G at (theta, k) = ({theta}, {k})")
-    return _welfare(g, G, mode)
+    return float((g.weights[mode] * G ** g.power).sum())
 
 
 def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
@@ -265,7 +276,7 @@ def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
     kf = k_of_z(s.policy.t0) if future_k is None else future_k
     ks = np.array([k_of_z(float(z)) for z in g.z]
                   + [kf] * (len(g.rows) - g.z.size))
-    val = _welfare(g, _resources(g, theta, ks), mode)
+    val = _welfare(g, _resources(g, theta, ks)[g.live], mode)
     if not math.isfinite(val):
         raise InsolventCohort(
             f"nonpositive resource under per-cohort rates at theta = {theta}")
@@ -414,6 +425,39 @@ def _line_interval(g: CohortGrid, point, direction, lo: float, hi: float):
     return bounds if bounds is not None and bounds[0] <= bounds[1] else None
 
 
+def _k_section(g: CohortGrid, theta: float, mode: str):
+    """(segment, phi): theta's solvent k-segment in [0, m - theta], None
+    when empty, and k -> phi(theta, k), bit for bit `_phi`.
+
+    The base c0 + c1 theta of every row is formed once and feeds both.  The
+    k-free live rows' terms w G^power go into a buffer of live length once;
+    each phi call fills only the k-dependent slots and sums the whole buffer
+    in table order, the sum `_welfare` takes.
+    """
+    c0, c1, c2 = g.rows.T
+    base = c0 + c1 * theta
+    seg = _feasible_interval(base, c2, 0.0, g.m - theta)
+    if seg is not None and seg[0] > seg[1]:
+        seg = None
+    (free, free_slots), (dep, slots) = g.k_split
+    G = base[free]
+    if (G <= 0.0).any():
+        return seg, lambda k: -math.inf
+    w = g.weights[mode]
+    terms = np.empty(w.size)
+    terms[free_slots] = w[free_slots] * G ** g.power[free_slots]
+    base, c2, w, power = base[dep], c2[dep], w[slots], g.power[slots]
+
+    def phi(k):
+        G = base + c2 * k
+        if (G <= 0.0).any():
+            return -math.inf
+        terms[slots] = w * G ** power
+        return float(terms.sum())
+
+    return seg, phi
+
+
 def optimize_mix(s: Scenario, mode: str = "population",
                  step: float = Z_STEP) -> OptimalMix:
     """Global maximizer of the welfare objective over the admissible region.
@@ -423,8 +467,11 @@ def optimize_mix(s: Scenario, mode: str = "population",
     golden section over that theta's solvent k-segment, finds the optimum
     to its 1e-7 brackets.  Both evaluate the ends their final bracket still
     touches, so an optimum on the cap face, on theta = 0 or k = 0, or at a
-    corner lies exactly there.  `evaluations` counts the inner sections'
-    points.
+    corner lies exactly there.  Each theta forms its rows' part c0 + c1
+    theta and the k-free rows' welfare terms once (`_k_section`); its inner
+    section scores only the k-dependent rows, with the bits of `_phi`.
+    `evaluations` counts the inner sections' points, the same number as
+    when every point was a full `_phi`.
     """
     _check_mode(mode)
     validate(s)
@@ -436,11 +483,10 @@ def optimize_mix(s: Scenario, mode: str = "population",
 
     def psi(theta):
         nonlocal evals
-        seg = _line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
+        seg, phi = _k_section(g, theta, mode)
         if seg is None:   # round-off can empty a zero-width segment
             return -math.inf
-        k_at[theta], val, n = _golden_max(lambda k: _phi(g, theta, k, mode),
-                                          *seg, ends=True)
+        k_at[theta], val, n = _golden_max(phi, *seg, ends=True)
         evals += n
         return val
 
@@ -555,9 +601,11 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
                        theta_high=theta_high, A1=a1, A2=a2, grid_step=step)
 
 
-def _voluntary_phi(g: CohortGrid, theta: float, mode: str) -> float:
-    d0, d1 = g.vol_rows.T
-    return _welfare(g, d0 + d1 * theta, mode)
+def _voluntary_phi(g: CohortGrid, mode: str):
+    """theta -> welfare under voluntary EET; the live rows' d0 and d1 are
+    gathered once."""
+    d0, d1 = g.vol_rows[g.live].T.copy()
+    return lambda theta: _welfare(g, d0 + d1 * theta, mode)
 
 
 def voluntary_objective(theta: float, s: Scenario, mode: str = "population",
@@ -569,7 +617,7 @@ def voluntary_objective(theta: float, s: Scenario, mode: str = "population",
         raise InsolventCohort(
             f"theta = {theta} outside the voluntary admissible interval "
             f"[{bounds.lower}, {bounds.upper}]")
-    val = _voluntary_phi(_grid(s, step), theta, mode)
+    val = _voluntary_phi(_grid(s, step), mode)(theta)
     if not math.isfinite(val):
         raise InsolventCohort(f"insolvent cohort at theta = {theta}")
     return val
@@ -581,9 +629,8 @@ def optimize_voluntary(s: Scenario, mode: str = "population",
     _check_mode(mode)
     bounds = voluntary_theta_bounds(s, step)
     g = _grid(s, step)
-    theta, val, evals = _golden_max(
-        lambda t: _voluntary_phi(g, t, mode),
-        bounds.lower, bounds.upper, tol=1e-7, ends=True)
+    theta, val, evals = _golden_max(_voluntary_phi(g, mode), bounds.lower,
+                                    bounds.upper, tol=1e-7, ends=True)
     k_rep = voluntary_k_star(theta, s.policy.t0, s).value
     return OptimalMix(theta_star=theta, k_star=k_rep, objective=val,
                       weighting=mode,

@@ -579,3 +579,29 @@ def optimize_mix_grid_golden(s: Scenario, mode: str, step: float):
     return dataclasses.replace(old, theta_star=pt[0], k_star=pt[1], objective=val,
                                cap_binding=pt[0] + pt[1] >= m - 1e-6,
                                evaluations=evals)
+
+
+def optimize_mix_nested_phi(s: Scenario, mode: str, step: float):
+    """The nested golden search with a full `government._phi` per point:
+    the outer section over the grid's `theta_range`, each of whose points is
+    an inner section over that theta's `_line_interval` k-segment."""
+    g = government._grid(s, step)
+    m = s.policy.m
+    evals, k_at = 0, {}
+
+    def psi(theta):
+        nonlocal evals
+        seg = government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
+        if seg is None:
+            return -math.inf
+        k_at[theta], val, n = government._golden_max(
+            lambda k: government._phi(g, theta, k, mode), *seg, ends=True)
+        evals += n
+        return val
+
+    theta_star, val, _ = government._golden_max(psi, *g.theta_range, ends=True)
+    k_star = k_at[theta_star]
+    return government.OptimalMix(
+        theta_star=theta_star, k_star=k_star, objective=val, weighting=mode,
+        cap_binding=theta_star + k_star >= m - 1e-6, grid_step=step,
+        mode="mandatory", evaluations=evals)

@@ -22,6 +22,7 @@ from penmix.scenario import scenario_from_dict, scenario_to_dict
 
 from _oracles import (
     optimize_mix_grid_golden,
+    optimize_mix_nested_phi,
     optimize_mix_no_edge_search,
     voluntary_theta_ratios,
     welfare_per_node,
@@ -395,6 +396,15 @@ def test_optimizer_matches_grid_golden_oracle(fixture, mode, request):
                            optimize_mix_grid_golden(s, mode, STEP))
 
 
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+@pytest.mark.parametrize("step", [STEP, 0.25])
+def test_optimizer_equals_nested_phi_oracle(fixture, mode, step, request):
+    # every OptimalMix field bit for bit, the evaluation count included
+    s = request.getfixturevalue(fixture)
+    assert government.optimize_mix(s, mode, step) == optimize_mix_nested_phi(s, mode, step)
+
+
 def _k_segment(g, theta):
     return government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, g.m - theta)
 
@@ -448,6 +458,7 @@ def test_theta_range_and_optimizer_on_rows_cut_in_k(us, monkeypatch, mode):
     mix = government.optimize_mix(us, mode, STEP)
     assert 0.05 < mix.k_star < 0.2
     _assert_matches_oracle(mix, optimize_mix_grid_golden(us, mode, STEP))
+    assert mix == optimize_mix_nested_phi(us, mode, STEP)
 
 
 def _perturbed_scenarios(us, cn, n, seed):
@@ -468,7 +479,8 @@ def _perturbed_scenarios(us, cn, n, seed):
 
 
 def test_optimizer_matches_grid_golden_oracle_on_perturbed_scenarios(us, cn):
-    # the draws hold cap-face optima, k = 0 edges and (m, 0) corners
+    # the draws hold cap-face optima, k = 0 edges and (m, 0) corners; the
+    # nested search with a full _phi per point gives the same bits
     step = 0.25
     checked, k_edges, corners = 0, 0, 0
     with warnings.catch_warnings():
@@ -478,9 +490,87 @@ def test_optimizer_matches_grid_golden_oracle_on_perturbed_scenarios(us, cn):
             for mode in government.WEIGHTINGS:
                 mix = government.optimize_mix(s, mode, step)
                 _assert_matches_oracle(mix, optimize_mix_grid_golden(s, mode, step))
+                assert mix == optimize_mix_nested_phi(s, mode, step)
                 k_edges += mix.k_star == 0.0
                 corners += (mix.theta_star, mix.k_star) == (s.policy.m, 0.0)
     assert checked >= 20 and k_edges > corners > 0
+
+
+def _same_bits(x, y):
+    return x.hex() == y.hex()
+
+
+def _assert_k_section_is_phi(g, mode, points):
+    # segment and scorer of each theta against _line_interval and _phi
+    for theta, ks in points:
+        seg, phi = government._k_section(g, theta, mode)
+        assert seg == _k_segment(g, theta)
+        for k in ks:
+            assert _same_bits(phi(k), government._phi(g, theta, k, mode))
+
+
+def _box_points(rng, m, n):
+    """n seeded (theta, [k, ...]) with theta + k <= m, five k per theta."""
+    for theta in rng.uniform(0.0, m, size=n):
+        yield theta, rng.uniform(0.0, m - theta, size=5)
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_k_section_equals_phi(fixture, mode, request):
+    s = request.getfixturevalue(fixture)
+    g = government._grid(s, STEP)
+    m = s.policy.m
+    points = list(_box_points(np.random.default_rng(29), m, 40))
+    lo, hi = g.theta_range
+    points += [(lo, [0.0, m - lo]), (hi, [0.0, m - hi])]
+    if fixture == "cn":
+        # a k-free row is insolvent just below theta_range: every k is -inf
+        below = lo - 1e-9
+        points.append((below, np.linspace(0.0, m - below, 11)))
+        seg, phi = government._k_section(g, below, mode)
+        assert seg is None and phi(0.1) == -math.inf
+    _assert_k_section_is_phi(g, mode, points)
+    finite = sum(math.isfinite(government._phi(g, t, k, mode)) for t, ks in points for k in ks)
+    assert finite > 100
+
+
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_k_section_equals_phi_on_sliver_grid(us, mode):
+    # k-dependent rows among the retirees: the k-free rows are no prefix
+    g = _with_retiree_rows(government._grid(us, STEP), SLIVER)
+    (_, free_slots), (_, dep_slots) = g.k_split
+    assert dep_slots[0] < free_slots[-1]
+    rng = np.random.default_rng(31)
+    points = list(_box_points(rng, us.policy.m, 20))
+    points += [(theta, rng.uniform(0.1205, 0.1215, size=5))
+               for theta in rng.uniform(0.103, 0.104, size=10)]
+    _assert_k_section_is_phi(g, mode, points)
+    assert math.isfinite(government._k_section(g, 0.1035, mode)[1](0.121))
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_voluntary_phi_equals_welfare_of_all_rows(fixture, mode, request):
+    # the live d0, d1 gathered once give the bits of the whole-table sum
+    s = request.getfixturevalue(fixture)
+    g = government._grid(s, STEP)
+    d0, d1 = g.vol_rows.T
+    phi = government._voluntary_phi(g, mode)
+    bounds = government.voluntary_theta_bounds(s, step=STEP)
+    thetas = np.random.default_rng(37).uniform(0.0, s.policy.m, size=20)
+    for theta in [bounds.lower, bounds.upper, *thetas]:
+        assert _same_bits(phi(theta), government._welfare(g, (d0 + d1 * theta)[g.live], mode))
+
+
+def test_objective_names_the_first_insolvent_row(cn):
+    # CN's retirees are insolvent below theta_range at every k
+    g = government._grid(cn, STEP)
+    theta = g.theta_range[0] - 1e-3
+    G = government._resources(g, theta, 0.0)
+    first = np.flatnonzero(g.live & (G <= 0.0))[0]
+    with pytest.raises(InsolventCohort, match=f"cohort z = {g.z[first]:.3f} has"):
+        government.objective(theta, 0.0, cn, step=STEP)
 
 
 def _edge_case(s0, rho, tau1, tau2):
@@ -539,26 +629,33 @@ def test_optimizer_buffer_memory(us):
     assert peak <= 6 * row_bytes
 
 
+# theta in [0.103, 0.104], k in [0.1205, 0.1215]: a sliver between the points
+# of any 0.01-spaced grid
+SLIVER = [(-0.103, 1.0, 0.0), (0.104, -1.0, 0.0), (-0.1205, 0.0, 1.0),
+          (0.1215, 0.0, -1.0)]
+
+
+def _with_retiree_rows(g, extra):
+    """g with its first live retiree rows rewritten to the extra rows
+    c0 + c1 theta + c2 k >= 0."""
+    rows = g.rows.copy()
+    rows[np.flatnonzero(g.live & (rows[:, 2] == 0.0))[:len(extra)]] = extra
+    return dataclasses.replace(g, rows=rows)
+
+
 @pytest.mark.parametrize("extra, point", [
     # theta >= m = 0.25: only the corner (m, 0) is left, where the new row's
     # resource is 0
     ([(-0.25, 1.0, 0.0)], (0.25, 0.0)),
     # theta >= (1 + 1e-12) m: nothing is
     ([(-0.25 * (1.0 + 1e-12), 1.0, 0.0)], None),
-    # theta in [0.103, 0.104], k in [0.1205, 0.1215]: a sliver between the
-    # points of any 0.01-spaced grid
-    ([(-0.103, 1.0, 0.0), (0.104, -1.0, 0.0), (-0.1205, 0.0, 1.0),
-      (0.1215, 0.0, -1.0)], (0.1035, 0.121)),
+    (SLIVER, (0.1035, 0.121)),
 ], ids=["corner", "past-the-cap", "sliver"])
 def test_admissible_region_is_empty_exactly_when_no_theta_is(us, monkeypatch,
                                                               extra, point):
     # the first live retiree rows of the US grid rewritten to the extra rows
-    # c0 + c1 theta + c2 k >= 0
     m = us.policy.m
-    g = government._grid(us, STEP)
-    rows = g.rows.copy()
-    rows[np.flatnonzero(g.live & (rows[:, 2] == 0.0))[:len(extra)]] = extra
-    cut = dataclasses.replace(g, rows=rows)
+    cut = _with_retiree_rows(government._grid(us, STEP), extra)
     monkeypatch.setattr(government, "_grid", lambda s, step: cut)
     if point is None:
         assert cut.theta_range is None
@@ -579,3 +676,4 @@ def test_admissible_region_is_empty_exactly_when_no_theta_is(us, monkeypatch,
         assert (lo, hi) == pytest.approx((0.103, 0.104), abs=1e-15)
         mix = government.optimize_mix(us, step=STEP)
         assert region.contains(mix.theta_star, mix.k_star, tol=0.0)
+        assert mix == optimize_mix_nested_phi(us, "population", STEP)
