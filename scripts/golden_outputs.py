@@ -13,7 +13,9 @@ working and a retired cohort), `sweep` (a 2 x 2 grid of `demo.rho` x
 --out` and, on the baby-boom scenario, `babyboom`, in-process through
 `penmix.cli.main`.  It also writes copies of the US and baby-boom scenarios
 with `policy.tau2 = 0.47` into OUT_DIR, where zeta_bar is interior, and runs
-`critical-ages` and `classify --step 1` on them.  Each run leaves
+`critical-ages` and `classify --step 1` on them, and copies of the US and CN
+scenarios with `policy.t0 = 10`, where the entrant density at t0 is not n0,
+and runs `optimize` under both weightings on them.  Each run leaves
 NAME.stdout, its `--out` artifact when it has one, and its exit code in
 exit_codes.json.
 
@@ -35,8 +37,18 @@ from pathlib import Path
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FIXTURES = ("scenario_us", "scenario_cn", "scenario_us_babyboom")
-#: fixtures also run with this retirement tax rate (an interior zeta_bar)
-TAU2_FIXTURES, TAU2 = ("scenario_us", "scenario_us_babyboom"), 0.47
+#: (fixtures, policy field, value, runs): copies of fixtures with one policy
+#: number changed, and the runs made on them
+VARIANTS = (
+    # an interior zeta_bar
+    (("scenario_us", "scenario_us_babyboom"), "tau2", 0.47,
+     [("critical-ages", ["critical-ages"], None),
+      ("classify-1", ["classify", "--step", "1"], ".csv")]),
+    # a re-selection time where the entrant density is not n0
+    (("scenario_us", "scenario_cn"), "t0", 10.0,
+     [(f"optimize-{weighting}", ["optimize", "--weighting", weighting], None)
+      for weighting in ("population", "equal")]),
+)
 
 
 def _runs(name: str, out_dir: Path):
@@ -81,14 +93,14 @@ def write_goldens(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(fixture, SCENARIOS / f"{fixture}.json", _runs(fixture, out_dir))
             for fixture in FIXTURES]
-    for fixture in TAU2_FIXTURES:
-        doc = json.loads((SCENARIOS / f"{fixture}.json").read_text(encoding="utf-8"))
-        doc["policy"]["tau2"] = TAU2
-        name = f"{fixture}.tau2-{TAU2:g}"
-        path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        jobs.append((name, path, [("critical-ages", ["critical-ages"], None),
-                                  ("classify-1", ["classify", "--step", "1"], ".csv")]))
+    for fixtures, field, value, runs in VARIANTS:
+        for fixture in fixtures:
+            doc = json.loads((SCENARIOS / f"{fixture}.json").read_text(encoding="utf-8"))
+            doc["policy"][field] = value
+            name = f"{fixture}.{field}-{value:g}"
+            path = out_dir / f"{name}.json"
+            path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+            jobs.append((name, path, runs))
     codes = {}
     for fixture, scenario, runs in jobs:
         for run, argv, suffix in runs:

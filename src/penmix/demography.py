@@ -145,6 +145,15 @@ def bb_entrants(t, bb: BabyBoomParams):
     return float(out) if out.ndim == 0 else out
 
 
+def entrants(t, demo: DemographyParams):
+    """Entrant density n(t): n0 e^{rho t} with a constant flow, `bb_entrants`
+    under a baby boom."""
+    if demo.babyboom is not None:
+        return bb_entrants(t, demo.babyboom)
+    out = demo.n0 * np.exp(demo.rho * np.asarray(t, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class SupportRatioFn:
     """Support ratio as a function of time.

@@ -9,7 +9,6 @@ table makes each objective evaluation a vectorized array expression.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -135,11 +134,6 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     zs = np.concatenate([z_ret, z_wrk])
     wts = np.concatenate([w_ret, w_wrk])
 
-    if d.babyboom is None:
-        density = d.n0 * np.exp(d.rho * zs)
-    else:
-        density = demography.bb_entrants(zs, d.babyboom)
-
     # per-piece class exponents: the shared boundary node takes each piece's
     # interior limit, which is the point of splitting the integral there
     deltas = np.concatenate([np.full(len(z_ret), f.delta2),
@@ -153,49 +147,21 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     L0, M02, M03 = dc.L0, dc.M02, dc.M03
     growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2
 
-    if d.babyboom is None:
-        tail_start = t0
-        rho_tail = d.rho
-        n_tail = d.n0 * math.exp(d.rho * tail_start)
-        eq_scale = d.n0
-        tail_M01 = dc.M01
-        fut_z = np.empty(0)
-    else:
-        bb = d.babyboom
-        # entrants from tail_start on spend their whole benefit window in the
-        # settled post-boom regime
-        tail_start = max(t0, bb.t2 + d.omega - d.tau)
-        rho_tail = bb.rho2
-        n_tail = float(demography.bb_entrants(tail_start, bb))
-        eq_scale = float(demography.bb_entrants(t0, bb))
-        settled = dataclasses.replace(d, babyboom=None, rho=bb.rho2)
-        tail_M01 = float(lifecycle._coef_kernel(
-            d.tau - d.a, d.omega - d.a, s, dc.epsilon, dc.epsilon_tilde,
-            demography.support_ratio(settled), dc.a_tau)[0])
-        fut_z = np.empty(0)
-        if tail_start > t0:
-            fut_z, fut_w = _simpson(t0, tail_start, step)
-
-    denom_tail = mk.r - rho_tail - f.delta0 * growth
-    if denom_tail <= 0:
-        from .errors import UtilityExplosion
-        raise UtilityExplosion(
-            "future-entrant utility diverges at the settled entrant growth "
-            f"rate {rho_tail}: margin = {denom_tail} <= 0")
-    tail_prefac = (n_tail * L0 * w0**f.delta0
+    # entrants from tail_start on spend their whole benefit window in the
+    # settled regime, where validate's rho (its margin checked there) and M01
+    # hold: a closed form.  Before it, under a baby boom, Simpson nodes.
+    tail_start = t0 if d.babyboom is None else max(t0, d.babyboom.t2 + d.omega - d.tau)
+    fut_z, fut_w = _simpson(t0, tail_start, step) if tail_start > t0 else (np.empty(0),) * 2
+    fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, dc.epsilon) if fut_z.size else fut_z
+    fut_coef = (fut_w * demography.entrants(fut_z, d)
+                * np.exp(-mk.r * (fut_z - t0))
+                * np.exp(f.delta0 * growth * (fut_z - t0))
+                * L0 * w0**f.delta0 / f.delta0)
+    tail_prefac = (demography.entrants(tail_start, d) * L0 * w0**f.delta0
                    * math.exp((-mk.r + f.delta0 * growth) * (tail_start - t0))
-                   / (f.delta0 * denom_tail))
-    if fut_z.size:
-        fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, dc.epsilon)
-        fut_coef = (fut_w * demography.bb_entrants(fut_z, d.babyboom)
-                    * np.exp(-mk.r * (fut_z - t0))
-                    * np.exp(f.delta0 * growth * (fut_z - t0))
-                    * L0 * w0**f.delta0 / f.delta0)
-    else:
-        fut_M1 = np.empty(0)
-        fut_coef = np.empty(0)
+                   / (f.delta0 * (mk.r - d.rho - f.delta0 * growth)))
 
-    entry_M1 = np.append(fut_M1, tail_M01)
+    entry_M1 = np.append(fut_M1, dc.M01)
     n_entry = entry_M1.size
     rows = np.concatenate([
         np.column_stack([x0 + M3 * w0 + N * y0, M1 * w0, M2 * w0]),
@@ -209,8 +175,10 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     # tail_prefac, divided by the entrant density at t0 when equally weighted
     live = np.append(L > 0.0, np.ones(n_entry, dtype=bool))
     entry_w = np.append(fut_coef, tail_prefac)
-    weights = {"population": np.append(wts * density / deltas * L, entry_w)[live],
-               "equal": np.append(wts / deltas * L, entry_w / eq_scale)[live]}
+    weights = {"population": np.append(wts * demography.entrants(zs, d) / deltas * L,
+                                       entry_w)[live],
+               "equal": np.append(wts / deltas * L,
+                                  entry_w / demography.entrants(t0, d))[live]}
     power = np.append(deltas, np.full(n_entry, f.delta0))[live]
     for arr in (rows, vol_rows, live, power, *weights.values()):
         arr.setflags(write=False)   # shared by every caller of the cached grid
@@ -553,29 +521,25 @@ class ThetaBounds:
 
 
 def _a1_a2_intervals(s: Scenario):
-    """Age-interval form of the sets A1 / A2 from the preference case flags."""
+    """Age-interval form of the sets A1 / A2: the retirees and the working
+    ages above one critical age, below which M1 - M2^+ < 0.
+
+    The case is read from the critical ages, with or without a baby boom;
+    with a constant flow zeta_hat is None exactly when Lambda > Lambda_FP,
+    and zeta_tilde exactly when Lambda > Lambda_EP.  With Mt2(a) < 0,
+    M2^+ = 0 at every working age, so the sign is M1's.
+    """
     d = s.demo
-    dc = validate(s)
     report, eet = preference._analyse(s)
-    lam_fp, lam_ep = report.lambda_fp, report.lambda_ep
     zh, zt = report.zeta_hat, report.zeta_tilde
-    m2a, dm2 = eet.m2_at_entry, eet.dm2_at_retirement
-    a1 = [(d.tau, d.omega)]
-    if m2a < 0 and (dc.Lambda > lam_fp or dc.Lambda > lam_ep):
-        a1.append((d.a, d.tau))
-        a2 = []
-    elif (m2a < 0 and dc.Lambda <= lam_fp) or (
-            m2a >= 0 and dm2 > 0 and dc.Lambda <= lam_fp
-            and zh is not None and zt is not None and zh > zt):
-        a1.append((zh, d.tau))
-        a2 = [(d.a, zh)]
-    elif zt is not None:
-        a1.append((zt, d.tau))
-        a2 = [(d.a, zt)]
+    if eet.m2_at_entry < 0 or (eet.dm2_at_retirement > 0 and zh is not None
+                               and zt is not None and zh > zt):
+        cut = zh
     else:
-        a1.append((d.a, d.tau))
-        a2 = []
-    return tuple(a1), tuple(a2)
+        cut = zt
+    if cut is None:
+        return ((d.tau, d.omega), (d.a, d.tau)), ()
+    return ((d.tau, d.omega), (cut, d.tau)), ((d.a, cut),)
 
 
 def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:

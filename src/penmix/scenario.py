@@ -113,7 +113,8 @@ class DerivedConstants:
     nu: float             # market price of risk (mu - r) / sigma
     epsilon: float        # gamma - r - xi * nu
     epsilon_tilde: float  # alpha - r - beta * nu
-    Lambda: float         # support ratio (workers per retiree mass)
+    Lambda: float         # support ratio (workers per retiree mass) at rate
+                          # rho: under a baby boom the settled post-boom value
     a_tau: float          # annuity factor at retirement (years)
     L0: float
     M01: float
@@ -144,6 +145,9 @@ def _structural_violations(s: Scenario) -> list[str]:
             v.append(f"babyboom requires 0 < n1 < nm (got {bb.n1}, {bb.nm})")
         if bb.kappa <= 0:
             v.append("babyboom logistic rate kappa must be positive")
+        if d.rho != bb.rho2:
+            v.append(f"under a baby boom rho is the settled rate and must equal "
+                     f"babyboom rho2 (got {d.rho}, {bb.rho2})")
     for name, val in (("theta0", p.theta0), ("k0", p.k0)):
         if not 0 <= val <= 1:
             v.append(f"{name} must lie in [0, 1] (got {val})")
@@ -328,6 +332,8 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 _SECTION_ALIASES = {"demography": "demo", "preference": "pref"}
+#: the two paths of the settled entrant rate of a baby-boom scenario
+_SETTLED_RATE = (["demo", "rho"], ["demo", "babyboom", "rho2"])
 
 
 def with_params(s: Scenario, **dotted) -> Scenario:
@@ -335,11 +341,15 @@ def with_params(s: Scenario, **dotted) -> Scenario:
 
     Every path names one number: `section.field`, or `demo.babyboom.field`
     inside the baby-boom block (`demography.` and `preference.` also work).
+    On a baby-boom scenario `demo.rho` and `demo.babyboom.rho2` are the one
+    settled rate: setting either sets both.
     """
     for path, value in dotted.items():
         names = path.split(".")
         names[0] = _SECTION_ALIASES.get(names[0], names[0])
-        s = _with_number(s, names, value, path)
+        settled = names in _SETTLED_RATE and s.demo.babyboom is not None
+        for target in _SETTLED_RATE if settled else (names,):
+            s = _with_number(s, target, value, path)
     return s
 
 

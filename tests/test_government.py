@@ -275,6 +275,7 @@ def test_babyboom_fuzz_result_or_typed_error(us_bb, t1, length, nm, kappa, rho1,
     doc = scenario_to_dict(us_bb)
     doc["demography"]["babyboom"].update(t1=t1, t2=t1 + length, nm=nm, kappa=kappa,
                                          rho1=rho1, rho2=rho2)
+    doc["demography"]["rho"] = rho2
     doc["policy"]["t0"] = t0
     try:
         s = scenario_from_dict(doc)
@@ -355,28 +356,30 @@ def test_voluntary_bounds_match_ratio_scan(fixture, request):
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
 def test_welfare_matches_per_node_oracle(fixture, mode, request):
     # objective and voluntary_objective against an explicit per-node sum at
-    # seeded points; points the oracle finds insolvent must raise
-    s = request.getfixturevalue(fixture)
-    m = s.policy.m
-    phi = welfare_per_node(s, government._grid(s, STEP), mode)
-    rng = np.random.default_rng(23)
-    feasible = 0
-    while feasible < 6:
-        theta, k = rng.uniform(0.0, m, size=2)
-        if theta + k > m:
-            theta, k = m - theta, m - k
-        expected = phi(theta, k)
-        if expected == -math.inf:
-            with pytest.raises(InsolventCohort):
-                government.objective(theta, k, s, mode, step=STEP)
-            continue
-        feasible += 1
-        got = government.objective(theta, k, s, mode, step=STEP)
-        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
-    bounds = government.voluntary_theta_bounds(s, step=STEP)
-    for theta in rng.uniform(bounds.lower, bounds.upper, size=6):
-        got = government.voluntary_objective(theta, s, mode, step=STEP)
-        assert got == pytest.approx(phi(theta), rel=1e-13, abs=0.0)
+    # seeded points; points the oracle finds insolvent must raise.  Away
+    # from t0 = 0 the entrant density at t0 is not n0.
+    for t0 in (0.0, 10.0, -15.0):
+        s = with_params(request.getfixturevalue(fixture), **{"policy.t0": t0})
+        m = s.policy.m
+        phi = welfare_per_node(s, government._grid(s, STEP), mode)
+        rng = np.random.default_rng(23)
+        feasible = 0
+        while feasible < 6:
+            theta, k = rng.uniform(0.0, m, size=2)
+            if theta + k > m:
+                theta, k = m - theta, m - k
+            expected = phi(theta, k)
+            if expected == -math.inf:
+                with pytest.raises(InsolventCohort):
+                    government.objective(theta, k, s, mode, step=STEP)
+                continue
+            feasible += 1
+            got = government.objective(theta, k, s, mode, step=STEP)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0), t0
+        bounds = government.voluntary_theta_bounds(s, step=STEP)
+        for theta in rng.uniform(bounds.lower, bounds.upper, size=6):
+            got = government.voluntary_objective(theta, s, mode, step=STEP)
+            assert got == pytest.approx(phi(theta), rel=1e-13, abs=0.0), t0
 
 
 def _assert_matches_oracle(mix, old):
@@ -677,3 +680,32 @@ def test_admissible_region_is_empty_exactly_when_no_theta_is(us, monkeypatch,
         mix = government.optimize_mix(us, step=STEP)
         assert region.contains(mix.theta_star, mix.k_star, tol=0.0)
         assert mix == optimize_mix_nested_phi(us, "population", STEP)
+
+
+@pytest.mark.filterwarnings("ignore:tau1")
+@pytest.mark.parametrize("fixture, rhos", [
+    ("us", (-0.01, -0.005, 0.0, 0.005)),
+    ("cn", (-0.01, -0.006, -0.004, -0.002)),   # CN diverges from rho = -0.0003
+    ("us_bb", (-0.01, -0.005, 0.0, 0.005))], ids=["us", "cn", "us_bb"])
+def test_a1_a2_agree_with_node_signs(fixture, rhos, request):
+    # every cohort node of the grid more than 0.06 years from an interval
+    # end lies in the set that its sign of M1 - M2^+ implies: A1 positive,
+    # A2 negative.  tau2 = 0.6 and 0.7 give Mt2(a) < 0.
+    base = request.getfixturevalue(fixture)
+    for tau2 in (0.0, 0.47, 0.6, 0.7):
+        for rho in rhos:
+            s = with_params(base, **{"policy.tau2": tau2, "demo.rho": rho})
+            a1, a2 = government._a1_a2_intervals(s)
+            g = government._grid(s, STEP)
+            ages = s.demo.a + s.policy.t0 - g.z
+            positive = g.M1 - np.maximum(g.M2, 0.0) > 0.0
+            ends = np.array([end for interval in a1 + a2 for end in interval])
+            clear = np.abs(ages[:, None] - ends).min(axis=1) > 0.06
+            covered = np.zeros(ages.size, dtype=bool)
+            for intervals, sign in ((a1, True), (a2, False)):
+                for lo, hi in intervals:
+                    inside = clear & (lo < ages) & (ages < hi)
+                    wrong = np.count_nonzero(positive[inside] != sign)
+                    assert wrong == 0, (tau2, rho, lo, hi, wrong)
+                    covered |= inside
+            assert np.array_equal(covered, clear), (tau2, rho)

@@ -298,7 +298,9 @@ def test_degenerate_babyboom_matches_constant_report(us):
 
 
 def _bb_scenario(s, bb):
-    return dataclasses.replace(s, demo=dataclasses.replace(s.demo, babyboom=bb))
+    # demo.rho is the settled rate, babyboom rho2
+    return dataclasses.replace(s, demo=dataclasses.replace(s.demo, babyboom=bb,
+                                                           rho=bb.rho2))
 
 
 def _bb_cases(us_bb):

@@ -136,6 +136,23 @@ def test_sharpe_dominance_required(us):
         validate(bad)
 
 
+def test_babyboom_rho_other_than_rho2_rejected(us_bb, tmp_path, capsys):
+    # under a baby boom demo.rho is the settled rate, babyboom rho2: the
+    # loader, the CLI (exit 4) and validate reject any other value
+    from penmix.cli import main
+    doc = scenario_to_dict(us_bb)
+    doc["demography"]["rho"] = 0.0
+    with pytest.raises(SchemaError, match="rho2"):
+        scenario_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rho2" in err and err.count("\n") == 1
+    with pytest.raises(OrderingViolation, match="rho2"):
+        validate(replace(us_bb, demo=replace(us_bb.demo, rho=0.0)))
+
+
 def test_validate_is_pure(us):
     assert validate(us) == validate(us)
 
@@ -186,7 +203,12 @@ def test_babyboom_param_paths(us_bb):
         s = with_params(us_bb, **{f"{section}.babyboom.rho2": -0.01,
                                   f"{section}.babyboom.t1": -45.0})
         assert s.demo.babyboom == replace(us_bb.demo.babyboom, rho2=-0.01, t1=-45.0)
-        assert replace(s, demo=replace(s.demo, babyboom=us_bb.demo.babyboom)) == us_bb
+        # the settled rate moves with rho2, and rho2 with it
+        assert s.demo.rho == -0.01
+        assert replace(s, demo=replace(s.demo, babyboom=us_bb.demo.babyboom,
+                                       rho=us_bb.demo.rho)) == us_bb
+        assert with_params(us_bb, **{f"{section}.rho": -0.01}) == with_params(
+            us_bb, **{f"{section}.babyboom.rho2": -0.01})
     with pytest.raises(SchemaError, match="unknown"):
         with_params(us_bb, **{"demo.babyboom.bogus": 1.0})
     with pytest.raises(SchemaError, match="unknown"):
