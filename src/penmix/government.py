@@ -78,6 +78,22 @@ class CohortGrid:
     weights: dict             # weighting -> w per live row
 
     @cached_property
+    def solvency(self) -> np.ndarray:
+        """Indices of the rows that can bind: those not positive, by a
+        round-off margin, at all three corners (0, 0), (m, 0) and (0, m) of
+        the rate triangle.  An affine row takes its minimum over the
+        triangle at a corner, so every other row is positive on all of it
+        and never sets an end of `_feasible_interval`'s answer for a theta
+        in [0, m]."""
+        c0, c1, c2 = self.rows.T
+        m = self.m
+        corner = np.minimum(c0, np.minimum(c0 + c1 * m, c0 + c2 * m))
+        # covers the rounding of c0 + c1 theta, m - theta and -c0 / c1
+        margin = 1e-12 + 8.0 * np.finfo(float).eps * (
+            np.abs(c0) + (np.abs(c1) + np.abs(c2)) * m)
+        return np.flatnonzero(corner <= margin)
+
+    @cached_property
     def theta_range(self) -> Optional[tuple]:
         """(theta_lo, theta_hi): the thetas in [0, m] whose k-segment in
         [0, m - theta] is solvent against every row, or None if none is.
@@ -85,9 +101,10 @@ class CohortGrid:
         The k-free rows (c2 = 0) give an interval of theta.  Inside it the
         segment's length hi - lo is concave (hi is a min, lo a max of affine
         functions of theta): one golden section finds its maximum, and a
-        bisection to the last float each end where it drops below 0.
+        bisection to the last float each end where it drops below 0.  Only
+        the `solvency` rows are read.
         """
-        c0, c1, c2 = self.rows.T
+        c0, c1, c2 = self.rows[self.solvency].T
         free = c2 == 0.0
         box = _feasible_interval(c0[free], c1[free], 0.0, self.m)
         if box is None or box[0] > box[1]:
@@ -103,15 +120,14 @@ class CohortGrid:
         return _last_feasible(length, box[0], top), _last_feasible(length, box[1], top)
 
     @cached_property
-    def k_split(self) -> tuple:
-        """(free, dep), each (indices into `rows`, slots in the live order
-        of the welfare sum): the live rows whose resource does not move with
-        k (c2 = 0, such as the retirees, whose EET balance is frozen), and
-        those whose resource does."""
-        index = np.flatnonzero(self.live)
-        c2 = self.rows[index, 2]
-        return tuple((index[slots], slots) for slots in (
-            np.flatnonzero(c2 == 0.0), np.flatnonzero(c2 != 0.0)))
+    def k_cut(self) -> int:
+        """The live slot where the k-dependent tail of the welfare sum
+        starts: the first whose row has c2 != 0, or the last live slot when
+        none has, so the tail is never empty.  Every slot before it is
+        k-free (c2 = 0, such as the retirees, whose EET balance is frozen);
+        the tail may hold k-free rows too."""
+        dep = np.flatnonzero(self.rows[self.live, 2] != 0.0)
+        return int(dep[0]) if dep.size else int(np.count_nonzero(self.live)) - 1
 
 
 def _check_step(step: float) -> None:
@@ -194,6 +210,20 @@ def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
     if (G <= 0.0).any():
         return -math.inf
     return float((g.weights[mode] * G ** g.power).sum())
+
+
+def _terms_in_place(out: np.ndarray, slope: np.ndarray, x: float, base: np.ndarray,
+                    power: np.ndarray, w: np.ndarray) -> bool:
+    """out = w G^power with G = slope x + base, written in place, each
+    step with the bits `_welfare` gives it; False, with out spoilt, when
+    some G <= 0."""
+    np.multiply(slope, x, out=out)
+    np.add(out, base, out=out)
+    if out.min() <= 0.0:
+        return False
+    np.power(out, power, out=out)
+    np.multiply(out, w, out=out)
+    return True
 
 
 def _resources(g: CohortGrid, theta: float, k) -> np.ndarray:
@@ -384,43 +414,37 @@ def _feasible_interval(c0: np.ndarray, c1: np.ndarray,
     return lo, hi
 
 
-def _line_interval(g: CohortGrid, point, direction, lo: float, hi: float):
-    """Feasible t in [lo, hi] on the line point + t direction in (theta, k)
-    against every solvency row of the grid, or None if empty."""
-    c0, c1, c2 = g.rows.T
-    bounds = _feasible_interval(c0 + c1 * point[0] + c2 * point[1],
-                                c1 * direction[0] + c2 * direction[1], lo, hi)
-    return bounds if bounds is not None and bounds[0] <= bounds[1] else None
-
-
 def _k_section(g: CohortGrid, theta: float, mode: str):
     """(segment, phi): theta's solvent k-segment in [0, m - theta], None
     when empty, and k -> phi(theta, k), bit for bit `_phi`.
 
-    The base c0 + c1 theta of every row is formed once and feeds both.  The
-    k-free live rows' terms w G^power go into a buffer of live length once;
-    each phi call fills only the k-dependent slots and sums the whole buffer
-    in table order, the sum `_welfare` takes.
+    The segment reads the `solvency` rows only.  The head of the welfare
+    sum, live slots [0, k_cut), is k-free: its terms w G^power go into a
+    buffer of live length once.  Each phi call rewrites the tail view of
+    that buffer in place from the base c0 + c1 theta formed once (a k-free
+    tail row keeps its base bits, since c2 k = 0) and sums the whole
+    buffer in table order, the sum `_welfare` takes.
     """
-    c0, c1, c2 = g.rows.T
-    base = c0 + c1 * theta
-    seg = _feasible_interval(base, c2, 0.0, g.m - theta)
+    s0, s1, s2 = g.rows[g.solvency].T
+    seg = _feasible_interval(s0 + s1 * theta, s2, 0.0, g.m - theta)
     if seg is not None and seg[0] > seg[1]:
         seg = None
-    (free, free_slots), (dep, slots) = g.k_split
-    G = base[free]
-    if (G <= 0.0).any():
+    cut = g.k_cut
+    c0, c1, c2 = g.rows.T
+    base = (c0 + c1 * theta)[g.live]
+    head = base[:cut]
+    if (head <= 0.0).any():
         return seg, lambda k: -math.inf
-    w = g.weights[mode]
+    w, power = g.weights[mode], g.power
     terms = np.empty(w.size)
-    terms[free_slots] = w[free_slots] * G ** g.power[free_slots]
-    base, c2, w, power = base[dep], c2[dep], w[slots], g.power[slots]
+    np.power(head, power[:cut], out=terms[:cut])
+    terms[:cut] *= w[:cut]
+    tail, base, c2 = terms[cut:], base[cut:], c2[g.live][cut:]
+    w, power = w[cut:], power[cut:]
 
     def phi(k):
-        G = base + c2 * k
-        if (G <= 0.0).any():
+        if not _terms_in_place(tail, c2, k, base, power, w):
             return -math.inf
-        terms[slots] = w * G ** power
         return float(terms.sum())
 
     return seg, phi
@@ -436,8 +460,8 @@ def optimize_mix(s: Scenario, mode: str = "population",
     to its 1e-7 brackets.  Both evaluate the ends their final bracket still
     touches, so an optimum on the cap face, on theta = 0 or k = 0, or at a
     corner lies exactly there.  Each theta forms its rows' part c0 + c1
-    theta and the k-free rows' welfare terms once (`_k_section`); its inner
-    section scores only the k-dependent rows, with the bits of `_phi`.
+    theta and the k-free head's welfare terms once (`_k_section`); its inner
+    section rewrites only the tail in place, with the bits of `_phi`.
     `evaluations` counts the inner sections' points, the same number as
     when every point was a full `_phi`.
     """
@@ -566,10 +590,19 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
 
 
 def _voluntary_phi(g: CohortGrid, mode: str):
-    """theta -> welfare under voluntary EET; the live rows' d0 and d1 are
-    gathered once."""
+    """theta -> welfare under voluntary EET, bit for bit `_welfare`; the
+    live rows' d0 and d1 are gathered once, and each call writes its
+    resources, terms and sum in place in one buffer."""
     d0, d1 = g.vol_rows[g.live].T.copy()
-    return lambda theta: _welfare(g, d0 + d1 * theta, mode)
+    w, power = g.weights[mode], g.power
+    terms = np.empty(w.size)
+
+    def phi(theta):
+        if not _terms_in_place(terms, d1, theta, d0, power, w):
+            return -math.inf
+        return float(terms.sum())
+
+    return phi
 
 
 def voluntary_objective(theta: float, s: Scenario, mode: str = "population",

@@ -498,6 +498,16 @@ def simulate_cohort_per_block(cfg, s: Scenario, probe_times=()):
         n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, probes=probes)
 
 
+def line_interval(g, point, direction, lo: float, hi: float):
+    """Feasible t in [lo, hi] on the line point + t direction in (theta, k)
+    against every solvency row of the grid, or None if empty: the all-rows
+    oracle for the optimizer's segments."""
+    c0, c1, c2 = g.rows.T
+    bounds = government._feasible_interval(c0 + c1 * point[0] + c2 * point[1],
+                                           c1 * direction[0] + c2 * direction[1], lo, hi)
+    return bounds if bounds is not None and bounds[0] <= bounds[1] else None
+
+
 def coarse_grid_scalar(g, m: float, mode: str):
     """The grid-and-golden optimizer's 101 x 101 coarse grid on
     theta + k <= m, one `government._phi` call per cell: (best value,
@@ -523,7 +533,7 @@ def optimize_mix_no_edge_search(s: Scenario, mode: str, step: float):
     m = s.policy.m
     phi = government._phi
     best_val, best_pt, evals = coarse_grid_scalar(g, m, mode)
-    face = government._line_interval(g, (0.0, m), (1.0, -1.0), 0.0, m)
+    face = line_interval(g, (0.0, m), (1.0, -1.0), 0.0, m)
     face_pt, face_val = None, -math.inf
     if face is not None:
         th, face_val, n = government._golden_max(
@@ -533,12 +543,12 @@ def optimize_mix_no_edge_search(s: Scenario, mode: str, step: float):
     pt, val = best_pt, best_val
     for _ in range(12):
         theta, k = pt
-        rng_t = government._line_interval(g, (0.0, k), (1.0, 0.0), 0.0, m - k)
+        rng_t = line_interval(g, (0.0, k), (1.0, 0.0), 0.0, m - k)
         if rng_t is not None:
             theta, val, n = government._golden_max(
                 lambda t: phi(g, t, k, mode), *rng_t, tol=1e-7)
             evals += n
-        rng_k = government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
+        rng_k = line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
         new_k = k
         if rng_k is not None:
             new_k, val, n = government._golden_max(
@@ -568,7 +578,7 @@ def optimize_mix_grid_golden(s: Scenario, mode: str, step: float):
     for axis, at in ((0, lambda t: (0.0, t)), (1, lambda t: (t, 0.0))):
         if pt[axis] >= 1e-6:
             continue
-        rng = government._line_interval(g, (0.0, 0.0), at(1.0), 0.0, m)
+        rng = line_interval(g, (0.0, 0.0), at(1.0), 0.0, m)
         if rng is None:
             continue
         t, v, n = government._golden_max(
@@ -584,14 +594,14 @@ def optimize_mix_grid_golden(s: Scenario, mode: str, step: float):
 def optimize_mix_nested_phi(s: Scenario, mode: str, step: float):
     """The nested golden search with a full `government._phi` per point:
     the outer section over the grid's `theta_range`, each of whose points is
-    an inner section over that theta's `_line_interval` k-segment."""
+    an inner section over that theta's `line_interval` k-segment."""
     g = government._grid(s, step)
     m = s.policy.m
     evals, k_at = 0, {}
 
     def psi(theta):
         nonlocal evals
-        seg = government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
+        seg = line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, m - theta)
         if seg is None:
             return -math.inf
         k_at[theta], val, n = government._golden_max(

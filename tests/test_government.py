@@ -21,6 +21,7 @@ from penmix import (
 from penmix.scenario import scenario_from_dict, scenario_to_dict
 
 from _oracles import (
+    line_interval,
     optimize_mix_grid_golden,
     optimize_mix_nested_phi,
     optimize_mix_no_edge_search,
@@ -329,7 +330,7 @@ def test_line_interval_ends_against_halfplane_table(fixture, request):
         for widen in (0.0, 10.0):
             lo, hi = _box_segment(point, direction, m)
             lo, hi = lo - widen, hi + widen
-            found = government._line_interval(g, point, direction, lo, hi)
+            found = line_interval(g, point, direction, lo, hi)
             if found is None:
                 ts = np.linspace(lo, hi, 101)
                 assert all(worst_row(point, direction, t) < 0.0 for t in ts)
@@ -409,7 +410,7 @@ def test_optimizer_equals_nested_phi_oracle(fixture, mode, step, request):
 
 
 def _k_segment(g, theta):
-    return government._line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, g.m - theta)
+    return line_interval(g, (theta, 0.0), (0.0, 1.0), 0.0, g.m - theta)
 
 
 @pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
@@ -436,19 +437,24 @@ def test_theta_range_ends_are_the_last_solvent_thetas(fixture, request):
         assert lo == 0.0
 
 
-@pytest.mark.parametrize("mode", government.WEIGHTINGS)
-def test_theta_range_and_optimizer_on_rows_cut_in_k(us, monkeypatch, mode):
-    # two worker rows rewritten to G = c (k - 0.05) and G = c (0.2 - k):
-    # each theta is solvent for k in (0.05, 0.2) only, and not at all once
-    # m - theta < 0.05
-    g = government._grid(us, STEP)
-    m = us.policy.m
+def _cut_in_k(g):
+    """g with two live worker rows rewritten to G = c (k - 0.05) and
+    G = c (0.2 - k)."""
     rows = g.rows.copy()
     up, down = np.flatnonzero(g.live & (rows[:, 2] > 0))[:2]
     c_up, c_down = rows[up, 2], rows[down, 2]
     rows[up] = (-0.05 * c_up, 0.0, c_up)
     rows[down] = (0.2 * c_down, 0.0, -c_down)
-    cut = dataclasses.replace(g, rows=rows)
+    return dataclasses.replace(g, rows=rows)
+
+
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_theta_range_and_optimizer_on_rows_cut_in_k(us, monkeypatch, mode):
+    # two worker rows rewritten to G = c (k - 0.05) and G = c (0.2 - k):
+    # each theta is solvent for k in (0.05, 0.2) only, and not at all once
+    # m - theta < 0.05
+    m = us.policy.m
+    cut = _cut_in_k(government._grid(us, STEP))
     assert government._phi(cut, 0.1, 0.05, mode) == -math.inf
     assert math.isfinite(government._phi(cut, 0.1, 0.0525, mode))
     assert government._phi(cut, 0.0, 0.2, mode) == -math.inf
@@ -499,12 +505,25 @@ def test_optimizer_matches_grid_golden_oracle_on_perturbed_scenarios(us, cn):
     assert checked >= 20 and k_edges > corners > 0
 
 
+def test_optimizer_equals_nested_phi_oracle_on_perturbed_scenarios(us, cn):
+    # every OptimalMix field bit for bit at the default step, both weightings
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for s in _perturbed_scenarios(us, cn, 16, seed=8):
+            checked += 1
+            for mode in government.WEIGHTINGS:
+                assert (government.optimize_mix(s, mode, STEP)
+                        == optimize_mix_nested_phi(s, mode, STEP))
+    assert checked >= 14
+
+
 def _same_bits(x, y):
     return x.hex() == y.hex()
 
 
 def _assert_k_section_is_phi(g, mode, points):
-    # segment and scorer of each theta against _line_interval and _phi
+    # segment and scorer of each theta against line_interval and _phi
     for theta, ks in points:
         seg, phi = government._k_section(g, theta, mode)
         assert seg == _k_segment(g, theta)
@@ -542,14 +561,79 @@ def test_k_section_equals_phi(fixture, mode, request):
 def test_k_section_equals_phi_on_sliver_grid(us, mode):
     # k-dependent rows among the retirees: the k-free rows are no prefix
     g = _with_retiree_rows(government._grid(us, STEP), SLIVER)
-    (_, free_slots), (_, dep_slots) = g.k_split
-    assert dep_slots[0] < free_slots[-1]
+    assert g.k_cut < np.flatnonzero(g.rows[g.live, 2] == 0.0)[-1]
     rng = np.random.default_rng(31)
     points = list(_box_points(rng, us.policy.m, 20))
     points += [(theta, rng.uniform(0.1205, 0.1215, size=5))
                for theta in rng.uniform(0.103, 0.104, size=10)]
     _assert_k_section_is_phi(g, mode, points)
     assert math.isfinite(government._k_section(g, 0.1035, mode)[1](0.121))
+
+
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_k_section_and_optimizer_on_a_grid_without_k(us, monkeypatch, mode):
+    # c2 = 0 on every row: the tail is the last live slot alone
+    g = government._grid(us, STEP)
+    rows = g.rows.copy()
+    rows[:, 2] = 0.0
+    flat = dataclasses.replace(g, rows=rows)
+    assert flat.k_cut == np.count_nonzero(flat.live) - 1
+    _assert_k_section_is_phi(flat, mode, _box_points(np.random.default_rng(41), us.policy.m, 20))
+    monkeypatch.setattr(government, "_grid", lambda s, step: flat)
+    assert government.optimize_mix(us, mode, STEP) == optimize_mix_nested_phi(us, mode, STEP)
+
+
+def _segment_bits(seg):
+    return None if seg is None else tuple(end.hex() for end in seg)
+
+
+def _assert_solvency_is_sound(g):
+    # the rows left out are positive at the three corners of the rate
+    # triangle, and the k-segment and the k-free theta box of the
+    # `solvency` rows are those of all rows, bit for bit
+    m = g.m
+    c0, c1, c2 = g.rows.T
+    out = np.ones(len(g.rows), dtype=bool)
+    out[g.solvency] = False
+    assert (c0[out] > 0.0).all()
+    assert (c0[out] + c1[out] * m > 0.0).all()
+    assert (c0[out] + c2[out] * m > 0.0).all()
+    s0, s1, s2 = g.rows[g.solvency].T
+    free, sfree = c2 == 0.0, s2 == 0.0
+    assert (_segment_bits(government._feasible_interval(s0[sfree], s1[sfree], 0.0, m))
+            == _segment_bits(government._feasible_interval(c0[free], c1[free], 0.0, m)))
+    thetas = list(np.linspace(0.0, m, 2000))
+    for end in g.theta_range or ():
+        thetas += [end, np.nextafter(end, -1.0), np.nextafter(end, 2.0)]
+    for theta in (float(t) for t in thetas if 0.0 <= t <= m):
+        assert (_segment_bits(government._feasible_interval(s0 + s1 * theta, s2, 0.0, m - theta))
+                == _segment_bits(government._feasible_interval(c0 + c1 * theta, c2, 0.0, m - theta)))
+    everything = dataclasses.replace(g)
+    everything.__dict__["solvency"] = np.arange(len(g.rows))
+    assert _segment_bits(g.theta_range) == _segment_bits(everything.theta_range)
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_solvency_rows_are_sound(fixture, request):
+    g = government._grid(request.getfixturevalue(fixture), STEP)
+    assert 0 < g.solvency.size < len(g.rows)
+    _assert_solvency_is_sound(g)
+
+
+def test_solvency_rows_are_sound_on_cut_grids(us):
+    g = government._grid(us, STEP)
+    for cut in (_with_retiree_rows(g, SLIVER), _cut_in_k(g)):
+        _assert_solvency_is_sound(cut)
+
+
+def test_solvency_rows_are_sound_on_perturbed_scenarios(us, cn):
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for s in _perturbed_scenarios(us, cn, 22, seed=6):
+            checked += 1
+            _assert_solvency_is_sound(government._grid(s, 0.25))
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
