@@ -34,7 +34,8 @@ class InsolventCohort(PenmixError):
 
 
 class AssumptionError(PenmixError):
-    """A case-specific standing assumption (e.g. epsilon_tilde > 0) fails."""
+    """A case-specific standing assumption fails.  No check raises it now:
+    epsilon_tilde > 0 is part of `validate`'s ordering (OrderingViolation)."""
 
 
 class EmptyRegion(PenmixError):

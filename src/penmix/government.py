@@ -98,26 +98,27 @@ class CohortGrid:
         """(theta_lo, theta_hi): the thetas in [0, m] whose k-segment in
         [0, m - theta] is solvent against every row, or None if none is.
 
-        The k-free rows (c2 = 0) give an interval of theta.  Inside it the
-        segment's length hi - lo is concave (hi is a min, lo a max of affine
-        functions of theta): one golden section finds its maximum, and a
-        bisection to the last float each end where it drops below 0.  Only
-        the `solvency` rows are read.
+        The solvent polygon's shadow on theta, by Fourier-Motzkin
+        elimination of k (Schrijver, Theory of Linear and Integer
+        Programming, 1986, sec. 12.2).  The `solvency` rows are stacked with
+        the box rows k >= 0 and theta + k <= m.  Each row with c2 > 0 bounds
+        k below and each with c2 < 0 above; |c2_down| row_up + c2_up
+        row_down has no k term, and those pairs with the k-free rows bound
+        theta.
         """
-        c0, c1, c2 = self.rows[self.solvency].T
-        free = c2 == 0.0
-        box = _feasible_interval(c0[free], c1[free], 0.0, self.m)
-        if box is None or box[0] > box[1]:
+        m = self.m
+        c0, c1, c2 = np.vstack([self.rows[self.solvency],
+                                ((0.0, 0.0, 1.0), (m, -1.0, -1.0))]).T
+        up, down = c2 > 0.0, c2 < 0.0
+        free = ~up & ~down
+        a2, b2 = c2[up, None], -c2[down]
+        span = _feasible_interval(
+            np.concatenate([c0[free], (b2 * c0[up, None] + a2 * c0[down]).ravel()]),
+            np.concatenate([c1[free], (b2 * c1[up, None] + a2 * c1[down]).ravel()]),
+            0.0, m)
+        if span is None or span[0] > span[1]:
             return None
-
-        def length(theta):
-            seg = _feasible_interval(c0 + c1 * theta, c2, 0.0, self.m - theta)
-            return -math.inf if seg is None else seg[1] - seg[0]
-
-        top, longest, _ = _golden_max(length, *box, ends=True)
-        if longest < 0.0:
-            return None
-        return _last_feasible(length, box[0], top), _last_feasible(length, box[1], top)
+        return span
 
     @cached_property
     def k_cut(self) -> int:
@@ -291,7 +292,8 @@ _EMPTY = ("no (theta, k) with theta, k >= 0 and theta + k <= m keeps every "
 
 @dataclass(frozen=True)
 class AdmissibleRegion:
-    """Intersection of per-cohort solvency half-planes with the rate box.
+    """Intersection of the solvency half-planes of every cohort and future
+    entrant with the rate box.
 
     Half-plane rows (c0, c1, c2) encode c0 + c1 theta + c2 k >= 0.
     """
@@ -318,7 +320,7 @@ def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
     g = _grid(s, step)
     if g.theta_range is None:
         raise EmptyRegion(_EMPTY)
-    return AdmissibleRegion(halfplanes=g.rows[:g.z.size], m=s.policy.m, step=step)
+    return AdmissibleRegion(halfplanes=g.rows, m=s.policy.m, step=step)
 
 
 # --------------------------------------------------------------------------
@@ -381,21 +383,6 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7, ends: bool = False):
                 if f_end >= fx:
                     x, fx = end, f_end
     return x, fx, evals
-
-
-def _last_feasible(f, out: float, inside: float) -> float:
-    """The point nearest `out` between `out` and `inside` where the concave
-    f is >= 0, to the last float, given f(inside) >= 0."""
-    if f(out) >= 0.0:
-        return out
-    while True:
-        mid = 0.5 * (out + inside)
-        if mid == out or mid == inside:
-            return inside
-        if f(mid) >= 0.0:
-            inside = mid
-        else:
-            out = mid
 
 
 def _feasible_interval(c0: np.ndarray, c1: np.ndarray,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError
+from .errors import DomainError
 from .lifecycle import _bb_m1, _coef_kernel
 from .scenario import Scenario, validate
 
@@ -64,12 +64,6 @@ def thresholds(s: Scenario):
               * (math.exp((epst - eps) * (d.tau - d.a)) - 1.0)
               / (r * a_tau * (math.exp(eps * (d.omega - d.tau)) - 1.0) * (epst - eps)))
     return lam_fp, lam_ep
-
-
-def m2_boundary_diagnostics(s: Scenario):
-    """(Mt2(a), Mt2'(tau)): the boundary values deciding the EET-vs-savings case."""
-    eet = _analyse(s)[1]
-    return eet.m2_at_entry, eet.dm2_at_retirement
 
 
 def _first_crossing(vals):
@@ -168,17 +162,9 @@ class EetSavingsCase:
     dm2_at_retirement: float      # Mt2'(tau)
 
 
-def _eet_analysis(s: Scenario):
-    epst = validate(s).epsilon_tilde
-    if epst <= 0:
-        raise AssumptionError(
-            f"EET-vs-savings comparison requires epsilon_tilde > 0 (got {epst})")
-    return _analyse(s)
-
-
 def critical_age_eet_savings(s: Scenario) -> EetSavingsCase:
-    """EET-vs-savings case split; requires epsilon_tilde > 0."""
-    return _eet_analysis(s)[1]
+    """EET-vs-savings case split (validate ensures epsilon_tilde > 0)."""
+    return _analyse(s)[1]
 
 
 def _ordering_string(mt1: float, mt2: float) -> str:
@@ -226,7 +212,7 @@ def classify(zeta: float, s: Scenario) -> Classification:
     mt1, mt2, _diff = tilde_coefficients(zeta, s)
     return Classification(
         zeta=zeta, mt1=mt1, mt2=mt2, mt1_minus_mt2=_diff,
-        ordering=_ordering_string(mt1, mt2), case_label=_eet_analysis(s)[0].case_label)
+        ordering=_ordering_string(mt1, mt2), case_label=_analyse(s)[0].case_label)
 
 
 @dataclass(frozen=True)
@@ -309,4 +295,4 @@ def preference_map(s: Scenario, step: float = 1.0) -> PreferenceReport:
     columns = (v.tolist() for v in _tilde_arrays(ages, s))
     rows = tuple((zeta, mt1, mt2, diff, _ordering_string(mt1, mt2))
                  for zeta, mt1, mt2, diff in zip(ages.tolist(), *columns))
-    return replace(_eet_analysis(s)[0], orderings=rows)
+    return replace(_analyse(s)[0], orderings=rows)

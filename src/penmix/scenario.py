@@ -203,13 +203,15 @@ def _validate_cached(s: Scenario) -> DerivedConstants:
         raise OrderingViolation("W0 must be positive")
 
     nu = (mk.mu - mk.r) / mk.sigma
-    if (mk.alpha - mk.r) / mk.beta <= nu:
+    epsilon_tilde = mk.alpha - mk.r - mk.beta * nu
+    # for beta > 0 this is the Sharpe ordering (alpha - r) / beta > nu; a
+    # riskless EET fund (beta = 0) needs alpha > r
+    if epsilon_tilde <= 0:
         raise OrderingViolation(
-            "EET Sharpe ratio (alpha-r)/beta must exceed the risky Sharpe ratio "
-            f"(got {(mk.alpha - mk.r) / mk.beta:.6f} vs {nu:.6f})")
+            "EET Sharpe ratio (alpha-r)/beta must exceed the risky Sharpe ratio: "
+            f"epsilon_tilde = alpha - r - beta*nu = {epsilon_tilde:.6g} <= 0")
 
     epsilon = mk.gamma - mk.r - mk.xi * nu
-    epsilon_tilde = mk.alpha - mk.r - mk.beta * nu
     if abs(epsilon) < DRIFT_TOL:
         raise DegenerateDrift(f"epsilon = gamma - r - xi*nu = {epsilon} is degenerate")
     if abs(epsilon_tilde - epsilon) < DRIFT_TOL:

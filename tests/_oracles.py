@@ -615,3 +615,40 @@ def optimize_mix_nested_phi(s: Scenario, mode: str, step: float):
         theta_star=theta_star, k_star=k_star, objective=val, weighting=mode,
         cap_binding=theta_star + k_star >= m - 1e-6, grid_step=step,
         mode="mandatory", evaluations=evals)
+
+
+def _last_feasible(f, out: float, inside: float) -> float:
+    """The point nearest `out` between `out` and `inside` where the concave
+    f is >= 0, to the last float, given f(inside) >= 0."""
+    if f(out) >= 0.0:
+        return out
+    while True:
+        mid = 0.5 * (out + inside)
+        if mid == out or mid == inside:
+            return inside
+        if f(mid) >= 0.0:
+            inside = mid
+        else:
+            out = mid
+
+
+def theta_range_by_search(g):
+    """The grid's theta-range by search: the k-free `solvency` rows give
+    an interval of theta, inside which the k-segment's length hi - lo is
+    concave; one golden section finds its maximum, and a bisection finds
+    the last float each end where it is still >= 0.  None when no theta
+    is solvent."""
+    c0, c1, c2 = g.rows[g.solvency].T
+    free = c2 == 0.0
+    box = government._feasible_interval(c0[free], c1[free], 0.0, g.m)
+    if box is None or box[0] > box[1]:
+        return None
+
+    def length(theta):
+        seg = government._feasible_interval(c0 + c1 * theta, c2, 0.0, g.m - theta)
+        return -math.inf if seg is None else seg[1] - seg[0]
+
+    top, longest, _ = government._golden_max(length, *box, ends=True)
+    if longest < 0.0:
+        return None
+    return _last_feasible(length, box[0], top), _last_feasible(length, box[1], top)

@@ -398,3 +398,40 @@ def test_internal_error_exit_code(capsys, scenario_dir, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "error: internal: RuntimeError: boom\n"
+
+
+#: loader-accepted boundary values, each a set of field overrides
+BOUNDARIES = {
+    "beta-0": {"market": {"beta": 0.0}},
+    "xi-0": {"market": {"xi": 0.0}},
+    "A-0": {"demography": {"A": 0.0}},
+    "B-0": {"demography": {"B": 0.0}},
+    "m-0": {"policy": {"m": 0.0, "theta0": 0.0, "k0": 0.0}},
+    "m-1": {"policy": {"m": 1.0}},
+    "tau1-0": {"policy": {"tau1": 0.0}},
+    "tau2-0": {"policy": {"tau2": 0.0}},
+    "theta0-0": {"policy": {"theta0": 0.0}},
+    "k0-0": {"policy": {"k0": 0.0}},
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["scenario_us.json", "scenario_cn.json",
+                                  "scenario_us_babyboom.json"])
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_boundary_values_exit_without_internal_error(capsys, scenario_dir, tmp_path,
+                                                     name, boundary):
+    # every command ends in a result or a typed error, never in exit 5
+    doc = json.loads((scenario_dir / name).read_text())
+    for section, values in BOUNDARIES[boundary].items():
+        doc[section].update(values)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    policy = doc["policy"]
+    rates = ["--theta", repr(policy["theta0"]), "--k", repr(policy["k0"])]
+    for argv in (["validate"], ["critical-ages"], ["classify"],
+                 ["optimize", "--weighting", "population", "--step", "0.25"],
+                 ["optimize", "--weighting", "population", "--step", "0.25", "--voluntary"],
+                 ["paths", "--zeta", "30"] + rates):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code != 5, (argv, err)

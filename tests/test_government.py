@@ -25,6 +25,7 @@ from _oracles import (
     optimize_mix_grid_golden,
     optimize_mix_nested_phi,
     optimize_mix_no_edge_search,
+    theta_range_by_search,
     voluntary_theta_ratios,
     welfare_per_node,
 )
@@ -470,6 +471,45 @@ def test_theta_range_and_optimizer_on_rows_cut_in_k(us, monkeypatch, mode):
     assert mix == optimize_mix_nested_phi(us, mode, STEP)
 
 
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+@pytest.mark.parametrize("step", [STEP, 0.25])
+def test_theta_range_equals_the_search_on_fixtures(fixture, step, request):
+    g = government._grid(request.getfixturevalue(fixture), step)
+    assert _segment_bits(g.theta_range) == _segment_bits(theta_range_by_search(g))
+
+
+def _halfplane_grids(g, n, seed):
+    """n copies of g, each with one to five live rows rewritten to random
+    half-planes through points of the rate triangle."""
+    rng = np.random.default_rng(seed)
+    live, m = np.flatnonzero(g.live), g.m
+    for _ in range(n):
+        rows = g.rows.copy()
+        for i in rng.choice(live, size=rng.integers(1, 6), replace=False):
+            theta, k = rng.uniform(0.0, m, size=2)
+            if theta + k > m:
+                theta, k = m - theta, m - k
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            c1, c2 = math.cos(angle), math.sin(angle)
+            rows[i] = (-(c1 * theta + c2 * k), c1, c2)
+        yield dataclasses.replace(g, rows=rows)
+
+
+def test_theta_range_matches_the_search_on_random_halfplanes(us):
+    # the elimination and the search agree on emptiness, and their ends to
+    # round-off: the search's are the last solvent floats, the elimination's
+    # are one division each
+    empty = 0
+    for g in _halfplane_grids(government._grid(us, STEP), 200, seed=43):
+        exact, searched = g.theta_range, theta_range_by_search(g)
+        assert (exact is None) == (searched is None)
+        if exact is None:
+            empty += 1
+        else:
+            assert exact == pytest.approx(searched, rel=0.0, abs=1e-12)
+    assert 30 < empty < 170
+
+
 def _perturbed_scenarios(us, cn, n, seed):
     """US/CN scenarios, alternating, with demo.rho moved by up to 0.004 and
     the two tax rates redrawn; draws without a cohort grid are skipped."""
@@ -636,6 +676,18 @@ def test_solvency_rows_are_sound_on_perturbed_scenarios(us, cn):
     assert checked >= 20
 
 
+def test_theta_range_equals_the_search_on_perturbed_scenarios(us, cn):
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for step, n, seed in ((0.25, 22, 6), (STEP, 16, 8)):
+            for s in _perturbed_scenarios(us, cn, n, seed):
+                checked += 1
+                g = government._grid(s, step)
+                assert _segment_bits(g.theta_range) == _segment_bits(theta_range_by_search(g))
+    assert checked >= 34
+
+
 @pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
 def test_voluntary_phi_equals_welfare_of_all_rows(fixture, mode, request):
@@ -764,6 +816,26 @@ def test_admissible_region_is_empty_exactly_when_no_theta_is(us, monkeypatch,
         mix = government.optimize_mix(us, step=STEP)
         assert region.contains(mix.theta_star, mix.k_star, tol=0.0)
         assert mix == optimize_mix_nested_phi(us, "population", STEP)
+
+
+def test_region_contains_agrees_with_phi_on_an_entrant_row_cut_in_k(us, monkeypatch):
+    # the settled entrant tail row rewritten to G = 0.1 - k: a point of the
+    # region is one where every live row, the entrants' included, is solvent
+    rows = government._grid(us, STEP).rows.copy()
+    rows[-1] = (0.1, 0.0, -1.0)
+    cut = dataclasses.replace(government._grid(us, STEP), rows=rows)
+    monkeypatch.setattr(government, "_grid", lambda s, step: cut)
+    region = government.admissible_region(us, step=STEP)
+    m = us.policy.m
+    rng = np.random.default_rng(47)
+    inside = 0
+    for theta, k in rng.uniform(0.0, m, size=(200, 2)):
+        if theta + k > m:
+            theta, k = m - theta, m - k
+        finite = math.isfinite(government._phi(cut, theta, k, "population"))
+        assert region.contains(theta, k, tol=0.0) == finite
+        inside += finite
+    assert 50 < inside < 150
 
 
 @pytest.mark.filterwarnings("ignore:tau1")

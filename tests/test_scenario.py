@@ -226,3 +226,12 @@ def test_block_path_rejected(us, us_bb, path):
 def test_babyboom_path_needs_babyboom_block(us):
     with pytest.raises(SchemaError, match="no babyboom block"):
         with_params(us, **{"demo.babyboom.rho2": -0.01})
+
+
+def test_riskless_eet_fund_needs_alpha_above_r(us):
+    # beta = 0: the ordering is epsilon_tilde = alpha - r > 0, no division
+    riskless = with_params(us, **{"market.beta": 0.0})
+    assert validate(riskless).epsilon_tilde == us.market.alpha - us.market.r
+    bad = with_params(us, **{"market.beta": 0.0, "market.alpha": us.market.r})
+    with pytest.raises(OrderingViolation, match="Sharpe"):
+        validate(bad)
