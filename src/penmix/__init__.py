@@ -7,7 +7,6 @@ Monte Carlo verification oracle.
 """
 from . import demography, government, lifecycle, montecarlo, preference
 from .errors import (
-    AssumptionError,
     ConfigError,
     DegenerateDrift,
     DomainError,
@@ -37,12 +36,12 @@ from .scenario import (
 )
 
 __all__ = [
-    "AssumptionError", "BabyBoomParams", "ConfigError", "DegenerateDrift",
-    "DemographyParams", "DerivedConstants", "DomainError", "EmptyRegion",
-    "InsolventCohort", "MarketParams", "OrderingViolation", "ParseError",
-    "PenmixError", "PolicyParams", "PreferenceParams", "Scenario",
-    "SchemaError", "UtilityExplosion", "delta_for_entry", "demography",
-    "government", "lifecycle", "load_scenario", "montecarlo", "preference",
+    "BabyBoomParams", "ConfigError", "DegenerateDrift", "DemographyParams",
+    "DerivedConstants", "DomainError", "EmptyRegion", "InsolventCohort",
+    "MarketParams", "OrderingViolation", "ParseError", "PenmixError",
+    "PolicyParams", "PreferenceParams", "Scenario", "SchemaError",
+    "UtilityExplosion", "delta_for_entry", "demography", "government",
+    "lifecycle", "load_scenario", "montecarlo", "preference",
     "save_scenario", "scenario_from_dict", "scenario_to_dict", "validate",
     "with_params",
 ]

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import demography, government, lifecycle, montecarlo, preference
 from .errors import (
-    AssumptionError,
     ConfigError,
     DegenerateDrift,
     DomainError,
@@ -39,7 +38,7 @@ EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
 _VALIDATION_ERRORS = (ParseError, SchemaError, OrderingViolation,
-                      DegenerateDrift, UtilityExplosion, AssumptionError)
+                      DegenerateDrift, UtilityExplosion)
 _INFEASIBLE_ERRORS = (EmptyRegion, InsolventCohort)
 
 SWEEP_TARGETS = ("zeta_hat", "zeta_tilde", "theta_star", "k_star",

@@ -33,11 +33,6 @@ class InsolventCohort(PenmixError):
     """Total equivalent disposable wealth G <= 0 for some cohort."""
 
 
-class AssumptionError(PenmixError):
-    """A case-specific standing assumption fails.  No check raises it now:
-    epsilon_tilde > 0 is part of `validate`'s ordering (OrderingViolation)."""
-
-
 class EmptyRegion(PenmixError):
     """The admissible contribution-rate region is empty."""
 

@@ -104,7 +104,9 @@ class CohortGrid:
         the box rows k >= 0 and theta + k <= m.  Each row with c2 > 0 bounds
         k below and each with c2 < 0 above; |c2_down| row_up + c2_up
         row_down has no k term, and those pairs with the k-free rows bound
-        theta.
+        theta.  An end set by a pair with a solvency row is one division, so
+        it may lie a few ulps outside the polygon; a solvency row binds
+        there (G = 0), so phi is -inf at that end either way.
         """
         m = self.m
         c0, c1, c2 = np.vstack([self.rows[self.solvency],
@@ -446,7 +448,9 @@ def optimize_mix(s: Scenario, mode: str = "population",
     golden section over that theta's solvent k-segment, finds the optimum
     to its 1e-7 brackets.  Both evaluate the ends their final bracket still
     touches, so an optimum on the cap face, on theta = 0 or k = 0, or at a
-    corner lies exactly there.  Each theta forms its rows' part c0 + c1
+    corner lies exactly there.  An end of `theta_range` whose segment
+    rounds to empty scores -inf; no optimum lies there, as phi is -inf
+    where a solvency row binds.  Each theta forms its rows' part c0 + c1
     theta and the k-free head's welfare terms once (`_k_section`); its inner
     section rewrites only the tail in place, with the bits of `_phi`.
     `evaluations` counts the inner sections' points, the same number as

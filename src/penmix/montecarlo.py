@@ -137,7 +137,10 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
     pw = 1.0 / (1.0 - delta)
 
     def integrand(tt):
-        return lifecycle._discount(tt - cfg.z, s) ** pw * np.exp(cexp * (tt - cfg.z))
+        uu = tt - cfg.z
+        bb = (np.exp(-mk.r * uu) * demography.survival(uu + d.a, d)
+              * np.where(uu >= ret_u - 1e-12, s.pref.lam, 1.0))
+        return bb**pw * np.exp(cexp * uu)
 
     seg = demography._gauss_legendre(tg[:-1], tg[1:], integrand)
     inner = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])

@@ -75,14 +75,19 @@ def test_region_contains_status_quo(us, cn):
 
 
 def test_region_entry_constraint_row(us):
-    # the newest cohort contributes the pure entry-coefficient half-plane
+    # the newest cohort (z = t0) contributes the pure entry-coefficient
+    # half-plane at its wage w0; the settled entrant tail, the last row, is
+    # the same half-plane per unit wage
     dc = validate(us)
     region = government.admissible_region(us, step=STEP)
-    row = region.halfplanes[-1]
+    g = government._grid(us, STEP)
+    assert g.z[-1] == us.policy.t0
+    row = region.halfplanes[g.z.size - 1]
     w0 = us.market.W0 * math.exp(us.market.gamma * us.policy.t0)
     assert row[0] == pytest.approx(dc.M03 * w0, abs=1e-9)
     assert row[1] == pytest.approx(dc.M01 * w0, abs=1e-9)
     assert row[2] == pytest.approx(dc.M02 * w0, abs=1e-9)
+    assert tuple(region.halfplanes[-1]) == (dc.M03, dc.M01, dc.M02)
 
 
 def test_zero_cap_degenerates_region(us):
@@ -508,6 +513,37 @@ def test_theta_range_matches_the_search_on_random_halfplanes(us):
         else:
             assert exact == pytest.approx(searched, rel=0.0, abs=1e-12)
     assert 30 < empty < 170
+
+
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_optimizer_on_random_halfplanes_matches_the_searched_range(us, monkeypatch,
+                                                                   mode):
+    # an eliminated end may lie a few ulps outside the polygon, where psi is
+    # -inf; the optimum is the one the search's last solvent floats give
+    differ = outside = 0
+    for g in _halfplane_grids(government._grid(us, STEP), 200, seed=43):
+        exact, searched = g.theta_range, theta_range_by_search(g)
+        if exact is None or exact == searched:
+            continue
+        differ += 1
+        outside += sum(government._k_section(g, end, mode)[0] is None for end in exact)
+        oracle = dataclasses.replace(g)
+        oracle.__dict__["theta_range"] = searched
+        mixes = []
+        for grid in (g, oracle):
+            monkeypatch.setattr(government, "_grid", lambda s, step, grid=grid: grid)
+            try:
+                mixes.append(government.optimize_mix(us, mode, STEP))
+            except EmptyRegion:
+                mixes.append(None)
+        mix, want = mixes
+        if want is None:
+            assert mix is None
+            continue
+        assert mix.theta_star == pytest.approx(want.theta_star, rel=0.0, abs=1e-12)
+        assert mix.k_star == pytest.approx(want.k_star, rel=0.0, abs=1e-12)
+        assert mix.objective == pytest.approx(want.objective, rel=1e-12)
+    assert differ >= 30 and outside >= 10
 
 
 def _perturbed_scenarios(us, cn, n, seed):
