@@ -52,9 +52,20 @@ def _fmt(x) -> str:
 
 
 def _write_csv(out, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    """One line per row, floats as %.17g and every other cell as str().
+
+    Each line is one %-format; the specifier of a column is chosen once from
+    the types in it, and a column mixing floats with other cells is
+    formatted cell by cell.
+    """
+    cols = list(zip(*rows))
+    specs = []
+    for j, col in enumerate(cols):
+        floats = {issubclass(kind, float) for kind in set(map(type, col))}
+        specs.append("%.17g" if floats == {True} else "%s")
+        if floats == {True, False}:
+            cols[j] = tuple(map(_fmt, col))
+    text = "\n".join([",".join(header), *map(",".join(specs).__mod__, zip(*cols))]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

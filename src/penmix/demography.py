@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .scenario import BabyBoomParams, DemographyParams
@@ -154,41 +153,80 @@ def entrants(t, demo: DemographyParams):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+def _pchip_cells(x, y) -> np.ndarray:
+    """Cubic coefficients, shape (4, cells), of the PCHIP interpolant of y
+    on the nodes x: cell j is c0 s^3 + c1 s^2 + c2 s + c3 in s = t - x_j.
+
+    The node slopes are Fritsch and Carlson's weighted harmonic mean of the
+    neighbouring secants (0 where they differ in sign or one is 0), with
+    Moler's one-sided three-point end slopes (*Numerical Computing with
+    MATLAB*, 2004, §3.6), in scipy's `PchipInterpolator` order of
+    operations, so the coefficients are those of scipy's `.c`.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+
+        def end(h0, h1, m0, m1):
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(e) != np.sign(m0):
+                return 0.0
+            if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+                return 3.0 * m0
+            return e
+
+        d = np.concatenate([[end(h[0], h[1], m[0], m[1])],
+                            np.where(flat, 0.0, inner),
+                            [end(h[-1], h[-2], m[-1], m[-2])]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+@dataclass(frozen=True, eq=False)
 class SupportRatioFn:
     """Support ratio as a function of time.
 
     In constant mode the value is t-independent. In babyboom mode the ratio is
-    tabulated on a grid over [t_lo, t_hi] (step `BB_GRID_STEP`, the last step
-    shortened to end at t_hi) with monotone-cubic interpolation between nodes
-    and constant extension outside.
+    tabulated on the nodes t_lo + BB_GRID_STEP * i (the last step shortened
+    to end at t_hi), a PCHIP-slope cubic Hermite cell between nodes, and
+    constant outside.
     """
 
     mode: str                    # "constant" | "babyboom"
     value: float                 # constant-mode value (babyboom: left-plateau value)
     t_lo: float = -math.inf
     t_hi: float = math.inf
-    _interp: Optional[PchipInterpolator] = None
+    nodes: Optional[np.ndarray] = None   # babyboom: t_lo first, t_hi last
+    #: babyboom: per node, the cubic (`_pchip_cells`) of the cell it starts,
+    #: and at t_hi the constant right plateau
+    _cells: Optional[np.ndarray] = None
     _right_value: float = 0.0
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """Table nodes, t_lo first and t_hi last (babyboom mode)."""
-        return self._interp.x
-
     def __call__(self, t):
-        if self.mode == "constant":
-            t = np.asarray(t, dtype=float)
-            out = np.full_like(t, self.value)
-            return float(out) if out.ndim == 0 else out
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            if t <= self.t_lo:
-                return self.value
-            return self._right_value if t >= self.t_hi else float(self._interp(t))
-        clipped = np.clip(t, self.t_lo, self.t_hi)
-        return np.where(t <= self.t_lo, self.value,
-                        np.where(t >= self.t_hi, self._right_value, self._interp(clipped)))
+        if self.mode == "constant":
+            out = np.full_like(t, self.value)
+        else:
+            # the cell nodes[j] <= x < nodes[j + 1] from the node lattice,
+            # corrected for round-off; outside [t_lo, t_hi] x sits on a
+            # plateau value, at s = 0
+            x = np.clip(t, self.t_lo, self.t_hi)
+            j = np.fmin((x - self.t_lo) / BB_GRID_STEP, self.nodes.size - 2).astype(np.intp)
+            j -= x < self.nodes[j]
+            j += x >= self.nodes[j + 1]
+            c0, c1, c2, c3 = self._cells
+            s = x - self.nodes[j]
+            ss = s * s
+            # scipy's PPoly order of operations, not Horner's
+            out = ((c3[j] + c2[j] * s) + c1[j] * ss) + c0[j] * (ss * s)
+        return float(out) if out.ndim == 0 else out
 
 
 def _bb_cumulative(demo: DemographyParams, rho: float, xs) -> np.ndarray:
@@ -307,10 +345,11 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     ts = np.append(ts[ts < t_hi - 1e-9], t_hi)
     mass = _bb_masses(ts, demo)
     table = mass[:, 0] / mass[:, 1]
+    cells = np.append(_pchip_cells(ts, table), [[0.0], [0.0], [0.0], table[-1:]], axis=1)
+    ts.flags.writeable = cells.flags.writeable = False
     return SupportRatioFn(mode="babyboom", value=float(table[0]),
-                          t_lo=float(ts[0]), t_hi=float(ts[-1]),
-                          _interp=PchipInterpolator(ts, table),
-                          _right_value=float(table[-1]))
+                          t_lo=float(ts[0]), t_hi=float(ts[-1]), nodes=ts,
+                          _cells=cells, _right_value=float(table[-1]))
 
 
 def bb_support_ratio(t, demo: DemographyParams):

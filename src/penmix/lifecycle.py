@@ -208,8 +208,8 @@ def _bb_leg(x, t, demo, eps: float):
     def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
         return np.expm1(eps * (y - t_lo)) / eps
 
-    leg = np.where(x < t_lo, fn(t_lo) * exp_leg(x),
-                   np.where(x > t_hi, cum[-1] + fn(t_hi) * (exp_leg(x) - exp_leg(t_hi)),
+    leg = np.where(x < t_lo, fn.value * exp_leg(x),
+                   np.where(x > t_hi, cum[-1] + fn._right_value * (exp_leg(x) - exp_leg(t_hi)),
                             inside.reshape(x.shape)))
     return np.exp(eps * (t_lo - t)) * leg
 
@@ -223,7 +223,8 @@ def _bb_m1(t, z, s: Scenario, eps: float):
     T = _life_end(z, s)
     t_ret = z + d.tau - d.a
     lo = np.minimum(np.maximum(t, t_ret), T)
-    plus = _bb_leg(T, t, d, eps) - _bb_leg(lo, t, d, eps)
+    top, bottom = _bb_leg(np.stack([T, lo]), t, d, eps)
+    plus = top - bottom
     minus = np.where(t < t_ret, (1 - p.tau1) / eps * np.expm1(eps * (t_ret - t)), 0.0)
     return np.where(t >= T - 1e-14, 0.0, plus - minus)
 

@@ -193,7 +193,10 @@ def _simulate_block(cfg: SimulationConfig, s: Scenario, tb: _CohortTables,
     (n_steps, n_draw) normal matrix.  Paths are laid out as [+Z of every
     block, then -Z of every block] under antithetic sampling.  Every update
     writes into buffers allocated once, with the operands of the Euler step
-    in a fixed order, so no path depends on the layout.
+    in a fixed order, so no path depends on the layout.  Each step does only
+    its life phase's arithmetic: workers carry the EET hedge and grow Y,
+    retirees add the annuity Y ann_rate, formed once because Y is frozen from
+    retirement on.
 
     Returns per-path utility, terminal X, Y(t0) (None without t0), probe X
     keyed by node, and the number of clamped G values.
@@ -228,6 +231,7 @@ def _simulate_block(cfg: SimulationConfig, s: Scenario, tb: _CohortTables,
     probe_x = {0: X.copy()} if 0 in probe_idx else {}
     clip = 0
     h_prev = 0.0
+    ann = None      # Y ann_rate, from the first retired step on
     for i, h in enumerate(dts):
         sq = math.sqrt(h)
         for rng, row in draws:
@@ -240,8 +244,9 @@ def _simulate_block(cfg: SimulationConfig, s: Scenario, tb: _CohortTables,
         np.add(X, G, out=G)
         np.multiply(Y, N[i], out=tmp)
         np.add(G, tmp, out=G)
-        clip += int(np.count_nonzero(np.less_equal(G, 0.0, out=low)))
-        np.maximum(G, 1e-12, out=G)
+        if not G.min() >= 1e-12:    # also when a G is NaN
+            clip += int(np.count_nonzero(np.less_equal(G, 0.0, out=low)))
+            np.maximum(G, 1e-12, out=G)
 
         # pi = pi_scale (nu G / (sigma (1 - delta))
         #                - (xi W M + beta Y N working) / sigma)
@@ -249,13 +254,14 @@ def _simulate_block(cfg: SimulationConfig, s: Scenario, tb: _CohortTables,
         np.divide(pi, pi_denom, out=pi)
         np.multiply(W, mk.xi, out=tmp)
         np.multiply(tmp, M[i], out=tmp)
-        np.multiply(Y, mk.beta, out=tmp2)
-        np.multiply(tmp2, N[i], out=tmp2)
-        np.multiply(tmp2, working[i], out=tmp2)
-        np.add(tmp, tmp2, out=tmp)
+        if working[i]:
+            np.multiply(Y, mk.beta, out=tmp2)
+            np.multiply(tmp2, N[i], out=tmp2)
+            np.add(tmp, tmp2, out=tmp)
         np.divide(tmp, mk.sigma, out=tmp)
         np.subtract(pi, tmp, out=pi)
-        np.multiply(pi, cfg.pi_scale, out=pi)
+        if cfg.pi_scale != 1.0:
+            np.multiply(pi, cfg.pi_scale, out=pi)
 
         # utility: trapezoid between the right value at node i - 1 and the
         # left limit at node i, which differs only at the retirement node
@@ -298,8 +304,10 @@ def _simulate_block(cfg: SimulationConfig, s: Scenario, tb: _CohortTables,
         np.add(tmp, tmp2, out=tmp)
         np.multiply(W, a_t[i], out=tmp2)
         np.add(tmp, tmp2, out=tmp)
-        np.multiply(Y, 0.0 if working[i] else tb.ann_rate, out=tmp2)
-        np.add(tmp, tmp2, out=tmp)
+        if not working[i]:
+            if ann is None:
+                ann = np.multiply(Y, tb.ann_rate)
+            np.add(tmp, ann, out=tmp)
         np.subtract(tmp, C, out=tmp)
         np.multiply(tmp, h, out=tmp)
         np.add(X, tmp, out=X)

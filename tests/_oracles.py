@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from penmix import demography, government, lifecycle, montecarlo, validate
 from penmix.preference import BB_SCAN_STEP
@@ -237,6 +238,15 @@ def quad_bb_support_ratio(t: float, demo) -> float:
     return mass(a, demo.tau) / mass(demo.tau, demo.omega)
 
 
+def pchip_support_ratio(demo):
+    """The baby-boom Lambda(t) table (worker over retiree mass at the table
+    nodes) and scipy's `PchipInterpolator` through it."""
+    nodes = demography.support_ratio_fn(demo).nodes
+    mass = demography._bb_masses(nodes, demo)
+    table = mass[:, 0] / mass[:, 1]
+    return table, PchipInterpolator(nodes, table)
+
+
 def scan_root_by_bisection(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
                            xtol: float = 1e-8):
     """Bracket-scan then bisect; returns (first root or None, crossing count).
@@ -444,6 +454,138 @@ def _mc_block(cfg, s: Scenario, tb, rng, n_draw: int, probe_idx):
         if i + 1 in probe_idx:
             probe_x[i + 1] = X.copy()
     util += 0.5 * h_prev * f_prev
+    return util, X, y_t0, probe_x, clip
+
+
+def simulate_block_both_phases(cfg, s: Scenario, tb, n_units: int, probe_idx):
+    """`montecarlo._simulate_block` with every step doing both life phases'
+    arithmetic: the EET hedge times `working`, the annuity times 0.0 for
+    workers, pi times pi_scale and the G clamp on every step.  The bit
+    reference of the phase-specific step loop: same blocks, streams, path
+    layout and buffers.
+
+    Returns per-path utility, terminal X, Y(t0) (None without t0), probe X
+    keyed by node, and the number of clamped G values.
+    """
+    mk = s.market
+    npath = 2 * n_units if cfg.antithetic else n_units
+    Z = np.empty(npath)
+    Z_plus, Z_minus = Z[:n_units], Z[n_units:]
+    draws = [(np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                 entropy=cfg.seed, spawn_key=(block,)))),
+              Z_plus[lo:lo + montecarlo.BLOCK])
+             for block, lo in enumerate(range(0, n_units, montecarlo.BLOCK))]
+    W = np.full(npath, tb.w_at_entry)
+    Y, X, util = np.zeros(npath), np.zeros(npath), np.zeros(npath)
+    W_new, G, pi, C, f_prev, f_right, f_left, g_w, g_y, tmp, tmp2 = (
+        np.empty(npath) for _ in range(11))
+    low = np.empty(npath, dtype=bool)
+
+    nu = validate(s).nu
+    delta = tb.delta
+    pi_denom = mk.sigma * (1.0 - delta)
+    drift_w = mk.gamma - 0.5 * mk.xi**2
+    drift_y = mk.alpha - 0.5 * mk.beta**2
+    excess = mk.mu - mk.r
+    dts, M, N, a_t = (tb.dts.tolist(), tb.M.tolist(), tb.N.tolist(),
+                      tb.a_t.tolist())
+    b_right, b_left = tb.b_right.tolist(), tb.b_left.tolist()
+    cr_right, cr_left = tb.cr_right.tolist(), tb.cr_left.tolist()
+    working = tb.working.tolist()
+
+    y_t0 = Y.copy() if tb.i_t0 == 0 else None
+    probe_x = {0: X.copy()} if 0 in probe_idx else {}
+    clip = 0
+    h_prev = 0.0
+    for i, h in enumerate(dts):
+        sq = math.sqrt(h)
+        for rng, row in draws:
+            rng.standard_normal(out=row)
+        if cfg.antithetic:
+            np.negative(Z_plus, out=Z_minus)
+
+        # G = X + M W + N Y, clamped at 1e-12
+        np.multiply(W, M[i], out=G)
+        np.add(X, G, out=G)
+        np.multiply(Y, N[i], out=tmp)
+        np.add(G, tmp, out=G)
+        clip += int(np.count_nonzero(np.less_equal(G, 0.0, out=low)))
+        np.maximum(G, 1e-12, out=G)
+
+        # pi = pi_scale (nu G / (sigma (1 - delta))
+        #                - (xi W M + beta Y N working) / sigma)
+        np.multiply(G, nu, out=pi)
+        np.divide(pi, pi_denom, out=pi)
+        np.multiply(W, mk.xi, out=tmp)
+        np.multiply(tmp, M[i], out=tmp)
+        np.multiply(Y, mk.beta, out=tmp2)
+        np.multiply(tmp2, N[i], out=tmp2)
+        np.multiply(tmp2, working[i], out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.divide(tmp, mk.sigma, out=tmp)
+        np.subtract(pi, tmp, out=pi)
+        np.multiply(pi, cfg.pi_scale, out=pi)
+
+        # utility: trapezoid between the right value at node i - 1 and the
+        # left limit at node i, which differs only at the retirement node
+        np.multiply(G, cr_right[i], out=C)
+        np.power(C, delta, out=f_right)
+        np.multiply(f_right, b_right[i], out=f_right)
+        np.divide(f_right, delta, out=f_right)
+        if i:
+            if b_left[i] == b_right[i] and cr_left[i] == cr_right[i]:
+                left = f_right
+            else:
+                left = f_left
+                np.multiply(G, cr_left[i], out=left)
+                np.power(left, delta, out=left)
+                np.multiply(left, b_left[i], out=left)
+                np.divide(left, delta, out=left)
+            np.add(f_prev, left, out=tmp)
+            np.multiply(tmp, 0.5 * h_prev, out=tmp)
+            np.add(util, tmp, out=util)
+        f_prev, f_right, h_prev = f_right, f_prev, h
+
+        np.multiply(Z, mk.xi * sq, out=g_w)
+        np.add(g_w, drift_w * h, out=g_w)
+        np.exp(g_w, out=g_w)
+        np.multiply(W, g_w, out=W_new)
+        if working[i]:
+            # Y <- Y g_y + k h / 2 (g_y W + W_new)
+            np.multiply(Z, mk.beta * sq, out=g_y)
+            np.add(g_y, drift_y * h, out=g_y)
+            np.exp(g_y, out=g_y)
+            np.multiply(g_y, W, out=tmp)
+            np.add(tmp, W_new, out=tmp)
+            np.multiply(tmp, cfg.k * h * 0.5, out=tmp)
+            np.multiply(Y, g_y, out=Y)
+            np.add(Y, tmp, out=Y)
+
+        # X <- X + (r X + (mu - r) pi + a W + ann Y - C) h + sigma pi sqrt(h) Z
+        np.multiply(X, mk.r, out=tmp)
+        np.multiply(pi, excess, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(W, a_t[i], out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(Y, 0.0 if working[i] else tb.ann_rate, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.subtract(tmp, C, out=tmp)
+        np.multiply(tmp, h, out=tmp)
+        np.add(X, tmp, out=X)
+        np.multiply(pi, mk.sigma, out=tmp)
+        np.multiply(tmp, sq, out=tmp)
+        np.multiply(tmp, Z, out=tmp)
+        np.add(X, tmp, out=X)
+        W, W_new = W_new, W
+
+        if i + 1 == tb.i_t0:
+            y_t0 = Y.copy()
+        if i + 1 in probe_idx:
+            probe_x[i + 1] = X.copy()
+    # final sliver: half-trapezoid with the terminal value dropped; the graded
+    # mesh makes its width (hence the omission) negligible
+    np.multiply(f_prev, 0.5 * h_prev, out=tmp)
+    np.add(util, tmp, out=util)
     return util, X, y_t0, probe_x, clip
 
 

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from penmix import DomainError, demography, load_scenario, preference
-from penmix.cli import main, mortality_scale
+from penmix.cli import _write_csv, main, mortality_scale
 
 
 def run(capsys, *argv):
@@ -59,6 +60,21 @@ def test_classify_csv_round_trip(capsys, scenario_dir, tmp_path):
         cols = line.split(",")
         rebuilt.append(",".join([f"{float(c):.17g}" for c in cols[:4]] + [cols[4]]))
     assert "\n".join(rebuilt) + "\n" == text
+
+
+def test_csv_cells_keep_their_text(tmp_path):
+    # floats (numpy ones too) print as %.17g, every other cell as str(), also
+    # in a column that mixes the two
+    rows = [(0.1, np.float64(1 / 3), 2, "a;b", 7, True, math.nan),
+            (-0.0, math.inf, 10**20, "", 2.5, None, 1e-300)]
+    out = tmp_path / "t.csv"
+    _write_csv(out, list("abcdefg"), rows)
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "a,b,c,d,e,f,g",
+        "0.10000000000000001,0.33333333333333331,2,a;b,7,True,nan",
+        "-0,inf,100000000000000000000,,2.5,None,1e-300"]
+    _write_csv(out, ["a"], [])
+    assert out.read_text(encoding="utf-8") == "a\n"
 
 
 def test_optimize_json(capsys, scenario_dir, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from penmix import DomainError, demography
 from penmix.scenario import BabyBoomParams
 
-from _oracles import quad_bb_support_ratio, trapezoid_annuity
+from _oracles import pchip_support_ratio, quad_bb_support_ratio, trapezoid_annuity
 
 # 50-digit evaluations of the survival formula at the US Makeham constants
 SURVIVAL_US_65 = 0.9549788295793718
@@ -252,11 +254,52 @@ BB_EDGE_BLOCKS = {"longer than omega - a": (dict(t2=-40.0 + 80.0), {}),
                                            dict(a=30.04, tau=64.97, omega=99.93))}
 
 
+def _edge_block_demo(d, name):
+    bb_changes, demo_changes = BB_EDGE_BLOCKS[name]
+    bb = dataclasses.replace(d.babyboom, t1=-40.0, **bb_changes)
+    return dataclasses.replace(d, babyboom=bb, **demo_changes)
+
+
 @pytest.mark.parametrize("name", BB_EDGE_BLOCKS)
 def test_bb_table_nodes_match_quad_oracle_on_edge_blocks(us_bb, name):
-    bb_changes, demo_changes = BB_EDGE_BLOCKS[name]
-    bb = dataclasses.replace(us_bb.demo.babyboom, t1=-40.0, **bb_changes)
-    _check_bb_table(dataclasses.replace(us_bb.demo, babyboom=bb, **demo_changes))
+    _check_bb_table(_edge_block_demo(us_bb.demo, name))
+
+
+def test_bb_cells_match_scipy_pchip(us_bb):
+    # the numpy Hermite cells are scipy's PCHIP interpolant of the table, at
+    # every node, one ulp either side of it and at 1e5 seeded points between
+    # them; the nodes return the table itself, and the cell of every point
+    # is the one searchsorted finds (the blocks' t1 put nodes on both sides
+    # of the rounded lattice index)
+    d = us_bb.demo
+    demos = [(name, dataclasses.replace(d, babyboom=bb)) for name, bb in _bb_blocks(d)]
+    demos += [(name, _edge_block_demo(d, name)) for name in BB_EDGE_BLOCKS]
+    # a table of one cell
+    demos.append(("two nodes", dataclasses.replace(
+        d, a=30.0, tau=30.02, omega=30.05,
+        babyboom=dataclasses.replace(d.babyboom, t2=d.babyboom.t1 + 0.01))))
+    for name, demo in demos:
+        fn = demography.support_ratio_fn(demo)
+        table, pchip = pchip_support_ratio(demo)
+        assert (fn.nodes.size == 2) == (name == "two nodes")
+        np.testing.assert_array_equal(fn(fn.nodes), table, err_msg=name)
+        inner = fn.nodes[1:-1]
+        ts = np.concatenate([fn.nodes, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+                             np.random.default_rng(7).uniform(fn.t_lo, fn.t_hi, 10**5)])
+        np.testing.assert_array_max_ulp(fn(ts), pchip(ts), maxulp=2)
+        j = np.searchsorted(fn.nodes, ts, side="right") - 1
+        s = ts - fn.nodes[j]
+        c0, c1, c2, c3 = fn._cells[:, j]
+        np.testing.assert_array_equal(
+            fn(ts), ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s), err_msg=name)
+
+
+def test_import_loads_no_scipy_interpolate():
+    code = ("import sys, penmix; "
+            "print([m for m in sys.modules if m.startswith('scipy.interpolate')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bb_scalar_calls_match_array_calls(us_bb):

@@ -7,7 +7,8 @@ import pytest
 from penmix import ConfigError, lifecycle, montecarlo, validate
 from penmix.montecarlo import SimulationConfig
 
-from _oracles import simulate_cohort_per_block, whole_span_time_grid
+from _oracles import (simulate_block_both_phases, simulate_cohort_per_block,
+                      whole_span_time_grid)
 
 FAST = dict(n_paths=2000, dt=0.05, seed=99)
 
@@ -212,6 +213,46 @@ def test_one_step_loop_matches_per_block_loop(request, case):
     assert rep == simulate_cohort_per_block(cfg, s, probe_times=probes)
     assert len(rep.probes) == len(probes)
     assert (rep.mean_y_at_t0 is not None) == (z < s.policy.t0)
+
+
+# (scenario fixture, z - t0, SimulationConfig fields) at 1 024 paths, dt 0.05
+STEP_CASES = {
+    "us-t0": ("us", 0.0, {}),
+    "us-t0-40": ("us", -40.0, {}),
+    "cn": ("cn", -10.0, {}),
+    "babyboom": ("us_bb", -30.0, {}),
+    "plain": ("us", -10.0, dict(n_paths=1500, antithetic=False)),
+    "pi-scale": ("us", -40.0, dict(pi_scale=1.5)),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_phase_specific_step_keeps_every_bit(request, case):
+    # each step does only its life phase's arithmetic; every path's utility,
+    # terminal X, Y(t0), probe X and the clip count equal those of the loop
+    # that does both phases' arithmetic on every step
+    name, dz, fields = STEP_CASES[case]
+    s = request.getfixturevalue(name)
+    z = s.policy.t0 + dz
+    cfg = SimulationConfig(z=z, theta=s.policy.theta0, k=s.policy.k0,
+                           **{**dict(n_paths=1024, dt=0.05, seed=17), **fields})
+    tb = montecarlo._build_tables(cfg, s)
+    probe_idx = {int(np.argmin(np.abs(tb.t - pt))): pt
+                 for pt in montecarlo._probe_times(z, s)}
+    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    util, X, y_t0, probe_x, clip = montecarlo._simulate_block(
+        cfg, s, tb, n_units, probe_idx)
+    ref = simulate_block_both_phases(cfg, s, tb, n_units, probe_idx)
+    np.testing.assert_array_equal(util, ref[0])
+    np.testing.assert_array_equal(X, ref[1])
+    assert (y_t0 is None) == (ref[2] is None) == (z >= s.policy.t0)
+    if y_t0 is not None:
+        np.testing.assert_array_equal(y_t0, ref[2])
+    assert probe_x.keys() == ref[3].keys() == probe_idx.keys()
+    for idx, arr in probe_x.items():
+        np.testing.assert_array_equal(arr, ref[3][idx])
+    assert clip == ref[4]
+    assert (clip > 0) == (cfg.pi_scale != 1.0)
 
 
 def test_entry_node_is_recorded(us):
