@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     UtilityExplosion,
 )
-from .scenario import Scenario, _number, load_scenario, validate, with_params
+from .scenario import Scenario, _number, _read_json, load_scenario, validate, with_params
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -221,10 +221,7 @@ def _apply_param(s: Scenario, path: str, value: float) -> Scenario:
 def _cmd_sweep(args) -> int:
     government._check_step(args.step)
     s = load_scenario(args.scenario)
-    try:
-        spec = json.loads(Path(args.spec).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.spec}: {exc}")
+    spec = _read_json(args.spec)
     if not isinstance(spec, dict):
         raise SchemaError("sweep spec must be a JSON object")
     for key in ("param1", "param2", "target"):
@@ -327,7 +324,7 @@ def main(argv=None) -> int:
     except (DomainError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:   # a defect in penmix itself, not in the input

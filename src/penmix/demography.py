@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -191,42 +190,73 @@ def _pchip_cells(x, y) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SupportRatioFn:
-    """Support ratio as a function of time.
-
-    In constant mode the value is t-independent. In babyboom mode the ratio is
-    tabulated on the nodes t_lo + BB_GRID_STEP * i (the last step shortened
-    to end at t_hi), a PCHIP-slope cubic Hermite cell between nodes, and
-    constant outside.
+    """The baby-boom support ratio Lambda(t), tabulated on the nodes
+    nodes[0] + BB_GRID_STEP * i (the last step shortened to end at
+    nodes[-1]), a PCHIP-slope cubic Hermite cell between nodes, and constant
+    outside.
     """
 
-    mode: str                    # "constant" | "babyboom"
-    value: float                 # constant-mode value (babyboom: left-plateau value)
-    t_lo: float = -math.inf
-    t_hi: float = math.inf
-    nodes: Optional[np.ndarray] = None   # babyboom: t_lo first, t_hi last
-    #: babyboom: per node, the cubic (`_pchip_cells`) of the cell it starts,
-    #: and at t_hi the constant right plateau
-    _cells: Optional[np.ndarray] = None
-    _right_value: float = 0.0
+    nodes: np.ndarray
+    #: per node, the cubic (`_pchip_cells`) of the cell it starts, and at
+    #: nodes[-1] the constant right plateau; row 3 is Lambda at the node
+    _cells: np.ndarray
+
+    def _cubic(self, j, x):
+        """Cell j's cubic at x (elementwise), in scipy's PPoly order of
+        operations, not Horner's."""
+        c0, c1, c2, c3 = self._cells[:, j]
+        s = x - self.nodes[j]
+        ss = s * s
+        return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.mode == "constant":
-            out = np.full_like(t, self.value)
-        else:
-            # the cell nodes[j] <= x < nodes[j + 1] from the node lattice,
-            # corrected for round-off; outside [t_lo, t_hi] x sits on a
-            # plateau value, at s = 0
-            x = np.clip(t, self.t_lo, self.t_hi)
-            j = np.fmin((x - self.t_lo) / BB_GRID_STEP, self.nodes.size - 2).astype(np.intp)
-            j -= x < self.nodes[j]
-            j += x >= self.nodes[j + 1]
-            c0, c1, c2, c3 = self._cells
-            s = x - self.nodes[j]
-            ss = s * s
-            # scipy's PPoly order of operations, not Horner's
-            out = ((c3[j] + c2[j] * s) + c1[j] * ss) + c0[j] * (ss * s)
+        # the cell nodes[j] <= x < nodes[j + 1] from the node lattice,
+        # corrected for round-off; outside the table x sits on a plateau
+        # value, at s = 0
+        t_lo = self.nodes[0]
+        x = np.clip(t, t_lo, self.nodes[-1])
+        j = np.fmin((x - t_lo) / BB_GRID_STEP, self.nodes.size - 2).astype(np.intp)
+        j -= x < self.nodes[j]
+        j += x >= self.nodes[j + 1]
+        out = self._cubic(j, x)
         return float(out) if out.ndim == 0 else out
+
+    def leg(self, x, t, eps: float):
+        """The integral of Lambda(u) e^{eps (u - t)} du from the table start
+        nodes[0] to x (x and t broadcast; x an array).
+
+        Closed forms on the two constant plateaus, the cumulative table
+        (`_leg_table`) up to the cell holding x, and one partial-cell
+        Gauss-Legendre panel inside it.
+        """
+        ts, cum = self.nodes, _leg_table(self, eps)
+        t_lo, t_hi = ts[0], ts[-1]
+        xin = np.clip(x, t_lo, t_hi).ravel()
+        j = np.clip(np.searchsorted(ts, xin, side="right") - 1, 0, ts.size - 2)
+        inside = cum[j] + _gauss_legendre(
+            ts[j], xin, lambda u: self._cubic(j[:, None], u) * np.exp(eps * (u - t_lo)))
+
+        def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
+            return np.expm1(eps * (y - t_lo)) / eps
+
+        leg = np.where(x < t_lo, self._cells[3, 0] * exp_leg(x),
+                       np.where(x > t_hi,
+                                cum[-1] + self._cells[3, -1] * (exp_leg(x) - exp_leg(t_hi)),
+                                inside.reshape(x.shape)))
+        return np.exp(eps * (t_lo - t)) * leg
+
+
+@lru_cache(maxsize=16)
+def _leg_table(fn: SupportRatioFn, eps: float) -> np.ndarray:
+    """The integral of Lambda(u) e^{eps (u - nodes[0])} from the first node
+    to each node: one Gauss-Legendre panel per cell, its points read on that
+    cell."""
+    ts = fn.nodes
+    j = np.arange(ts.size - 1)[:, None]
+    seg = _gauss_legendre(ts[:-1], ts[1:],
+                          lambda u: fn._cubic(j, u) * np.exp(eps * (u - ts[0])))
+    return np.append(0.0, np.cumsum(seg))
 
 
 def _bb_cumulative(demo: DemographyParams, rho: float, xs) -> np.ndarray:
@@ -331,9 +361,10 @@ def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
-    """Build (and cache) the support-ratio function for this demography."""
+    """Build (and cache) the baby-boom Lambda(t) table for this demography;
+    a constant entrant flow has the one ratio `support_ratio`."""
     if demo.babyboom is None:
-        return SupportRatioFn(mode="constant", value=support_ratio(demo))
+        raise DomainError("scenario has no babyboom parameters")
 
     bb = demo.babyboom
     # Lambda(t) is constant outside [t1, t2 + omega - a]: before t1 every living
@@ -347,13 +378,9 @@ def support_ratio_fn(demo: DemographyParams) -> SupportRatioFn:
     table = mass[:, 0] / mass[:, 1]
     cells = np.append(_pchip_cells(ts, table), [[0.0], [0.0], [0.0], table[-1:]], axis=1)
     ts.flags.writeable = cells.flags.writeable = False
-    return SupportRatioFn(mode="babyboom", value=float(table[0]),
-                          t_lo=float(ts[0]), t_hi=float(ts[-1]), nodes=ts,
-                          _cells=cells, _right_value=float(table[-1]))
+    return SupportRatioFn(nodes=ts, _cells=cells)
 
 
 def bb_support_ratio(t, demo: DemographyParams):
     """Time-varying support ratio under the baby-boom entrant flow."""
-    if demo.babyboom is None:
-        raise DomainError("scenario has no babyboom parameters")
     return support_ratio_fn(demo)(t)

@@ -215,18 +215,33 @@ def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
     return float((g.weights[mode] * G ** g.power).sum())
 
 
-def _terms_in_place(out: np.ndarray, slope: np.ndarray, x: float, base: np.ndarray,
-                    power: np.ndarray, w: np.ndarray) -> bool:
-    """out = w G^power with G = slope x + base, written in place, each
-    step with the bits `_welfare` gives it; False, with out spoilt, when
-    some G <= 0."""
-    np.multiply(slope, x, out=out)
-    np.add(out, base, out=out)
-    if out.min() <= 0.0:
-        return False
-    np.power(out, power, out=out)
-    np.multiply(out, w, out=out)
-    return True
+def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarray,
+            cut: int = 0):
+    """x -> sum w G^power with G = base + slope x, bit for bit `_welfare`.
+
+    The rows before `cut` have slope 0: their terms go into a buffer once,
+    and each call rewrites the rest of it in place and sums the whole buffer
+    in table order, the sum `_welfare` takes.  A tail row of slope 0 keeps
+    its base bits, since slope x = 0.
+    """
+    head = base[:cut]
+    if (head <= 0.0).any():
+        return lambda x: -math.inf
+    terms = np.empty(w.size)
+    np.power(head, power[:cut], out=terms[:cut])
+    terms[:cut] *= w[:cut]
+    tail, base, slope, w, power = terms[cut:], base[cut:], slope[cut:], w[cut:], power[cut:]
+
+    def phi(x):
+        np.multiply(slope, x, out=tail)
+        np.add(tail, base, out=tail)
+        if tail.min() <= 0.0:
+            return -math.inf
+        np.power(tail, power, out=tail)
+        np.multiply(tail, w, out=tail)
+        return float(terms.sum())
+
+    return phi
 
 
 def _resources(g: CohortGrid, theta: float, k) -> np.ndarray:
@@ -261,7 +276,7 @@ def objective(theta: float, k: float, s: Scenario, mode: str = "population",
                else "future entrants have")
         raise InsolventCohort(
             f"{who} nonpositive resource G at (theta, k) = ({theta}, {k})")
-    return float((g.weights[mode] * G ** g.power).sum())
+    return _welfare(g, G, mode)
 
 
 def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
@@ -407,36 +422,17 @@ def _k_section(g: CohortGrid, theta: float, mode: str):
     """(segment, phi): theta's solvent k-segment in [0, m - theta], None
     when empty, and k -> phi(theta, k), bit for bit `_phi`.
 
-    The segment reads the `solvency` rows only.  The head of the welfare
-    sum, live slots [0, k_cut), is k-free: its terms w G^power go into a
-    buffer of live length once.  Each phi call rewrites the tail view of
-    that buffer in place from the base c0 + c1 theta formed once (a k-free
-    tail row keeps its base bits, since c2 k = 0) and sums the whole
-    buffer in table order, the sum `_welfare` takes.
+    The segment reads the `solvency` rows only; phi is the `_scorer` of
+    the live rows' base c0 + c1 theta, formed once, and slope c2, whose
+    k-free head ends at `k_cut`.
     """
     s0, s1, s2 = g.rows[g.solvency].T
     seg = _feasible_interval(s0 + s1 * theta, s2, 0.0, g.m - theta)
     if seg is not None and seg[0] > seg[1]:
         seg = None
-    cut = g.k_cut
     c0, c1, c2 = g.rows.T
-    base = (c0 + c1 * theta)[g.live]
-    head = base[:cut]
-    if (head <= 0.0).any():
-        return seg, lambda k: -math.inf
-    w, power = g.weights[mode], g.power
-    terms = np.empty(w.size)
-    np.power(head, power[:cut], out=terms[:cut])
-    terms[:cut] *= w[:cut]
-    tail, base, c2 = terms[cut:], base[cut:], c2[g.live][cut:]
-    w, power = w[cut:], power[cut:]
-
-    def phi(k):
-        if not _terms_in_place(tail, c2, k, base, power, w):
-            return -math.inf
-        return float(terms.sum())
-
-    return seg, phi
+    return seg, _scorer((c0 + c1 * theta)[g.live], c2[g.live], g.weights[mode], g.power,
+                        g.k_cut)
 
 
 def optimize_mix(s: Scenario, mode: str = "population",
@@ -581,19 +577,10 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
 
 
 def _voluntary_phi(g: CohortGrid, mode: str):
-    """theta -> welfare under voluntary EET, bit for bit `_welfare`; the
-    live rows' d0 and d1 are gathered once, and each call writes its
-    resources, terms and sum in place in one buffer."""
+    """theta -> welfare under voluntary EET: the `_scorer` of the live
+    rows' d0 + d1 theta."""
     d0, d1 = g.vol_rows[g.live].T.copy()
-    w, power = g.weights[mode], g.power
-    terms = np.empty(w.size)
-
-    def phi(theta):
-        if not _terms_in_place(terms, d1, theta, d0, power, w):
-            return -math.inf
-        return float(terms.sum())
-
-    return phi
+    return _scorer(d0, d1, g.weights[mode], g.power)
 
 
 def voluntary_objective(theta: float, s: Scenario, mode: str = "population",

@@ -181,49 +181,16 @@ def _coef_arrays(t, z, s: Scenario):
     return M1, M2, M3, N
 
 
-@lru_cache(maxsize=16)
-def _bb_leg_table(demo, eps: float):
-    """Lambda(t) table nodes and the cumulative integral of
-    Lambda(u) e^{eps (u - t_lo)} from the first node t_lo to each node."""
-    fn = demography.support_ratio_fn(demo)
-    ts = fn.nodes
-    seg = _gauss_legendre(ts[:-1], ts[1:], lambda u: fn(u) * np.exp(eps * (u - ts[0])))
-    return ts, np.append(0.0, np.cumsum(seg))
-
-
-def _bb_leg(x, t, demo, eps: float):
-    """integral of Lambda(u) e^{eps (u - t)} du from the table start t_lo to x.
-
-    Closed forms on the two constant plateaus, the cumulative table up to the
-    cell holding x, and one partial-cell Gauss-Legendre panel inside it.
-    """
-    fn = demography.support_ratio_fn(demo)
-    ts, cum = _bb_leg_table(demo, eps)
-    t_lo, t_hi = ts[0], ts[-1]
-    xin = np.clip(x, t_lo, t_hi).ravel()
-    j = np.clip(np.searchsorted(ts, xin, side="right") - 1, 0, ts.size - 2)
-    inside = cum[j] + _gauss_legendre(
-        ts[j], xin, lambda u: fn(u) * np.exp(eps * (u - t_lo)))
-
-    def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
-        return np.expm1(eps * (y - t_lo)) / eps
-
-    leg = np.where(x < t_lo, fn.value * exp_leg(x),
-                   np.where(x > t_hi, cum[-1] + fn._right_value * (exp_leg(x) - exp_leg(t_hi)),
-                            inside.reshape(x.shape)))
-    return np.exp(eps * (t_lo - t)) * leg
-
-
 def _bb_m1(t, z, s: Scenario, eps: float):
     """Time-varying-support-ratio M1 at times t for entry times z (broadcast):
-    benefit leg from the cumulative Lambda(t) integral minus the closed
-    contribution leg."""
+    the benefit leg of the Lambda(t) table (`SupportRatioFn.leg`) minus the
+    closed contribution leg."""
     d, p = s.demo, s.policy
     t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
     T = _life_end(z, s)
     t_ret = z + d.tau - d.a
     lo = np.minimum(np.maximum(t, t_ret), T)
-    top, bottom = _bb_leg(np.stack([T, lo]), t, d, eps)
+    top, bottom = demography.support_ratio_fn(d).leg(np.stack([T, lo]), t, eps)
     plus = top - bottom
     minus = np.where(t < t_ret, (1 - p.tau1) / eps * np.expm1(eps * (t_ret - t)), 0.0)
     return np.where(t >= T - 1e-14, 0.0, plus - minus)

@@ -150,9 +150,9 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
     M = M1 * cfg.theta + M2 * cfg.k + M3
     working = u < ret_u - 1e-12
     # retirees draw theta times the support ratio at each mesh time: Lambda(t)
-    # under a baby boom, the constant ratio otherwise
-    a_t = np.where(working, (1 - cfg.theta - cfg.k) * (1 - p.tau1),
-                   cfg.theta * demography.support_ratio_fn(d)(tg))
+    # under a baby boom, the validated constant ratio otherwise
+    lam = dc.Lambda if d.babyboom is None else demography.support_ratio_fn(d)(tg)
+    a_t = np.where(working, (1 - cfg.theta - cfg.k) * (1 - p.tau1), cfg.theta * lam)
     with np.errstate(divide="ignore"):
         cr_right = np.where(L > 0, (L / b_right) ** (1.0 / (delta - 1.0)), np.inf)
         cr_left = np.where(L > 0, (L / b_left) ** (1.0 / (delta - 1.0)), np.inf)

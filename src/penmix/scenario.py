@@ -317,13 +317,18 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _read_json(path):
+    """The JSON document in a UTF-8 file; ParseError when the file is not
+    UTF-8 or not JSON (an unreadable path raises its OSError)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Parse a scenario JSON file. Raises ParseError / SchemaError."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     return scenario_from_dict(doc)

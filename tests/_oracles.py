@@ -204,6 +204,33 @@ def quad_bb_m1(t: float, z: float, s: Scenario) -> float:
 
 
 
+def bb_leg_by_search(x, t, demo, eps: float):
+    """The integral of Lambda(u) e^{eps (u - t)} du from the first Lambda(t)
+    table node to x, computed outside the table: every Gauss-Legendre point
+    goes through `SupportRatioFn.__call__`, which finds its cell again, and
+    the plateaus are Lambda at the end nodes.  A cumulative table over the
+    cells, closed forms on the plateaus and one partial-cell panel at x.
+    """
+    fn = demography.support_ratio_fn(demo)
+    ts = fn.nodes
+    seg = demography._gauss_legendre(ts[:-1], ts[1:],
+                                     lambda u: fn(u) * np.exp(eps * (u - ts[0])))
+    cum = np.append(0.0, np.cumsum(seg))
+    t_lo, t_hi = ts[0], ts[-1]
+    xin = np.clip(x, t_lo, t_hi).ravel()
+    j = np.clip(np.searchsorted(ts, xin, side="right") - 1, 0, ts.size - 2)
+    inside = cum[j] + demography._gauss_legendre(
+        ts[j], xin, lambda u: fn(u) * np.exp(eps * (u - t_lo)))
+
+    def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
+        return np.expm1(eps * (y - t_lo)) / eps
+
+    leg = np.where(x < t_lo, fn(t_lo) * exp_leg(x),
+                   np.where(x > t_hi, cum[-1] + fn(t_hi) * (exp_leg(x) - exp_leg(t_hi)),
+                            inside.reshape(x.shape)))
+    return np.exp(eps * (t_lo - t)) * leg
+
+
 def quad_bb_support_ratio(t: float, demo) -> float:
     """Baby-boom Lambda(t): worker over retiree mass, each the integral of
     n(t - u + a) s(u) by adaptive quadrature split at the regime kinks

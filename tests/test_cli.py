@@ -348,6 +348,30 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_directory_paths_are_usage_errors(capsys, scenario_dir, tmp_path):
+    # a directory as the scenario or as --out is an unreadable or unwritable
+    # path, like a missing file, not a defect
+    for argv in (("validate", str(tmp_path)),
+                 ("classify", str(scenario_dir / "scenario_us.json"), "--step", "5",
+                  "--out", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "internal" not in err, argv
+
+
+def test_non_utf8_inputs_are_parse_errors(capsys, scenario_dir, tmp_path):
+    text = (scenario_dir / "scenario_us.json").read_text()
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(text.replace('"market"', '"märket"').encode("latin-1"))
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"target": "theta_star", "param1": "caf\xe9"}')
+    for argv in (("validate", str(latin)),
+                 ("sweep", str(scenario_dir / "scenario_us.json"), "--spec", str(spec))):
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert out == "" and err.startswith("error: ") and "internal" not in err, argv
+
+
 def test_mortality_scale_identity_and_direction(us):
     same = mortality_scale(us, 1.0)
     assert same == us

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penmix import DomainError, demography
+from penmix import DomainError, demography, validate
 from penmix.scenario import BabyBoomParams
 
-from _oracles import pchip_support_ratio, quad_bb_support_ratio, trapezoid_annuity
+from _oracles import (bb_leg_by_search, pchip_support_ratio, quad_bb_support_ratio,
+                      trapezoid_annuity)
 
 # 50-digit evaluations of the survival formula at the US Makeham constants
 SURVIVAL_US_65 = 0.9549788295793718
@@ -134,6 +135,9 @@ def test_bb_entrants_continuity(us_bb):
 def test_bb_requires_parameters(us):
     with pytest.raises(DomainError):
         demography.bb_support_ratio(0.0, us.demo)
+    # a constant entrant flow has one ratio, `support_ratio`, and no table
+    with pytest.raises(DomainError, match="no babyboom parameters"):
+        demography.support_ratio_fn(us.demo)
 
 
 def test_bb_pre_boom_plateau_matches_constant_model(us_bb):
@@ -185,7 +189,7 @@ def test_bb_table_ends_exactly_at_post_boom_plateau(us_bb):
     demo = dataclasses.replace(d, babyboom=bb)
     t_hi = bb.t2 + d.omega - d.a
     fn = demography.support_ratio_fn(demo)
-    assert fn.t_hi == t_hi
+    assert fn.nodes[-1] == t_hi
     for rho, ts in ((bb.rho1, (bb.t1 - 5.0, bb.t1)), (bb.rho2, (t_hi, t_hi + 5.0))):
         expect = demography.support_ratio(dataclasses.replace(d, babyboom=None, rho=rho))
         for t in ts:
@@ -285,7 +289,7 @@ def test_bb_cells_match_scipy_pchip(us_bb):
         np.testing.assert_array_equal(fn(fn.nodes), table, err_msg=name)
         inner = fn.nodes[1:-1]
         ts = np.concatenate([fn.nodes, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
-                             np.random.default_rng(7).uniform(fn.t_lo, fn.t_hi, 10**5)])
+                             np.random.default_rng(7).uniform(fn.nodes[0], fn.nodes[-1], 10**5)])
         np.testing.assert_array_max_ulp(fn(ts), pchip(ts), maxulp=2)
         j = np.searchsorted(fn.nodes, ts, side="right") - 1
         s = ts - fn.nodes[j]
@@ -304,8 +308,28 @@ def test_import_loads_no_scipy_interpolate():
 
 def test_bb_scalar_calls_match_array_calls(us_bb):
     fn = demography.support_ratio_fn(us_bb.demo)
-    ts = np.concatenate([[fn.t_lo - 1.0, fn.t_lo, fn.t_hi, fn.t_hi + 1.0],
-                         np.linspace(fn.t_lo, fn.t_hi, 37)])
+    t_lo, t_hi = fn.nodes[0], fn.nodes[-1]
+    ts = np.concatenate([[t_lo - 1.0, t_lo, t_hi, t_hi + 1.0], np.linspace(t_lo, t_hi, 37)])
     scalars = [fn(float(t)) for t in ts]
     assert all(type(v) is float for v in scalars)
     assert scalars == fn(ts).tolist()
+
+
+def test_bb_leg_matches_search_oracle(us_bb):
+    # each Gauss-Legendre point read on its known cell gives the bits of the
+    # per-point cell search, on both plateaus, at every node, one ulp either
+    # side of it and at 1e4 seeded interior points, for two rates
+    eps = validate(us_bb).epsilon
+    rng = np.random.default_rng(11)
+    for name, bb in _bb_blocks(us_bb.demo):
+        demo = dataclasses.replace(us_bb.demo, babyboom=bb)
+        fn = demography.support_ratio_fn(demo)
+        t_lo, t_hi = fn.nodes[0], fn.nodes[-1]
+        x = np.concatenate([[t_lo - 30.0, t_lo - 1e-3, t_hi + 1e-3, t_hi + 30.0], fn.nodes,
+                            np.nextafter(fn.nodes, -np.inf), np.nextafter(fn.nodes, np.inf),
+                            rng.uniform(t_lo, t_hi, 10**4)])
+        x = np.stack([x, rng.permutation(x)])
+        t = rng.uniform(t_lo - 40.0, t_hi, x.shape[1])
+        for rate in (eps, -0.5 * eps):
+            np.testing.assert_array_equal(fn.leg(x, t, rate), bb_leg_by_search(x, t, demo, rate),
+                                          err_msg=name)

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from penmix import ConfigError, lifecycle, montecarlo, validate
+from penmix import ConfigError, demography, lifecycle, montecarlo, validate
 from penmix.montecarlo import SimulationConfig
+from penmix.scenario import with_params
 
 from _oracles import (simulate_block_both_phases, simulate_cohort_per_block,
                       whole_span_time_grid)
@@ -174,6 +175,19 @@ def test_constant_flow_retiree_benefit_is_the_validated_ratio(us):
     assert retired.any()
     assert np.array_equal(tb.a_t[retired],
                           np.full(retired.sum(), 0.08 * validate(us).Lambda))
+
+
+def test_constant_flow_simulation_adds_no_quadrature(us, monkeypatch):
+    # a fresh scenario's adaptive quad calls are validate's three (the two
+    # support-ratio masses and the annuity factor); the simulation reads the
+    # validated ratio instead of computing it again
+    calls = []
+    quad = demography.quad
+    monkeypatch.setattr(demography, "quad", lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    fresh = with_params(us, **{"demo.A": us.demo.A * 1.0001})
+    montecarlo.simulate_cohort(SimulationConfig(z=-30.0, theta=0.08, k=0.12, n_paths=16,
+                                                dt=0.5), fresh)
+    assert len(calls) == 3
 
 
 def test_babyboom_verify_rows_pass(us_bb):
