@@ -30,7 +30,8 @@ from .errors import (
     SchemaError,
     UtilityExplosion,
 )
-from .scenario import Scenario, _number, _read_json, load_scenario, validate, with_params
+from .scenario import (Scenario, _number, _read_json, check_step, load_scenario, validate,
+                       with_params)
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -176,15 +177,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_babyboom(args) -> int:
-    if not (args.grid > 0 and math.isfinite(args.grid)):
-        raise DomainError(f"grid step must be positive and finite (got {args.grid})")
     s = load_scenario(args.scenario)
     if s.demo.babyboom is None:
         raise SchemaError("scenario has no demography.babyboom block")
     bb = s.demo.babyboom
-    fn = demography.support_ratio_fn(s.demo)
     lo = bb.t1 - 5.0
     hi = bb.t2 + (s.demo.omega - s.demo.a) + 5.0
+    check_step(args.grid, hi - lo, "grid step")
+    fn = demography.support_ratio_fn(s.demo)
     ts = np.arange(lo, hi + 1e-9, args.grid)
     rows = zip(ts.tolist(), demography.bb_entrants(ts, bb).tolist(), fn(ts).tolist())
     _write_csv(args.out, ["t", "n", "Lambda"], rows)

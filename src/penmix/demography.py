@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._quadpack import quad
 from .errors import DomainError
 from .scenario import BabyBoomParams, DemographyParams
 
@@ -106,6 +106,10 @@ def annuity_factor(demo: DemographyParams, r: float) -> float:
     scale = (demo.B / lnc) * demo.c**demo.tau
 
     def exponent(t):
+        # without a Makeham term (B = 0) its expm1 would overflow as upper
+        # doubles past ~700 / ln c; x - 0.0 * finite is x, so the bits hold
+        if scale == 0:
+            return -(r + demo.A) * t
         return -(r + demo.A) * t - scale * math.expm1(t * lnc)
 
     upper = 1.0

@@ -18,7 +18,7 @@ import numpy as np
 from . import demography
 from .demography import _gauss_legendre, _panels
 from .errors import DomainError, InsolventCohort
-from .scenario import Scenario, delta_for_entry, validate
+from .scenario import Scenario, check_step, delta_for_entry, validate
 
 
 @dataclass(frozen=True)
@@ -390,12 +390,11 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     they are evaluated just inside the boundary.  A cohort entered by t0
     switches from (theta0, k0) to the given rates at the first node.
     """
-    if not (grid > 0 and math.isfinite(grid)):
-        raise DomainError(f"grid step must be positive and finite (got {grid})")
     p, mk = s.policy, s.market
     delta = delta_for_entry(z, s)
     start = max(z, p.t0)
     T = _life_end(z, s)
+    check_step(grid, T - start, "grid step")
     n = int(math.ceil((T - start) / grid - 1e-9))
     ts = np.minimum(start + grid * np.arange(n + 1), T)
     if ts[-1] < T - 1e-12:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lifecycle import _bb_m1, _coef_kernel
-from .scenario import Scenario, validate
+from .scenario import Scenario, check_step, validate
 
 #: half-width of the indifference band: coefficient magnitudes below this are
 #: reported as ties (exact zeros occur only at analytically constructed cases)
@@ -287,9 +287,8 @@ def _analyse(s: Scenario):
 
 def preference_map(s: Scenario, step: float = 1.0) -> PreferenceReport:
     """Full preference report with per-age orderings on a grid over [a, omega]."""
-    if not (step > 0 and math.isfinite(step)):
-        raise DomainError(f"age step must be positive and finite (got {step})")
     d = s.demo
+    check_step(step, d.omega - d.a, "age step")
     n = math.floor((d.omega - d.a) / step + 1e-9)
     ages = np.minimum(d.a + step * np.arange(n + 1), d.omega)
     columns = (v.tolist() for v in _tilde_arrays(ages, s))

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .errors import (
     DegenerateDrift,
+    DomainError,
     OrderingViolation,
     ParseError,
     SchemaError,
@@ -259,6 +260,21 @@ def _number(value, name: str) -> float:
             or not math.isfinite(value)):
         raise SchemaError(f"field {name} must be a finite number (got {value!r})")
     return float(value)
+
+
+#: the most nodes a user-given grid step may put on its span
+MAX_GRID_NODES = 10**6
+
+
+def check_step(step: float, span: float, what: str) -> None:
+    """DomainError unless the grid step is positive and finite and puts at
+    most MAX_GRID_NODES nodes on span (years), checked before any grid is
+    built."""
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"{what} must be positive and finite (got {step})")
+    if span / step > MAX_GRID_NODES:
+        raise DomainError(f"{what} too small: more than {MAX_GRID_NODES} nodes "
+                          f"over {span:g} years (got {step})")
 
 
 def _numbers(section, section_name: str, names, **defaults) -> dict:

@@ -263,6 +263,43 @@ def test_age_and_time_steps_must_be_positive_and_finite(capsys, scenario_dir, tm
     assert err == f"error: {message} must be positive and finite (got {float(value)})\n"
 
 
+@pytest.mark.parametrize("value", ["1e-300", "5e-324", "1e-5", "6.9e-5"])
+@pytest.mark.parametrize("command, option, message", [
+    ("classify", "--step", "age step"),
+    ("paths", "--grid", "grid step"),
+    ("babyboom", "--grid", "grid step"),
+])
+def test_tiny_steps_are_usage_errors(capsys, scenario_dir, tmp_path, command, option,
+                                     message, value):
+    # every value here is refused by the node bound before any grid exists;
+    # paths asks for the entering cohort (zeta = a), which lives omega - a
+    path = scenario_dir / "scenario_us_babyboom.json"
+    d = load_scenario(path).demo
+    span = d.omega - d.a
+    if command == "babyboom":   # the table's span with 5 years either side
+        span += d.babyboom.t2 - d.babyboom.t1 + 10.0
+    out_file = tmp_path / "out.csv"
+    extra = ["--zeta", str(d.a), "--theta", "0.08", "--k", "0.12"] if command == "paths" else []
+    code, out, err = run(capsys, command, str(path), *extra, option, value,
+                         "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err == (f"error: {message} too small: more than 1000000 nodes "
+                   f"over {span:g} years (got {float(value)})\n")
+
+
+def test_validate_without_makeham_term(capsys, scenario_dir, tmp_path):
+    # B = 0: the annuity integrand is e^{-(r + A) t}, whose integral is 1/(r + A)
+    doc = json.loads((scenario_dir / "scenario_us.json").read_text())
+    doc["demography"].update(B=0, A=0.0005, rho=-0.03)
+    doc["market"]["r"] = 0.004
+    path = tmp_path / "no_makeham.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0, err
+    assert json.loads(out)["a_tau"] == pytest.approx(1.0 / (0.004 + 0.0005), rel=1e-14)
+
+
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
 def test_grid_step_must_be_positive_and_finite(capsys, scenario_dir, tmp_path, command, step):

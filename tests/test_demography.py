@@ -298,12 +298,25 @@ def test_bb_cells_match_scipy_pchip(us_bb):
             fn(ts), ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s), err_msg=name)
 
 
-def test_import_loads_no_scipy_interpolate():
-    code = ("import sys, penmix; "
-            "print([m for m in sys.modules if m.startswith('scipy.interpolate')])")
+def test_import_loads_no_scipy(scenario_dir):
+    # the runtime is numpy only: no scipy module after importing the package,
+    # importing the CLI, or a validate run (its three adaptive integrals)
+    code = f"""
+import contextlib, io, sys
+def scipy():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import penmix
+loaded = [scipy()]
+import penmix.cli
+loaded.append(scipy())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert penmix.cli.main(["validate", {str(scenario_dir / "scenario_us.json")!r}]) == 0
+loaded.append(scipy())
+print(loaded)
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[[], [], []]"
 
 
 def test_bb_scalar_calls_match_array_calls(us_bb):
