@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +96,7 @@ def mortality_scale(s: Scenario, delta: float) -> Scenario:
 def _cmd_validate(args) -> int:
     s = load_scenario(args.scenario)
     dc = validate(s)
-    doc = {name: getattr(dc, name)
-           for name in ("nu", "epsilon", "epsilon_tilde", "Lambda", "a_tau",
-                        "L0", "M01", "M02", "M03")}
+    doc = asdict(dc)
     doc["dependency_ratio"] = 1.0 / dc.Lambda
     _emit_json(doc, args.out)
     return 0
@@ -219,8 +218,9 @@ def _apply_param(s: Scenario, path: str, value: float) -> Scenario:
 
 
 def _cmd_sweep(args) -> int:
-    government._check_step(args.step)
     s = load_scenario(args.scenario)
+    first, tail_start = government._z_span(s)
+    check_step(args.step, tail_start - first, "z-grid step")
     spec = _read_json(args.spec)
     if not isinstance(spec, dict):
         raise SchemaError("sweep spec must be a JSON object")

@@ -7,13 +7,14 @@ being alive at the entry age a.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._quadpack import quad
-from .errors import DomainError
+from .errors import DomainError, OrderingViolation
 from .scenario import BabyBoomParams, DemographyParams
 
 #: absolute quadrature tolerance for the demographic integrals
@@ -88,9 +89,18 @@ def lambda_segment(lo: float, hi: float, demo: DemographyParams) -> float:
 
 
 def support_ratio(demo: DemographyParams) -> float:
-    """Workers per retiree mass; its inverse is the dependency ratio."""
-    return (lambda_segment(demo.a, demo.tau, demo)
-            / lambda_segment(demo.tau, demo.omega, demo))
+    """Workers per retiree mass; its inverse is the dependency ratio.
+
+    OrderingViolation when the retiree mass is not a positive normal float:
+    mortality so steep that it underflows leaves no ratio to take.
+    """
+    workers = lambda_segment(demo.a, demo.tau, demo)
+    retirees = lambda_segment(demo.tau, demo.omega, demo)
+    if not retirees >= sys.float_info.min:
+        raise OrderingViolation(
+            f"retiree mass over [tau, omega] = {retirees:g} underflows: the "
+            f"Makeham mortality (c = {demo.c}) leaves no retirees")
+    return workers / retirees
 
 
 def annuity_factor(demo: DemographyParams, r: float) -> float:

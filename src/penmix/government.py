@@ -10,7 +10,7 @@ table makes each objective evaluation a vectorized array expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import demography, lifecycle, preference
 from .errors import DomainError, EmptyRegion, InsolventCohort
-from .scenario import Scenario, validate
+from .scenario import Scenario, check_step, validate
 
 #: default composite-Simpson step (years) on the entry-time grid
 Z_STEP = 0.05
@@ -133,14 +133,19 @@ class CohortGrid:
         return int(dep[0]) if dep.size else int(np.count_nonzero(self.live)) - 1
 
 
-def _check_step(step: float) -> None:
-    if not (step > 0 and math.isfinite(step)):
-        raise DomainError(f"z-grid step must be positive and finite (got {step})")
+def _z_span(s: Scenario) -> tuple:
+    """(first, tail_start): the entry time of the oldest cohort alive at t0,
+    and the first entry time from which the future entrants spend their
+    whole benefit window in the settled regime (t0 without a baby boom)."""
+    d, t0 = s.demo, s.policy.t0
+    tail_start = t0 if d.babyboom is None else max(t0, d.babyboom.t2 + d.omega - d.tau)
+    return t0 - (d.omega - d.a), tail_start
 
 
 @lru_cache(maxsize=8)
 def _grid(s: Scenario, step: float) -> CohortGrid:
-    _check_step(step)
+    first, tail_start = _z_span(s)
+    check_step(step, tail_start - first, "z-grid step")
     d, p, mk, f = s.demo, s.policy, s.market, s.pref
     dc = validate(s)
     t0 = p.t0
@@ -148,7 +153,7 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
 
     # split at the worker/retiree class boundary: delta and the integrand's
     # smoothness change at z = t0 - tau + a
-    z_ret, w_ret = _simpson(t0 - (d.omega - d.a), t0 - (d.tau - d.a), step)
+    z_ret, w_ret = _simpson(first, t0 - (d.tau - d.a), step)
     z_wrk, w_wrk = _simpson(t0 - (d.tau - d.a), t0, step)
     zs = np.concatenate([z_ret, z_wrk])
     wts = np.concatenate([w_ret, w_wrk])
@@ -169,7 +174,6 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     # entrants from tail_start on spend their whole benefit window in the
     # settled regime, where validate's rho (its margin checked there) and M01
     # hold: a closed form.  Before it, under a baby boom, Simpson nodes.
-    tail_start = t0 if d.babyboom is None else max(t0, d.babyboom.t2 + d.omega - d.tau)
     fut_z, fut_w = _simpson(t0, tail_start, step) if tail_start > t0 else (np.empty(0),) * 2
     fut_M1 = lifecycle._bb_m1(fut_z, fut_z, s, dc.epsilon) if fut_z.size else fut_z
     fut_coef = (fut_w * demography.entrants(fut_z, d)
@@ -359,12 +363,9 @@ class OptimalMix:
     evaluations: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "theta_star": self.theta_star, "k_star": self.k_star,
-            "objective": self.objective, "weighting": self.weighting,
-            "cap_binding": self.cap_binding, "grid_step": self.grid_step,
-            "mode": self.mode,
-        }
+        doc = asdict(self)
+        del doc["evaluations"]
+        return doc
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-7, ends: bool = False):

@@ -14,14 +14,14 @@ wealth statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import demography, lifecycle
-from .errors import ConfigError
-from .scenario import Scenario, delta_for_entry, validate
+from .errors import ConfigError, DomainError
+from .scenario import Scenario, check_step, delta_for_entry, validate
 
 #: pairs (or single paths) simulated per reproducible stream block
 BLOCK = 1024
@@ -65,18 +65,7 @@ class SimulationReport:
     probes: tuple = field(default=())   # (t, mean_X, se_X) rows
 
     def to_dict(self) -> dict:
-        return {
-            "mean_utility": self.mean_utility,
-            "se_utility": self.se_utility,
-            "closed_form_value": self.closed_form_value,
-            "mean_terminal_wealth": self.mean_terminal_wealth,
-            "se_terminal_wealth": self.se_terminal_wealth,
-            "mean_y_at_t0": self.mean_y_at_t0,
-            "se_y_at_t0": self.se_y_at_t0,
-            "clipped_paths": self.clipped_paths,
-            "n_paths": self.n_paths, "dt": self.dt, "seed": self.seed,
-            "probes": [list(p) for p in self.probes],
-        }
+        return {**asdict(self), "probes": [list(p) for p in self.probes]}
 
 
 def _time_grid(z: float, s: Scenario, dt: float):
@@ -168,8 +157,10 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
 
 
 def _validate_config(cfg: SimulationConfig, s: Scenario) -> None:
-    if not (math.isfinite(cfg.dt) and cfg.dt > 0):
-        raise ConfigError(f"dt must be positive and finite (got {cfg.dt})")
+    try:   # the whole life, omega - a, is on the mesh
+        check_step(cfg.dt, s.demo.omega - s.demo.a, "dt")
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative (got {cfg.seed})")
     if cfg.n_paths < 2:

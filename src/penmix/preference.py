@@ -8,7 +8,7 @@ the critical ages zeta_hat, zeta_bar, zeta_tilde respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -230,16 +230,10 @@ class PreferenceReport:
     diagnostics: tuple = field(default=())    # (name, crossing count) pairs
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_fp": self.lambda_fp,
-            "lambda_ep": self.lambda_ep,
-            "zeta_hat": self.zeta_hat,
-            "zeta_tilde": self.zeta_tilde,
-            "zeta_bar": self.zeta_bar,
-            "eet_flag": self.eet_flag,
-            "case_label": self.case_label,
-            "diagnostics": {name: count for name, count in self.diagnostics},
-        }
+        doc = asdict(self)
+        del doc["orderings"]
+        doc["diagnostics"] = dict(self.diagnostics)
+        return doc
 
 
 @lru_cache(maxsize=64)

@@ -10,10 +10,12 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     DegenerateDrift,
@@ -233,24 +235,29 @@ def _validate_cached(s: Scenario) -> DerivedConstants:
     Lambda = demography.support_ratio(d)
     a_tau = demography.annuity_factor(d, mk.r)
     L0 = lifecycle.entry_L(f.delta0, s)
-    M01, M02, M03, _ = (float(v) for v in lifecycle._coef_kernel(
-        d.tau - d.a, d.omega - d.a, s, epsilon, epsilon_tilde, Lambda, a_tau))
-    return DerivedConstants(nu=nu, epsilon=epsilon, epsilon_tilde=epsilon_tilde,
-                            Lambda=Lambda, a_tau=a_tau, L0=L0,
-                            M01=M01, M02=M02, M03=M03)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        M01, M02, M03, _ = (float(v) for v in lifecycle._coef_kernel(
+            d.tau - d.a, d.omega - d.a, s, epsilon, epsilon_tilde, Lambda, a_tau))
+    dc = DerivedConstants(nu=nu, epsilon=epsilon, epsilon_tilde=epsilon_tilde,
+                          Lambda=Lambda, a_tau=a_tau, L0=L0,
+                          M01=M01, M02=M02, M03=M03)
+    overflowed = [f.name for f in fields(dc) if not math.isfinite(getattr(dc, f.name))]
+    if overflowed:
+        raise OrderingViolation(f"derived constants {', '.join(overflowed)} not finite: the "
+                                "scenario is outside the floating-point range of the closed forms")
+    return dc
 
 
 # --------------------------------------------------------------------------
 # JSON round trip
 # --------------------------------------------------------------------------
 
-_SECTIONS = {
-    "market": ("r", "mu", "sigma", "gamma", "xi", "alpha", "beta"),
-    "demography": ("a", "tau", "omega", "rho", "A", "B", "c"),
-    "policy": ("theta0", "k0", "m", "tau1", "tau2"),
-    "preference": ("delta0", "delta1", "delta2"),
-}
-_BB_FIELDS = ("t1", "t2", "n1", "nm", "kappa", "rho1", "rho2")
+#: the JSON names that differ from the attribute names
+_JSON_NAMES = {"demo": "demography", "pref": "preference", "lam": "lambda"}
+_ATTR_NAMES = {json_name: attr for attr, json_name in _JSON_NAMES.items()}
+#: the record class of each nested block, by attribute
+_RECORDS = {"market": MarketParams, "demo": DemographyParams, "policy": PolicyParams,
+            "pref": PreferenceParams, "babyboom": BabyBoomParams}
 
 
 def _number(value, name: str) -> float:
@@ -277,60 +284,48 @@ def check_step(step: float, span: float, what: str) -> None:
                           f"over {span:g} years (got {step})")
 
 
-def _numbers(section, section_name: str, names, **defaults) -> dict:
-    """The named fields of one object section, plus the optional ones in
-    `defaults`, as floats."""
-    if not isinstance(section, dict):
-        raise SchemaError(f"section {section_name} must be an object (got {section!r})")
-    out = {}
-    for name in names:
-        if name not in section:
-            raise SchemaError(f"missing required field {section_name}.{name}")
-        out[name] = _number(section[name], f"{section_name}.{name}")
-    for name, default in defaults.items():
-        out[name] = _number(section.get(name, default), f"{section_name}.{name}")
-    return out
+def _record_from_dict(cls, doc, where: str):
+    """The record of class cls from its JSON object: a field without a
+    default is required, a nested block is optional (null is absent)."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"section {where} must be an object (got {doc!r})")
+    values = {}
+    for f in fields(cls):
+        key = _JSON_NAMES.get(f.name, f.name)
+        if f.name in _RECORDS:
+            if doc.get(key) is not None:
+                values[f.name] = _record_from_dict(_RECORDS[f.name], doc[key],
+                                                   f"{where}.{key}")
+        elif key in doc:
+            values[f.name] = _number(doc[key], f"{where}.{key}")
+        elif f.default is MISSING:
+            raise SchemaError(f"missing required field {where}.{key}")
+    return cls(**values)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    for key in _SECTIONS:
+    sections = [_JSON_NAMES.get(f.name, f.name) for f in fields(Scenario)]
+    for key in sections:
         if key not in doc:
             raise SchemaError(f"missing required section '{key}'")
-
-    mkt = _numbers(doc["market"], "market", _SECTIONS["market"], W0=1.0)
-    dem = _numbers(doc["demography"], "demography", _SECTIONS["demography"], n0=10.0)
-    bb_doc = doc["demography"].get("babyboom")
-    if bb_doc is not None:
-        dem["babyboom"] = BabyBoomParams(**_numbers(bb_doc, "demography.babyboom", _BB_FIELDS))
-    pol = _numbers(doc["policy"], "policy", _SECTIONS["policy"], t0=0.0)
-    prf = _numbers(doc["preference"], "preference", ("lambda", *_SECTIONS["preference"]))
-    prf["lam"] = prf.pop("lambda")
-
-    s = Scenario(market=MarketParams(**mkt), demo=DemographyParams(**dem),
-                 policy=PolicyParams(**pol), pref=PreferenceParams(**prf))
+    s = Scenario(*(_record_from_dict(_RECORDS[f.name], doc[key], key)
+                   for f, key in zip(fields(Scenario), sections)))
     problems = _structural_violations(s)
     if problems:
         raise SchemaError("; ".join(problems))
     return s
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    demography = {
-        "a": s.demo.a, "tau": s.demo.tau, "omega": s.demo.omega, "n0": s.demo.n0,
-        "rho": s.demo.rho, "A": s.demo.A, "B": s.demo.B, "c": s.demo.c,
-    }
-    if s.demo.babyboom is not None:
-        bb = s.demo.babyboom
-        demography["babyboom"] = {name: getattr(bb, name) for name in _BB_FIELDS}
-    return {
-        "market": {name: getattr(s.market, name)
-                   for name in ("r", "mu", "sigma", "gamma", "xi", "alpha", "beta", "W0")},
-        "demography": demography,
-        "policy": {name: getattr(s.policy, name)
-                   for name in ("theta0", "k0", "m", "tau1", "tau2", "t0")},
-        "preference": {"lambda": s.pref.lam, "delta0": s.pref.delta0,
-                       "delta1": s.pref.delta1, "delta2": s.pref.delta2},
-    }
+def scenario_to_dict(s) -> dict:
+    """The JSON object of a scenario, or of one of its records: fields in
+    declared order, an absent block left out."""
+    doc = {}
+    for f in fields(s):
+        value = getattr(s, f.name)
+        if value is not None:
+            doc[_JSON_NAMES.get(f.name, f.name)] = (
+                scenario_to_dict(value) if f.name in _RECORDS else value)
+    return doc
 
 
 def _read_json(path):
@@ -354,7 +349,6 @@ def save_scenario(s: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
 
 
-_SECTION_ALIASES = {"demography": "demo", "preference": "pref"}
 #: the two paths of the settled entrant rate of a baby-boom scenario
 _SETTLED_RATE = (["demo", "rho"], ["demo", "babyboom", "rho2"])
 
@@ -363,13 +357,13 @@ def with_params(s: Scenario, **dotted) -> Scenario:
     """Return a copy with dotted-path overrides, e.g. with_params(s, **{"demo.rho": -0.01}).
 
     Every path names one number: `section.field`, or `demo.babyboom.field`
-    inside the baby-boom block (`demography.` and `preference.` also work).
+    inside the baby-boom block.  A name is the scenario file's or the
+    attribute's: `preference.lambda` and `pref.lam` are one path.
     On a baby-boom scenario `demo.rho` and `demo.babyboom.rho2` are the one
     settled rate: setting either sets both.
     """
     for path, value in dotted.items():
-        names = path.split(".")
-        names[0] = _SECTION_ALIASES.get(names[0], names[0])
+        names = [_ATTR_NAMES.get(name, name) for name in path.split(".")]
         settled = names in _SETTLED_RATE and s.demo.babyboom is not None
         for target in _SETTLED_RATE if settled else (names,):
             s = _with_number(s, target, value, path)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,24 +269,60 @@ def test_age_and_time_steps_must_be_positive_and_finite(capsys, scenario_dir, tm
     ("classify", "--step", "age step"),
     ("paths", "--grid", "grid step"),
     ("babyboom", "--grid", "grid step"),
+    ("optimize", "--step", "z-grid step"),
+    ("sweep", "--step", "z-grid step"),
+    ("verify", "--dt", "dt"),
 ])
 def test_tiny_steps_are_usage_errors(capsys, scenario_dir, tmp_path, command, option,
                                      message, value):
-    # every value here is refused by the node bound before any grid exists;
-    # paths asks for the entering cohort (zeta = a), which lives omega - a
+    # every value here is refused by the node bound before any grid or mesh
+    # exists; paths asks for the entering cohort (zeta = a), which lives
+    # omega - a, as does verify's mesh
     path = scenario_dir / "scenario_us_babyboom.json"
-    d = load_scenario(path).demo
+    s = load_scenario(path)
+    d = s.demo
     span = d.omega - d.a
     if command == "babyboom":   # the table's span with 5 years either side
         span += d.babyboom.t2 - d.babyboom.t1 + 10.0
+    if message == "z-grid step":   # the entrants up to t2 + omega - tau
+        span += d.babyboom.t2 + d.omega - d.tau - s.policy.t0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "preference.lambda", "lo": 1.0, "hi": 2.0, "steps": 2},
+        "param2": {"path": "demo.rho", "lo": -0.01, "hi": 0.0, "steps": 2},
+        "target": "theta_star",
+    }))
     out_file = tmp_path / "out.csv"
-    extra = ["--zeta", str(d.a), "--theta", "0.08", "--k", "0.12"] if command == "paths" else []
+    extra = {"paths": ["--zeta", str(d.a), "--theta", "0.08", "--k", "0.12"],
+             "optimize": ["--weighting", "population"], "sweep": ["--spec", str(spec)],
+             "verify": ["--paths", "64"]}.get(command, [])
     code, out, err = run(capsys, command, str(path), *extra, option, value,
                          "--out", str(out_file))
     assert code == 2
     assert out == "" and not out_file.exists()
     assert err == (f"error: {message} too small: more than 1000000 nodes "
                    f"over {span:g} years (got {float(value)})\n")
+
+
+@pytest.mark.parametrize("c, words", [
+    (1.3209, "M01 not finite"),           # the mass is normal, M01 overflows
+    (1.32097, "retiree mass"),            # the mass is subnormal
+    (1.35, "retiree mass over [tau, omega] = 0 "),
+    (2.0, "retiree mass over [tau, omega] = 0 "),
+])
+def test_makeham_underflow_is_a_validation_error(capsys, scenario_dir, tmp_path, c, words):
+    # a steep Makeham base leaves no representable retiree mass, or a
+    # derived constant past the float range: one error line, exit 4
+    doc = json.loads((scenario_dir / "scenario_us.json").read_text())
+    doc["demography"]["c"] = c
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow warning before the error line
+        code, out, err = run(capsys, "validate", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and words in err and err.count("\n") == 1
 
 
 def test_validate_without_makeham_term(capsys, scenario_dir, tmp_path):
@@ -442,6 +479,31 @@ def test_sweep_babyboom_theta_star(capsys, scenario_dir, tmp_path):
     cells = [line.split(",") for line in out_file.read_text().strip().split("\n")[1:]]
     assert len(cells) == 4
     assert all(0.0 < float(c[2]) < float(c[1]) and c[3] == "" for c in cells)
+
+
+def test_sweep_over_preference_lambda(capsys, scenario_dir, tmp_path):
+    # the scenario file's names and the attribute names are one path; the
+    # header keeps the path as given
+    tables = []
+    for lam, rho in (("preference.lambda", "demo.rho"), ("pref.lam", "demography.rho")):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "param1": {"path": lam, "lo": 1.0, "hi": 2.0, "steps": 2},
+            "param2": {"path": rho, "lo": -0.01, "hi": 0.0, "steps": 2},
+            "target": "theta_star",
+        }))
+        code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                             "--spec", str(spec), "--step", "0.25")
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert lines[0] == f"{lam},{rho},theta_star,reason"
+        assert len(lines) == 1 + 4
+        tables.append(lines[1:])
+    assert tables[0] == tables[1]
+    cells = [line.split(",") for line in tables[0]]
+    assert all(math.isfinite(float(c[2])) and c[3] == "" for c in cells)
+    # lambda moves theta* at either rho
+    assert cells[0][2] != cells[2][2] and cells[1][2] != cells[3][2]
 
 
 def test_sweep_babyboom_block_parameter(capsys, scenario_dir, tmp_path):

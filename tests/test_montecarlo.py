@@ -140,7 +140,9 @@ def test_config_validation(us):
         # 0.03 does not divide the 35-year working span
         montecarlo.simulate_cohort(
             SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=100, dt=0.03), us)
-    for bad in (dict(dt=math.nan), dict(dt=math.inf), dict(seed=-1)):
+    # a dt putting more than 1e6 nodes on omega - a is refused before any mesh
+    for bad in (dict(dt=math.nan), dict(dt=math.inf), dict(dt=1e-300), dict(dt=5e-324),
+                dict(seed=-1)):
         with pytest.raises(ConfigError):
             montecarlo.simulate_cohort(
                 SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=100, **bad), us)

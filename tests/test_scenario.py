@@ -1,6 +1,9 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from penmix import (
@@ -12,12 +15,13 @@ from penmix import (
     delta_for_entry,
     demography,
     load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
     with_params,
 )
-from penmix.scenario import _validate_cached
+from penmix.scenario import _JSON_NAMES, _RECORDS, Scenario, _validate_cached
 
 
 def test_us_fixture_fields(us):
@@ -174,6 +178,31 @@ def test_round_trip_preserves_derived_constants(us, cn, us_bb):
         again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s))))
         assert again == s
         assert validate(again) == validate(s)
+    # baby-boom draws, with the defaulted n0, W0 and t0 moved off their defaults
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        t1 = rng.uniform(-60.0, 10.0)
+        s = with_params(us_bb, **{
+            "demo.babyboom.t1": t1, "demo.babyboom.t2": t1 + rng.uniform(1.0, 40.0),
+            "demo.babyboom.nm": rng.uniform(20.0, 300.0),
+            "demo.babyboom.kappa": rng.uniform(0.01, 0.3),
+            "demo.babyboom.rho1": rng.uniform(-0.02, 0.01),
+            "demo.babyboom.rho2": rng.uniform(-0.02, 0.01),
+            "demo.n0": rng.uniform(1.0, 20.0), "market.W0": rng.uniform(0.5, 2.0),
+            "policy.t0": rng.uniform(-10.0, 10.0)})
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+        assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
+
+
+def test_save_scenario_writes_the_declared_order(us_bb, tmp_path):
+    path = tmp_path / "saved.json"
+    save_scenario(us_bb, path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["market", "demography", "policy", "preference"]
+    assert list(doc["demography"]) == ["a", "tau", "omega", "rho", "A", "B", "c", "n0",
+                                       "babyboom"]
+    assert list(doc["preference"]) == ["lambda", "delta0", "delta1", "delta2"]
+    assert load_scenario(path) == us_bb
 
 
 def test_tax_inversion_warns(us):
@@ -198,6 +227,49 @@ def test_unknown_param_path_rejected(us):
         with_params(us, **{"nowhere.r": 1.0})
 
 
+#: the attribute names of the JSON names that differ from them
+ATTRIBUTE_NAMES = {"demography": "demo", "preference": "pref", "lambda": "lam"}
+
+
+def _number_paths(doc, prefix=()):
+    """The JSON path, as a tuple of names, of every number in a scenario doc."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _number_paths(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+def _holder(doc, names):
+    """The object in doc that holds the last of the names."""
+    for name in names[:-1]:
+        doc = doc[name]
+    return doc
+
+
+def test_every_field_is_a_path_under_both_spellings(us_bb):
+    # each number of every section and of the baby-boom block, by the
+    # scenario file's names (preference.lambda) and by the attribute names
+    # (pref.lam); on a baby boom rho and rho2 are one settled rate
+    doc = scenario_to_dict(us_bb)
+    settled = {("demography", "rho"), ("demography", "babyboom", "rho2")}
+    paths = list(_number_paths(doc))
+    assert len(paths) == 8 + 8 + 7 + 6 + 4
+    for names in paths:
+        attrs = tuple(ATTRIBUTE_NAMES.get(name, name) for name in names)
+        value = _holder(doc, names)[names[-1]] + 0.125
+        expected = json.loads(json.dumps(doc))
+        for target in settled if names in settled else (names,):
+            _holder(expected, target)[target[-1]] = value
+        for path in (".".join(names), ".".join(attrs)):
+            s = with_params(us_bb, **{path: value})
+            record = s
+            for name in attrs:
+                record = getattr(record, name)
+            assert record == value, path
+            assert scenario_to_dict(s) == expected, path
+
+
 def test_babyboom_param_paths(us_bb):
     for section in ("demo", "demography"):
         s = with_params(us_bb, **{f"{section}.babyboom.rho2": -0.01,
@@ -213,6 +285,45 @@ def test_babyboom_param_paths(us_bb):
         with_params(us_bb, **{"demo.babyboom.bogus": 1.0})
     with pytest.raises(SchemaError, match="unknown"):
         with_params(us_bb, **{"demo.rho.x": 1.0})
+
+
+DOC_FIELD = re.compile(r"(\w+)(?: \((?:default ([^)]+)|(optional))\))?$")
+
+
+def test_formats_doc_lists_the_declared_fields_and_defaults():
+    # the scenario field block of docs/formats.md against the dataclasses
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    block = text.split("## Scenario file", 1)[1].split("```", 2)[1]
+    documented, section = {}, None
+    for line in block.strip().split("\n"):
+        head, items = line.split(":", 1)
+        name, _, marker = DOC_FIELD.match(head.strip()).groups()
+        if line[0].isspace():   # a block nested in the section above
+            documented[section].append((name, marker))
+            name = f"{section}.{name}"
+        else:
+            section = name
+        documented.setdefault(name, [])
+        for item in filter(None, (item.strip() for item in items.split(","))):
+            field, default, marker = DOC_FIELD.match(item).groups()
+            documented[name].append((field, marker or (default and float(default))))
+
+    declared = {}
+
+    def walk(cls, where):
+        declared[where] = []
+        for f in fields(cls):
+            key = _JSON_NAMES.get(f.name, f.name)
+            if f.name in _RECORDS:
+                if where:
+                    declared[where].append((key, "optional"))
+                walk(_RECORDS[f.name], f"{where}.{key}".lstrip("."))
+            else:
+                declared[where].append((key, None if f.default is MISSING else f.default))
+
+    walk(Scenario, "")
+    del declared[""]
+    assert documented == declared
 
 
 @pytest.mark.parametrize("path", ["demo.babyboom", "demography.babyboom"])
