@@ -10,7 +10,8 @@ class DegenerateDrift(PenmixError):
 
 
 class UtilityExplosion(PenmixError):
-    """The future-entrant utility integral diverges."""
+    """The future-entrant utility integral diverges, or the welfare leaves
+    the float range."""
 
 
 class OrderingViolation(PenmixError):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import demography, lifecycle, preference
-from .errors import DomainError, EmptyRegion, InsolventCohort
+from .errors import DomainError, EmptyRegion, InsolventCohort, UtilityExplosion
 from .scenario import Scenario, check_step, validate
 
 #: default composite-Simpson step (years) on the entry-time grid
@@ -52,30 +52,26 @@ class CohortGrid:
     of `rows`; the welfare is sum w G^power over the rows with L > 0.
     """
 
-    z: np.ndarray
-    delta: np.ndarray
-    L: np.ndarray             # L(t0; z) with the cohort's delta
-    M1: np.ndarray
-    M2: np.ndarray
-    M3: np.ndarray
-    N: np.ndarray
-    x0: np.ndarray
-    y0: np.ndarray
-    w0: float
+    z: np.ndarray             # entry time of each existing cohort's row
     m: float                  # the cap on theta + k
-    step: float
-    M02: float
-    M03: float
     # solvency half-planes c0 + c1 theta + c2 k >= 0: the existing cohorts
     # (x0 + M3 w0 + N y0, M1 w0, M2 w0), then every future entrant (M03, M1, M02)
     rows: np.ndarray
-    # the same rows' resource d0 + d1 theta when each cohort and entrant
-    # best-responds with voluntary EET: the cap remainder m - theta where its
-    # EET multiplier is positive, nothing otherwise (M2^+ = max(M2, 0))
-    vol_rows: np.ndarray
     live: np.ndarray          # rows in the welfare sum (L > 0)
     power: np.ndarray         # delta per live row
     weights: dict             # weighting -> w per live row
+
+    @cached_property
+    def vol_rows(self) -> np.ndarray:
+        """The rows' resource d0 + d1 theta when each cohort and entrant
+        best-responds with voluntary EET: k = m - theta where its EET
+        multiplier c2 is positive, k = 0 otherwise, so (d0, d1) =
+        (c0 + c2^+ m, c1 - c2^+)."""
+        c0, c1, c2 = self.rows.T
+        c2p = np.maximum(c2, 0.0)
+        vol = np.column_stack([c0 + c2p * self.m, c1 - c2p])
+        vol.setflags(write=False)   # shared like the rows it comes from
+        return vol
 
     @cached_property
     def solvency(self) -> np.ndarray:
@@ -168,7 +164,6 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
                         lifecycle.L_table(t0 - z_wrk, f.delta1, s)])
     x0, y0 = lifecycle._expected_states(t0, zs, deltas, p.theta0, p.k0, coefs, L, s)
 
-    L0, M02, M03 = dc.L0, dc.M02, dc.M03
     growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2
 
     # entrants from tail_start on spend their whole benefit window in the
@@ -179,8 +174,8 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     fut_coef = (fut_w * demography.entrants(fut_z, d)
                 * np.exp(-mk.r * (fut_z - t0))
                 * np.exp(f.delta0 * growth * (fut_z - t0))
-                * L0 * w0**f.delta0 / f.delta0)
-    tail_prefac = (demography.entrants(tail_start, d) * L0 * w0**f.delta0
+                * dc.L0 * w0**f.delta0 / f.delta0)
+    tail_prefac = (demography.entrants(tail_start, d) * dc.L0 * w0**f.delta0
                    * math.exp((-mk.r + f.delta0 * growth) * (tail_start - t0))
                    / (f.delta0 * (mk.r - d.rho - f.delta0 * growth)))
 
@@ -188,11 +183,7 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     n_entry = entry_M1.size
     rows = np.concatenate([
         np.column_stack([x0 + M3 * w0 + N * y0, M1 * w0, M2 * w0]),
-        np.column_stack([np.full(n_entry, M03), entry_M1, np.full(n_entry, M02)])])
-    m2p, m02p = np.maximum(M2, 0.0), max(M02, 0.0)
-    vol_rows = np.concatenate([
-        np.column_stack([x0 + N * y0 + (m2p * p.m + M3) * w0, (M1 - m2p) * w0]),
-        np.column_stack([np.full(n_entry, m02p * p.m + M03), entry_M1 - m02p])])
+        np.column_stack([np.full(n_entry, dc.M03), entry_M1, np.full(n_entry, dc.M02)])])
     # welfare weights: Simpson weight x density (population) x L / delta per
     # cohort; the entrant nodes and the tail carry theirs in fut_coef and
     # tail_prefac, divided by the entrant density at t0 when equally weighted
@@ -203,12 +194,9 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
                "equal": np.append(wts / deltas * L,
                                   entry_w / demography.entrants(t0, d))[live]}
     power = np.append(deltas, np.full(n_entry, f.delta0))[live]
-    for arr in (rows, vol_rows, live, power, *weights.values()):
+    for arr in (rows, live, power, *weights.values()):
         arr.setflags(write=False)   # shared by every caller of the cached grid
-    return CohortGrid(
-        z=zs, delta=deltas, L=L, M1=M1, M2=M2, M3=M3, N=N, x0=x0, y0=y0,
-        w0=w0, m=p.m, step=step, M02=M02, M03=M03, rows=rows, vol_rows=vol_rows,
-        live=live, power=power, weights=weights)
+    return CohortGrid(z=zs, m=p.m, rows=rows, live=live, power=power, weights=weights)
 
 
 def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
@@ -403,6 +391,17 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7, ends: bool = False):
     return x, fx, evals
 
 
+def _check_not_underflowed(s: Scenario, val: float) -> None:
+    """Refuse an optimum whose welfare is not strictly negative although
+    every delta is: each term w G^delta is then negative, so a 0.0 means
+    every term underflowed and the search compared zeros."""
+    f = s.pref
+    if max(f.delta0, f.delta1, f.delta2) < 0.0 and not val < 0.0:
+        raise UtilityExplosion(
+            f"welfare underflows to {val} at the optimum; with every delta < 0 "
+            "it is strictly negative, so the optimum is not resolved")
+
+
 def _feasible_interval(c0: np.ndarray, c1: np.ndarray,
                        lo: float = -math.inf, hi: float = math.inf):
     """Bounds (lo', hi') of {x in [lo, hi] : c0 + c1 x >= 0 rowwise}, empty
@@ -474,6 +473,7 @@ def optimize_mix(s: Scenario, mode: str = "population",
     if not math.isfinite(val):
         raise EmptyRegion("every admissible (theta, k) leaves a cohort with "
                           "resource G = 0")
+    _check_not_underflowed(s, val)
     k_star = k_at[theta_star]
     return OptimalMix(theta_star=theta_star, k_star=k_star, objective=val,
                       weighting=mode, cap_binding=theta_star + k_star >= m - 1e-6,
@@ -607,6 +607,7 @@ def optimize_voluntary(s: Scenario, mode: str = "population",
     g = _grid(s, step)
     theta, val, evals = _golden_max(_voluntary_phi(g, mode), bounds.lower,
                                     bounds.upper, tol=1e-7, ends=True)
+    _check_not_underflowed(s, val)
     k_rep = voluntary_k_star(theta, s.policy.t0, s).value
     return OptimalMix(theta_star=theta, k_star=k_rep, objective=val,
                       weighting=mode,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import demography
 from .demography import _gauss_legendre, _panels
-from .errors import DomainError, InsolventCohort
+from .errors import DomainError, InsolventCohort, UtilityExplosion
 from .scenario import Scenario, check_step, delta_for_entry, validate
 
 
@@ -405,7 +405,14 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     coefs = _coef_arrays(t_eff, z, s)
     L = L_table(t_eff - z, delta, s)
     switch = (tuple(c[0] for c in coefs), L[0]) if z <= p.t0 else None
-    EX, EY = _expected_states(t_eff, z, delta, theta_star, k_star, coefs, L, s, switch)
-    EW = mk.W0 * np.exp(mk.gamma * t_eff)
-    Epi, EC = _controls(t_eff, z, EX, EW, EY, theta_star, k_star, coefs, L, delta, s)
+    # a survival that underflows along the path gives inf or nan, refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        EX, EY = _expected_states(t_eff, z, delta, theta_star, k_star, coefs, L, s, switch)
+        EW = mk.W0 * np.exp(mk.gamma * t_eff)
+        Epi, EC = _controls(t_eff, z, EX, EW, EY, theta_star, k_star, coefs, L, delta, s)
+    finite = np.isfinite([EX, EY, Epi, EC]).all(axis=0)
+    if not finite.all():
+        raise UtilityExplosion(
+            f"expected path not finite from t = {ts[~finite][0]:g}: the survival "
+            "or the utility scale leaves the float range")
     return {"t": ts, "EX": EX, "EY": EY, "Epi": Epi, "EC": EC}

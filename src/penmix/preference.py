@@ -230,7 +230,7 @@ class PreferenceReport:
     diagnostics: tuple = field(default=())    # (name, crossing count) pairs
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = asdict(replace(self, orderings=()))
         del doc["orderings"]
         doc["diagnostics"] = dict(self.diagnostics)
         return doc

@@ -4,13 +4,15 @@ Everything here is computed without going through the code paths under test:
 brute-force quadrature, finite differences, and direct formula evaluation.
 """
 import dataclasses
+import functools
 import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from penmix import demography, government, lifecycle, montecarlo, validate
+from penmix import InsolventCohort, demography, government, lifecycle, montecarlo, validate
+from penmix.government import WEIGHTINGS
 from penmix.preference import BB_SCAN_STEP
 from penmix.scenario import Scenario, delta_for_entry
 
@@ -305,114 +307,141 @@ def scan_root_by_bisection(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
     return (roots[0] if roots else None), len(roots)
 
 
-def voluntary_theta_ratios(g, m: float):
+def voluntary_theta_ratios(g):
     """(theta_low, theta_high) of the voluntary-EET solvency rows, written as
-    an explicit sign split and ratio scan over the grid columns: the sup of
-    -c0 / c1 over rows with c1 > 0 and the inf over rows with c1 < 0, where
-    a cohort's row is its resource under its best-response EET rate."""
-    m2p = np.maximum(g.M2, 0.0)
-    coef = (g.M1 - m2p) * g.w0
-    numer = g.x0 + g.N * g.y0 + (m2p * m + g.M3) * g.w0
-    m02p = max(g.M02, 0.0)
-    fut_coef = g.rows[g.z.size:, 1] - m02p
-    fut_num = np.full(fut_coef.size, m02p * m + g.M03)
+    an explicit sign split and ratio scan over `vol_rows`: the sup of
+    -d0 / d1 over rows with d1 > 0 and the inf over rows with d1 < 0."""
     low, high = -math.inf, math.inf
-    for c0, c1 in zip(np.append(numer, fut_num), np.append(coef, fut_coef)):
-        if c1 > 1e-300:
-            low = max(low, float(-c0 / c1))
-        elif c1 < -1e-300:
-            high = min(high, float(-c0 / c1))
+    for d0, d1 in g.vol_rows:
+        if d1 > 1e-300:
+            low = max(low, float(-d0 / d1))
+        elif d1 < -1e-300:
+            high = min(high, float(-d0 / d1))
     return low, high
 
 
-def _simpson_nodes(lo: float, hi: float, step: float):
-    """(node, weight) pairs of composite Simpson on [lo, hi] with an even
-    number of intervals no wider than step."""
-    n = max(2, math.ceil((hi - lo) / step))
-    n += n % 2
-    h = (hi - lo) / n
-    return [(lo + i * h, h / 3.0 * (1 if i in (0, n) else 4 if i % 2 else 2))
-            for i in range(n + 1)]
+#: the future-entrant integral is cut this many years after t0: CN's margin
+#: r - rho - delta0 g is only 0.0037, and e^{-0.0037 x 20 000} is 1e-32
+ENTRANT_HORIZON = 20_000.0
 
 
-def welfare_per_node(s: Scenario, g, mode: str):
-    """The government's welfare as an explicit per-node sum, returned as
-    phi(theta, k): existing cohorts weight * L / delta * G^delta at the
-    Simpson nodes (weight includes the entrant density under "population"),
-    future-entrant Simpson nodes and the settled tail, each with its entry
-    coefficient recomputed from the scenario. k=None gives every cohort and
-    entrant its voluntary best response: the cap remainder m - theta where
-    its EET multiplier is positive, nothing otherwise.
+def _gauss_legendre_panels(edges, width: float, nodes: int):
+    """Nodes and weights of `nodes`-point Gauss-Legendre on every piece
+    between consecutive edges, each cut into equal panels at most `width`
+    wide."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    zs, ws = [np.empty(0)], [np.empty(0)]
+    for lo, hi in zip(edges, edges[1:]):
+        cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / width)) + 1)
+        for a, b in zip(cuts, cuts[1:]):
+            zs.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+            ws.append(0.5 * (b - a) * w)
+    return np.concatenate(zs), np.concatenate(ws)
 
-    The cohort columns (L, M1, M2, M3, N, x0, y0) are read from the grid g,
-    which has its own oracle; -inf when a resource G <= 0.
-    """
+
+def _entrant_density(z, d):
+    """n(z): n0 e^{rho z} under a constant flow, the boom's three regimes
+    otherwise."""
+    if d.babyboom is None:
+        return d.n0 * np.exp(d.rho * np.asarray(z, dtype=float))
+    return demography.bb_entrants(z, d.babyboom)
+
+
+def _kinks(d, lo: float, hi: float):
+    """The entry times in (lo, hi) where a baby boom's welfare integrand has
+    a kink.  n(z) has one at t1 and t2.  Lambda(t) has one where t1 or t2
+    crosses an end of the working or the retired ages, at t_k + {0, tau - a,
+    omega - a}, and a cohort's M1 one where its retirement or end of life
+    meets such a time."""
+    bb = d.babyboom
+    if bb is None:
+        return []
+    spans = (0.0, d.tau - d.a, d.omega - d.a)
+    return sorted({t + j - i for t in (bb.t1, bb.t2) for j in spans for i in spans
+                   if lo < t + j - i < hi})
+
+
+@functools.lru_cache(maxsize=16)
+def _cohort_nodes(s: Scenario, width: float, nodes: int):
+    """(z, weight, delta, x0, y0) per quadrature node of the cohorts alive
+    at t0: Gauss-Legendre panels split at the class boundary, each class
+    with its own delta, and at a baby boom's `_kinks`; (x0, y0) from
+    `estimate_initial_states`."""
+    d, t0 = s.demo, s.policy.t0
+    out = []
+    for lo, hi, delta in ((t0 - (d.omega - d.a), t0 - (d.tau - d.a), s.pref.delta2),
+                          (t0 - (d.tau - d.a), t0, s.pref.delta1)):
+        zs, ws = _gauss_legendre_panels([lo, *_kinks(d, lo, hi), hi], width, nodes)
+        for z, w in zip(zs.tolist(), ws.tolist()):
+            st = lifecycle.estimate_initial_states(z, s, delta=delta)
+            out.append((z, w, delta, st.x0, st.y0))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _welfare_by_value_function(s: Scenario, theta: float, k, width: float, nodes: int):
+    """(population, equal) welfare at (theta, k), k = None for voluntary EET,
+    or None when a cohort or entrant is insolvent."""
     d, p, mk, f = s.demo, s.policy, s.market, s.pref
-    dc = validate(s)
-    t0, bb = p.t0, d.babyboom
+    t0 = p.t0
     w0 = mk.W0 * math.exp(mk.gamma * t0)
 
-    def density(z):
-        if bb is None:
-            return d.n0 * math.exp(d.rho * z)
-        return float(demography.bb_entrants(z, bb))
+    def rate(z):
+        return government.voluntary_k_star(theta, z, s).value if k is None else k
 
-    # existing cohorts: (weight / delta * L, M1, M2, M3, N, x0, y0, delta)
-    cohorts = []
-    i = 0
-    for lo, hi, delta in ((t0 - (d.omega - d.a), t0 - (d.tau - d.a), f.delta2),
-                          (t0 - (d.tau - d.a), t0, f.delta1)):
-        for z, w in _simpson_nodes(lo, hi, g.step):
-            assert abs(z - g.z[i]) <= 1e-9
-            if g.L[i] > 0.0:
-                weight = w * density(z) if mode == "population" else w
-                cohorts.append((weight / delta * g.L[i], g.M1[i], g.M2[i], g.M3[i],
-                                g.N[i], g.x0[i], g.y0[i], delta))
-            i += 1
-    assert i == g.z.size
+    try:
+        # existing cohorts: V(t0; x0(z), w0, y0(z); z), weighted by n(z) or not
+        pop = eq = 0.0
+        for z, w, delta, x0, y0 in _cohort_nodes(s, width, nodes):
+            v = w * lifecycle.value_function(t0, x0, w0, y0, z, theta, rate(z), s, delta)
+            pop += v * float(_entrant_density(z, d))
+            eq += v
 
-    # future entrants: (coefficient, entry-time M1) per node, then the tail
+        # future entrants: e^{-r (z - t0)} n(z) E_t0[V(z; 0, W(z), 0; z)], and
+        # V is homogeneous of degree delta0 in the entry wage, whose delta0-th
+        # moment is w0^delta0 e^{delta0 (gamma + (delta0 - 1) xi^2 / 2) (z - t0)}
+        def entry_value(z):
+            return lifecycle.value_function(z, 0.0, 1.0, 0.0, z, theta, rate(z), s, f.delta0)
+
+        # an entrant from t2 + omega - tau on spends its benefit window in
+        # the settled regime: its V per unit wage is constant from there
+        settled = t0 if d.babyboom is None else max(t0, d.babyboom.t2 + d.omega - d.tau)
+        edges = [t0, *_kinks(d, t0, settled), settled] if settled > t0 else []
+        zs, ws = _gauss_legendre_panels(edges, 1.0, nodes)
+        vs = np.array([entry_value(z) for z in zs.tolist()])
+        far = [settled]
+        while far[-1] < t0 + ENTRANT_HORIZON:
+            far.append(min(settled + 2.0 ** len(far), t0 + ENTRANT_HORIZON))
+        zf, wf = _gauss_legendre_panels(far, ENTRANT_HORIZON, nodes)
+        zs, ws = np.append(zs, zf), np.append(ws, wf)
+        vs = np.append(vs, np.full(zf.size, entry_value(settled)))
+    except InsolventCohort:
+        return None
     growth = mk.gamma + 0.5 * (f.delta0 - 1) * mk.xi**2
-    scale = 1.0 if mode == "population" else 1.0 / density(t0)
-    entrants = []
-    if bb is None:
-        tail_start, rho_tail, tail_M01 = t0, d.rho, dc.M01
-    else:
-        tail_start, rho_tail = max(t0, bb.t2 + d.omega - d.tau), bb.rho2
-        settled = dataclasses.replace(d, babyboom=None, rho=bb.rho2)
-        tail_M01 = validate(dataclasses.replace(s, demo=settled)).M01
-        if tail_start > t0:
-            for z, w in _simpson_nodes(t0, tail_start, g.step):
-                coef = (w * density(z) * math.exp(-mk.r * (z - t0))
-                        * math.exp(f.delta0 * growth * (z - t0))
-                        * dc.L0 * w0**f.delta0 / f.delta0)
-                entrants.append((scale * coef, lifecycle.coefficients(z, z, s).M1))
-    prefac = (density(tail_start) * dc.L0 * w0**f.delta0
-              * math.exp((-mk.r + f.delta0 * growth) * (tail_start - t0))
-              / (f.delta0 * (mk.r - rho_tail - f.delta0 * growth)))
-    entrants.append((scale * prefac, tail_M01))
+    entrants = float(np.sum(ws * vs * _entrant_density(zs, d)
+                            * np.exp((f.delta0 * growth - mk.r) * (zs - t0)))) * w0**f.delta0
+    return pop + entrants, eq + entrants / float(_entrant_density(t0, d))
 
-    def phi(theta: float, k=None) -> float:
-        def rate(m2):
-            if k is not None:
-                return k
-            return p.m - theta if m2 > 0.0 else 0.0
 
-        terms = []
-        for coef, M1, M2, M3, N, x0, y0, delta in cohorts:
-            G = x0 + (M1 * theta + M2 * rate(M2) + M3) * w0 + N * y0
-            if G <= 0.0:
-                return -math.inf
-            terms.append(coef * G**delta)
-        k_entry = rate(dc.M02)
-        for coef, M1 in entrants:
-            G = M1 * theta + dc.M02 * k_entry + dc.M03
-            if G <= 0.0:
-                return -math.inf
-            terms.append(coef * G**f.delta0)
-        return math.fsum(terms)
+def welfare_from_value_function(s: Scenario, theta: float, k: float, mode: str,
+                                width: float = 5.0, nodes: int = 10) -> float:
+    """The government's welfare phi(theta, k) from the per-cohort value
+    function, with no part of the cohort grid: the integral over the entry
+    times z of the cohorts alive at t0 of n(z) V(t0; x0(z), w0, y0(z); z)
+    (without n(z) under equal weighting), plus the future entrants'
+    integral up to `ENTRANT_HORIZON` (divided by n(t0) under equal
+    weighting).  Gauss-Legendre panels of `nodes` points at most `width`
+    years wide; -inf when a cohort or an entrant is insolvent."""
+    both = _welfare_by_value_function(s, float(theta), float(k), width, nodes)
+    return -math.inf if both is None else both[WEIGHTINGS.index(mode)]
 
-    return phi
+
+def voluntary_welfare_from_value_function(s: Scenario, theta: float, mode: str,
+                                          width: float = 5.0, nodes: int = 10) -> float:
+    """`welfare_from_value_function` when every cohort and entrant takes its
+    `voluntary_k_star` rate."""
+    both = _welfare_by_value_function(s, float(theta), None, width, nodes)
+    return -math.inf if both is None else both[WEIGHTINGS.index(mode)]
 
 
 def whole_span_time_grid(z: float, s: Scenario, dt: float):

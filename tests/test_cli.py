@@ -325,6 +325,68 @@ def test_makeham_underflow_is_a_validation_error(capsys, scenario_dir, tmp_path,
     assert err.startswith("error: ") and words in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--voluntary"]])
+@pytest.mark.parametrize("weighting", ["population", "equal"])
+def test_underflowing_welfare_is_a_validation_error(capsys, scenario_dir, tmp_path,
+                                                     extra, weighting):
+    # c = 1.3 passes validate, but every G^delta underflows: the welfare,
+    # strictly negative with every delta < 0, reads 0.0 at the optimum
+    doc = json.loads((scenario_dir / "scenario_us.json").read_text())
+    doc["demography"]["c"] = 1.3
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "optimize", str(path), "--weighting", weighting, *extra)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: welfare underflows to 0.0") and err.count("\n") == 1
+
+
+def test_paths_that_leave_the_float_range_are_a_validation_error(capsys, scenario_dir,
+                                                                tmp_path):
+    # at c = 1.3 the survival of a 65-year-old underflows a few years on,
+    # and the consumption rate with it
+    doc = json.loads((scenario_dir / "scenario_us.json").read_text())
+    doc["demography"]["c"] = 1.3
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no warning before the error line
+        code, out, err = run(capsys, "paths", str(path), "--zeta", "65", "--theta", "0.08",
+                             "--k", "0.12", "--grid", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: expected path not finite from t = ") and err.count("\n") == 1
+
+
+def test_tiny_negative_welfare_is_an_optimum(capsys, scenario_dir, tmp_path):
+    doc = json.loads((scenario_dir / "scenario_us.json").read_text())
+    doc["demography"]["c"] = 1.25
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--voluntary"]):
+        code, out, err = run(capsys, "optimize", str(path), "--weighting", "population",
+                             *extra)
+        assert code == 0, err
+        assert -1e-29 < json.loads(out)["objective"] < 0.0
+
+
+def test_sweep_cell_with_underflowing_welfare_is_a_nan_row(capsys, scenario_dir,
+                                                           tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "demo.c", "lo": 1.124, "hi": 1.3, "steps": 2},
+        "param2": {"path": "policy.tau1", "lo": 0.25, "hi": 0.25, "steps": 2},
+        "target": "theta_star",
+    }))
+    code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                         "--spec", str(spec), "--step", "0.5")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[3] for row in rows[:2]] == ["", ""]
+    for row in rows[2:]:
+        assert row[2] == "nan" and row[3].startswith("welfare underflows to 0.0")
+
+
 def test_validate_without_makeham_term(capsys, scenario_dir, tmp_path):
     # B = 0: the annuity integrand is e^{-(r + A) t}, whose integral is 1/(r + A)
     doc = json.loads((scenario_dir / "scenario_us.json").read_text())

@@ -12,6 +12,7 @@ from penmix import (
     EmptyRegion,
     InsolventCohort,
     PenmixError,
+    demography,
     government,
     lifecycle,
     preference,
@@ -27,7 +28,8 @@ from _oracles import (
     optimize_mix_no_edge_search,
     theta_range_by_search,
     voluntary_theta_ratios,
-    welfare_per_node,
+    voluntary_welfare_from_value_function,
+    welfare_from_value_function,
 )
 
 STEP = 0.05
@@ -208,7 +210,7 @@ def test_voluntary_bounds_interval_matches_node_signs(us, cn):
         bounds = government.voluntary_theta_bounds(s, step=STEP)
         g = government._grid(s, STEP)
         zeta = s.demo.a + s.policy.t0 - g.z
-        coef = g.M1 - np.maximum(g.M2, 0.0)
+        coef = g.vol_rows[:g.z.size, 1]   # (M1 - M2^+) w0
         in_a1 = np.zeros(len(zeta), dtype=bool)
         for lo, hi in bounds.A1:
             in_a1 |= (zeta > lo + 1e-9) & (zeta < hi - 1e-9)
@@ -247,17 +249,34 @@ def test_voluntary_matches_mandatory_at_baseline(us):
 
 @pytest.mark.parametrize("fixture", ["us", "cn"])
 def test_grid_columns_match_scalar_kernels(fixture, request):
+    # every live cohort row from the public per-cohort functions at its
+    # node: (x0 + M3 w0 + N y0, M1 w0, M2 w0), and the weights L / delta
+    # times a Simpson weight, times n(z) under population weighting
     s = request.getfixturevalue(fixture)
     g = government._grid(s, STEP)
     t0 = s.policy.t0
-    L = [lifecycle.coeff_L(t0, z, dz, s) for z, dz in zip(g.z, g.delta)]
-    states = [lifecycle.estimate_initial_states(z, s, delta=dz)
-              for z, dz in zip(g.z, g.delta)]
-    for column, scalar in ((g.L, L), (g.x0, [st.x0 for st in states]),
-                           (g.y0, [st.y0 for st in states])):
-        scalar = np.array(scalar)
+    w0 = s.market.W0 * math.exp(s.market.gamma * t0)
+    cohort = np.flatnonzero(g.live[:g.z.size])
+    z, delta = g.z[cohort], g.power[:cohort.size]
+    rows, L = [], []
+    for zi, dz in zip(z.tolist(), delta.tolist()):
+        c = lifecycle.coefficients(t0, zi, s)
+        st_ = lifecycle.estimate_initial_states(zi, s, delta=dz)
+        rows.append((st_.x0 + c.M3 * w0 + c.N * st_.y0, c.M1 * w0, c.M2 * w0))
+        L.append(lifecycle.coeff_L(t0, zi, dz, s))
+    for column, scalar in zip(g.rows[cohort].T, np.array(rows).T):
         np.testing.assert_allclose(column, scalar, rtol=1e-12,
                                    atol=1e-12 * np.abs(scalar).max())
+    equal = g.weights["equal"][:cohort.size]
+    np.testing.assert_allclose(g.weights["population"][:cohort.size],
+                               equal * demography.entrants(z, s.demo), rtol=1e-12)
+    # the one row out of the sum is the node at age omega (L = 0), whose
+    # Simpson weight h / 3 completes the weights to the span omega - a
+    assert list(np.flatnonzero(~g.live)) == [0]
+    simpson = equal * delta / np.array(L)
+    assert (simpson > 0.0).all()
+    assert simpson.sum() + (g.z[1] - g.z[0]) / 3.0 == pytest.approx(
+        s.demo.omega - s.demo.a, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode, theta, k", [("population", 0.0922, 0.1578),
@@ -354,39 +373,68 @@ def test_line_interval_ends_against_halfplane_table(fixture, request):
 def test_voluntary_bounds_match_ratio_scan(fixture, request):
     s = request.getfixturevalue(fixture)
     bounds = government.voluntary_theta_bounds(s, step=STEP)
-    low, high = voluntary_theta_ratios(government._grid(s, STEP), s.policy.m)
+    low, high = voluntary_theta_ratios(government._grid(s, STEP))
     assert (bounds.theta_low, bounds.theta_high) == (low, high)
     assert (bounds.lower, bounds.upper) == (max(0.0, low), min(s.policy.m, high))
 
 
+#: relative tolerance of the grid's welfare against the value-function
+#: oracle: the Simpson error of the grid, measured at most 5.1e-14 on US,
+#: 4.0e-12 on CN at (0.12, 0.10) and 3.6e-12 under the baby boom, where the
+#: oracle's own panels are good to about 5e-12 (the Lambda(t) table is C1)
+WELFARE_RTOL = {"us": 1e-13, "cn": 1e-11, "us_bb": 1e-11}
+
+
 @pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
-def test_welfare_matches_per_node_oracle(fixture, mode, request):
-    # objective and voluntary_objective against an explicit per-node sum at
-    # seeded points; points the oracle finds insolvent must raise.  Away
-    # from t0 = 0 the entrant density at t0 is not n0.
-    for t0 in (0.0, 10.0, -15.0):
+def test_welfare_matches_value_function_oracle(fixture, mode, request):
+    # objective and voluntary_objective against the welfare integrated from
+    # the per-cohort value function; away from t0 = 0 the entrant density at
+    # t0 is not n0
+    rtol = WELFARE_RTOL[fixture]
+    for t0 in (0.0, 10.0, -20.0):
         s = with_params(request.getfixturevalue(fixture), **{"policy.t0": t0})
-        m = s.policy.m
-        phi = welfare_per_node(s, government._grid(s, STEP), mode)
-        rng = np.random.default_rng(23)
-        feasible = 0
-        while feasible < 6:
-            theta, k = rng.uniform(0.0, m, size=2)
-            if theta + k > m:
-                theta, k = m - theta, m - k
-            expected = phi(theta, k)
-            if expected == -math.inf:
-                with pytest.raises(InsolventCohort):
-                    government.objective(theta, k, s, mode, step=STEP)
-                continue
-            feasible += 1
-            got = government.objective(theta, k, s, mode, step=STEP)
-            assert got == pytest.approx(expected, rel=1e-13, abs=0.0), t0
         bounds = government.voluntary_theta_bounds(s, step=STEP)
-        for theta in rng.uniform(bounds.lower, bounds.upper, size=6):
+        span = bounds.upper - bounds.lower
+        for theta, k in ((0.12, 0.10), (0.15, 0.08), (0.18, 0.05)):
+            got = government.objective(theta, k, s, mode, step=STEP)
+            want = welfare_from_value_function(s, theta, k, mode)
+            assert got == pytest.approx(want, rel=rtol, abs=0.0), (t0, theta, k)
+        for theta in (bounds.lower + 0.5 * span, bounds.lower + 0.6 * span,
+                      bounds.upper - 0.01):
             got = government.voluntary_objective(theta, s, mode, step=STEP)
-            assert got == pytest.approx(phi(theta), rel=1e-13, abs=0.0), t0
+            want = voluntary_welfare_from_value_function(s, theta, mode)
+            assert got == pytest.approx(want, rel=rtol, abs=0.0), (t0, theta)
+
+
+def test_welfare_oracle_and_objective_agree_on_insolvency(cn):
+    # below CN's theta-range the oldest retirees are insolvent at every k
+    assert welfare_from_value_function(cn, 0.03, 0.1, "population") == -math.inf
+    with pytest.raises(InsolventCohort):
+        government.objective(0.03, 0.1, cn, step=STEP)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("fixture, tau2", [("us", None), ("cn", None), ("us_bb", None),
+                                          ("us", 0.6)])
+def test_vol_rows_are_the_rows_at_the_voluntary_rate(fixture, tau2, request):
+    # each row of vol_rows is its row of rows at the cohort's (or entrant's)
+    # public voluntary_k_star rate; tau2 = 0.6 gives rows with M2 < 0, whose
+    # cohorts choose k = 0
+    s = request.getfixturevalue(fixture)
+    if tau2 is not None:
+        s = with_params(s, **{"policy.tau2": tau2})
+    g = government._grid(s, STEP)
+    assert (g.rows[:, 2] < 0.0).any() == (tau2 is not None)
+    t0 = s.policy.t0
+    z = np.append(g.z, np.full(len(g.rows) - g.z.size, t0))
+    for theta in (0.0, 0.1, 0.2, s.policy.m):
+        k = np.array([government.voluntary_k_star(theta, zi, s).value for zi in z.tolist()])
+        c0, c1, c2 = g.rows.T
+        want = c0 + c1 * theta + c2 * k
+        d0, d1 = g.vol_rows.T
+        np.testing.assert_allclose(d0 + d1 * theta, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def _assert_matches_oracle(mix, old):
@@ -890,7 +938,7 @@ def test_a1_a2_agree_with_node_signs(fixture, rhos, request):
             a1, a2 = government._a1_a2_intervals(s)
             g = government._grid(s, STEP)
             ages = s.demo.a + s.policy.t0 - g.z
-            positive = g.M1 - np.maximum(g.M2, 0.0) > 0.0
+            positive = g.vol_rows[:g.z.size, 1] > 0.0   # M1 - M2^+ > 0
             ends = np.array([end for interval in a1 + a2 for end in interval])
             clear = np.abs(ages[:, None] - ends).min(axis=1) > 0.06
             covered = np.zeros(ages.size, dtype=bool)
