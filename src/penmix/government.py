@@ -77,17 +77,36 @@ class CohortGrid:
     def solvency(self) -> np.ndarray:
         """Indices of the rows that can bind: those not positive, by a
         round-off margin, at all three corners (0, 0), (m, 0) and (0, m) of
-        the rate triangle.  An affine row takes its minimum over the
-        triangle at a corner, so every other row is positive on all of it
-        and never sets an end of `_feasible_interval`'s answer for a theta
-        in [0, m]."""
+        the rate triangle.  An affine row takes its minimum over a polytope
+        at a vertex (Boyd and Vandenberghe, Convex Optimization, 2004), so
+        every other row exceeds the margin on the whole triangle.  The
+        margin covers the rounding of c0 + c1 theta, m - theta, c2 k and
+        -c0 / c1, so such a row never sets an end of `_feasible_interval`'s
+        answer for a theta in [0, m], and its computed resource
+        c2 k + (c0 + c1 theta) is positive at every (theta, k) of the
+        triangle: a per-point solvency test there reads only these rows
+        (`_scorer`'s `bind`).  `objective` keeps its full scan: it accepts
+        points up to 1e-12 outside the triangle and names the first
+        insolvent cohort."""
         c0, c1, c2 = self.rows.T
         m = self.m
         corner = np.minimum(c0, np.minimum(c0 + c1 * m, c0 + c2 * m))
-        # covers the rounding of c0 + c1 theta, m - theta and -c0 / c1
         margin = 1e-12 + 8.0 * np.finfo(float).eps * (
             np.abs(c0) + (np.abs(c1) + np.abs(c2)) * m)
         return np.flatnonzero(corner <= margin)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """(live, solvency, bind): the live rows' c0, c1 and c2 and the
+        `solvency` rows' c0, c1 and c2, each a contiguous row of a (3, n)
+        array, and the live slots of the `solvency` rows, so that a welfare
+        query gathers nothing from `rows` per call."""
+        slot = np.cumsum(self.live) - 1
+        cols = (self.rows[self.live].T.copy(), self.rows[self.solvency].T.copy(),
+                slot[self.solvency[self.live[self.solvency]]])
+        for arr in cols:
+            arr.setflags(write=False)   # shared like the rows they come from
+        return cols
 
     @cached_property
     def theta_range(self) -> Optional[tuple]:
@@ -125,8 +144,9 @@ class CohortGrid:
         none has, so the tail is never empty.  Every slot before it is
         k-free (c2 = 0, such as the retirees, whose EET balance is frozen);
         the tail may hold k-free rows too."""
-        dep = np.flatnonzero(self.rows[self.live, 2] != 0.0)
-        return int(dep[0]) if dep.size else int(np.count_nonzero(self.live)) - 1
+        c2 = self.columns[0][2]
+        dep = np.flatnonzero(c2 != 0.0)
+        return int(dep[0]) if dep.size else c2.size - 1
 
 
 def _z_span(s: Scenario) -> tuple:
@@ -208,13 +228,23 @@ def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
 
 
 def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarray,
-            cut: int = 0):
+            cut: int = 0, bind: Optional[np.ndarray] = None):
     """x -> sum w G^power with G = base + slope x, bit for bit `_welfare`.
 
     The rows before `cut` have slope 0: their terms go into a buffer once,
     and each call rewrites the rest of it in place and sums the whole buffer
     in table order, the sum `_welfare` takes.  A tail row of slope 0 keeps
     its base bits, since slope x = 0.
+
+    The head is tested for G <= 0 once.  Each call tests the whole tail, or
+    with `bind` (the live slots of a grid's `solvency` rows, for base
+    c0 + c1 theta and slope c2 at a theta in [0, m]) only the tail's slots
+    among them.  That is exact for x in [0, m - theta]: every other row
+    clears its round-off margin at the triangle's corners, so its computed
+    c2 x + (c0 + c1 theta) is positive there (`CohortGrid.solvency`).  A
+    caller that passes `bind` scores only such x; `objective`, which
+    accepts points up to 1e-12 outside the triangle and names the first
+    insolvent cohort, keeps the full scan.
     """
     head = base[:cut]
     if (head <= 0.0).any():
@@ -223,11 +253,14 @@ def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarra
     np.power(head, power[:cut], out=terms[:cut])
     terms[:cut] *= w[:cut]
     tail, base, slope, w, power = terms[cut:], base[cut:], slope[cut:], w[cut:], power[cut:]
+    if bind is not None:
+        bind = bind[bind >= cut] - cut
 
     def phi(x):
         np.multiply(slope, x, out=tail)
         np.add(tail, base, out=tail)
-        if tail.min() <= 0.0:
+        if (tail.min() <= 0.0 if bind is None
+                else bind.size and tail[bind].min() <= 0.0):
             return -math.inf
         np.power(tail, power, out=tail)
         np.multiply(tail, w, out=tail)
@@ -260,7 +293,8 @@ def objective(theta: float, k: float, s: Scenario, mode: str = "population",
         raise InsolventCohort(
             f"(theta, k) = ({theta}, {k}) violates the cap theta + k <= {s.policy.m}")
     g = _grid(s, step)
-    G = _resources(g, theta, k)[g.live]
+    c0, c1, c2 = g.columns[0]
+    G = c0 + c1 * theta + c2 * k
     bad = np.flatnonzero(G <= 0.0)
     if bad.size:
         row = np.flatnonzero(g.live)[bad[0]]
@@ -420,19 +454,19 @@ def _feasible_interval(c0: np.ndarray, c1: np.ndarray,
 
 def _k_section(g: CohortGrid, theta: float, mode: str):
     """(segment, phi): theta's solvent k-segment in [0, m - theta], None
-    when empty, and k -> phi(theta, k), bit for bit `_phi`.
+    when empty, and k -> phi(theta, k), bit for bit `_phi` for a theta in
+    [0, m] and a k in [0, m - theta].
 
-    The segment reads the `solvency` rows only; phi is the `_scorer` of
-    the live rows' base c0 + c1 theta, formed once, and slope c2, whose
-    k-free head ends at `k_cut`.
+    Both read the grid's cached `columns`: the segment the `solvency` rows
+    only; phi is the `_scorer` of the live rows' base c0 + c1 theta, formed
+    once, and slope c2, whose k-free head ends at `k_cut`, testing the
+    tail's binding slots only.
     """
-    s0, s1, s2 = g.rows[g.solvency].T
+    (c0, c1, c2), (s0, s1, s2), bind = g.columns
     seg = _feasible_interval(s0 + s1 * theta, s2, 0.0, g.m - theta)
     if seg is not None and seg[0] > seg[1]:
         seg = None
-    c0, c1, c2 = g.rows.T
-    return seg, _scorer((c0 + c1 * theta)[g.live], c2[g.live], g.weights[mode], g.power,
-                        g.k_cut)
+    return seg, _scorer(c0 + c1 * theta, c2, g.weights[mode], g.power, g.k_cut, bind)
 
 
 def optimize_mix(s: Scenario, mode: str = "population",

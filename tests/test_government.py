@@ -772,6 +772,98 @@ def test_theta_range_equals_the_search_on_perturbed_scenarios(us, cn):
     assert checked >= 34
 
 
+def _triangle_points(g, rng, n):
+    """(theta, [k, ...]) for theta = 0, m, the theta-range ends and n seeded
+    thetas of [0, m]: k = 0, k = m - theta as the k-segment forms it, and
+    five seeded k between."""
+    m = g.m
+    for theta in [0.0, m, *(g.theta_range or ()), *rng.uniform(0.0, m, size=n)]:
+        yield theta, [0.0, m - theta, *rng.uniform(0.0, m - theta, size=5)]
+
+
+def _scored_points(s, step):
+    """(theta, [k, ...]) of every point that optimize_mix's k-searches
+    score on s, under both weightings."""
+    points, section = [], government._k_section
+
+    def recording(g, theta, mode):
+        seg, phi = section(g, theta, mode)
+        ks = []
+        points.append((theta, ks))
+        return seg, lambda k: ks.append(k) or phi(k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(government, "_k_section", recording)
+        for mode in government.WEIGHTINGS:
+            government.optimize_mix(s, mode, step)
+    return points
+
+
+def _assert_unbound_rows_are_positive(g, points):
+    # each point lies in the rate triangle, and there every live row outside
+    # `solvency` has G > 0 in the scorer's arithmetic c2 k + (c0 + c1 theta),
+    # so the scorer's test of the binding slots alone is exact
+    m = g.m
+    unbound = g.live.copy()
+    unbound[g.solvency] = False
+    c0, c1, c2 = g.rows[unbound].T
+    for theta, ks in points:
+        ks = np.asarray(ks)
+        assert 0.0 <= theta <= m and (0.0 <= ks).all() and (ks <= m - theta).all()
+        assert (np.multiply.outer(ks, c2) + (c0 + c1 * theta) > 0.0).all()
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_rows_outside_solvency_are_positive_where_k_is_scored(fixture, request):
+    s = request.getfixturevalue(fixture)
+    g = government._grid(s, STEP)
+    _assert_unbound_rows_are_positive(g, _triangle_points(g, np.random.default_rng(53), 200))
+    scored = _scored_points(s, STEP)
+    assert sum(len(ks) for _, ks in scored) > 2000
+    _assert_unbound_rows_are_positive(g, scored)
+
+
+def test_rows_outside_solvency_are_positive_on_perturbed_scenarios(us, cn):
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for step, n, seed in ((0.25, 22, 6), (STEP, 16, 8)):
+            rng = np.random.default_rng(seed)
+            for s in _perturbed_scenarios(us, cn, n, seed):
+                checked += 1
+                g = government._grid(s, step)
+                _assert_unbound_rows_are_positive(g, _triangle_points(g, rng, 50))
+                _assert_unbound_rows_are_positive(g, _scored_points(s, step))
+    assert checked >= 34
+
+
+@pytest.mark.parametrize("mode", government.WEIGHTINGS)
+def test_welfare_queries_read_the_rows_of_a_replaced_grid(us, monkeypatch, mode):
+    # a grid rebuilt with dataclasses.replace derives its own columns: the
+    # k-section and the objective see its rewritten rows, not the cached
+    # columns of the fixture grid; each bad k is insolvent on a rewritten
+    # row of the k-dependent tail only
+    g = government._grid(us, STEP)
+    g.columns
+    for cut, theta, bad, good in ((_cut_in_k(g), 0.1, 0.04, 0.1),
+                                  (_with_retiree_rows(g, SLIVER), 0.1035, 0.12, 0.121)):
+        live, solvency, bind = cut.columns
+        assert np.array_equal(live, cut.rows[cut.live].T)
+        assert np.array_equal(solvency, cut.rows[cut.solvency].T)
+        assert np.array_equal(np.flatnonzero(cut.live)[bind],
+                              cut.solvency[cut.live[cut.solvency]])
+        assert math.isfinite(government._k_section(g, theta, mode)[1](bad))
+        assert government._k_section(cut, theta, mode)[1](bad) == -math.inf
+        val = government._k_section(cut, theta, mode)[1](good)
+        assert _same_bits(val, government._phi(cut, theta, good, mode))
+        assert val != government._phi(g, theta, good, mode)
+        with monkeypatch.context() as mp:
+            mp.setattr(government, "_grid", lambda s, step, cut=cut: cut)
+            assert _same_bits(government.objective(theta, good, us, mode, step=STEP), val)
+            with pytest.raises(InsolventCohort, match="cohort z = "):
+                government.objective(theta, bad, us, mode, step=STEP)
+
+
 @pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
 @pytest.mark.parametrize("mode", government.WEIGHTINGS)
 def test_voluntary_phi_equals_welfare_of_all_rows(fixture, mode, request):
