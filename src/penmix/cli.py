@@ -124,9 +124,7 @@ def _cmd_critical_ages(args) -> int:
 def _cmd_classify(args) -> int:
     s = load_scenario(args.scenario)
     report = preference.preference_map(s, step=args.step)
-    rows = [(z, m1, m2, diff, order)
-            for z, m1, m2, diff, order in report.orderings]
-    _write_csv(args.out, ["zeta", "M1t", "M2t", "M1mM2", "ordering"], rows)
+    _write_csv(args.out, ["zeta", "M1t", "M2t", "M1mM2", "ordering"], report.orderings)
     if args.out is not None:
         _emit_json(report.to_dict())
     return 0

@@ -224,16 +224,10 @@ class SupportRatioFn:
         return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        # the cell nodes[j] <= x < nodes[j + 1] from the node lattice,
-        # corrected for round-off; outside the table x sits on a plateau
-        # value, at s = 0
-        t_lo = self.nodes[0]
-        x = np.clip(t, t_lo, self.nodes[-1])
-        j = np.fmin((x - t_lo) / BB_GRID_STEP, self.nodes.size - 2).astype(np.intp)
-        j -= x < self.nodes[j]
-        j += x >= self.nodes[j + 1]
-        out = self._cubic(j, x)
+        # the cell nodes[j] <= x < nodes[j + 1], as `leg` finds it; outside
+        # the table x sits on a plateau value, at s = 0
+        x = np.clip(np.asarray(t, dtype=float), self.nodes[0], self.nodes[-1])
+        out = self._cubic(np.searchsorted(self.nodes, x, side="right") - 1, x)
         return float(out) if out.ndim == 0 else out
 
     def leg(self, x, t, eps: float):

@@ -115,17 +115,17 @@ class CohortGrid:
 
         The solvent polygon's shadow on theta, by Fourier-Motzkin
         elimination of k (Schrijver, Theory of Linear and Integer
-        Programming, 1986, sec. 12.2).  The `solvency` rows are stacked with
-        the box rows k >= 0 and theta + k <= m.  Each row with c2 > 0 bounds
-        k below and each with c2 < 0 above; |c2_down| row_up + c2_up
-        row_down has no k term, and those pairs with the k-free rows bound
-        theta.  An end set by a pair with a solvency row is one division, so
-        it may lie a few ulps outside the polygon; a solvency row binds
-        there (G = 0), so phi is -inf at that end either way.
+        Programming, 1986, sec. 12.2).  The cached `solvency` columns
+        (`columns[1]`) are stacked with the box rows k >= 0 and
+        theta + k <= m.  Each row with c2 > 0 bounds k below and each with
+        c2 < 0 above; |c2_down| row_up + c2_up row_down has no k term, and
+        those pairs with the k-free rows bound theta.  An end set by a pair
+        with a solvency row is one division, so it may lie a few ulps
+        outside the polygon; a solvency row binds there (G = 0), so phi is
+        -inf at that end either way.
         """
         m = self.m
-        c0, c1, c2 = np.vstack([self.rows[self.solvency],
-                                ((0.0, 0.0, 1.0), (m, -1.0, -1.0))]).T
+        c0, c1, c2 = np.hstack([self.columns[1], ((0.0, m), (0.0, -1.0), (1.0, -1.0))])
         up, down = c2 > 0.0, c2 < 0.0
         free = ~up & ~down
         a2, b2 = c2[up, None], -c2[down]
@@ -220,16 +220,16 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
 
 
 def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
-    """sum w G^power over the resources G of the live rows, in table order;
-    -inf when one of them is insolvent."""
-    if (G <= 0.0).any():
-        return -math.inf
+    """sum w G^power over the resources G of the live rows, in table order.
+    The caller has tested G > 0: `_phi` returns -inf and `objective`
+    raises otherwise."""
     return float((g.weights[mode] * G ** g.power).sum())
 
 
 def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarray,
             cut: int = 0, bind: Optional[np.ndarray] = None):
-    """x -> sum w G^power with G = base + slope x, bit for bit `_welfare`.
+    """x -> sum w G^power with G = base + slope x, -inf when a G <= 0: bit
+    for bit `_phi`.
 
     The rows before `cut` have slope 0: their terms go into a buffer once,
     and each call rewrites the rest of it in place and sums the whole buffer
@@ -269,14 +269,14 @@ def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarra
     return phi
 
 
-def _resources(g: CohortGrid, theta: float, k) -> np.ndarray:
-    """G = c0 + c1 theta + c2 k on every row; k is one rate or one per row."""
-    c0, c1, c2 = g.rows.T
-    return c0 + c1 * theta + c2 * k
-
-
-def _phi(g: CohortGrid, theta: float, k: float, mode: str) -> float:
-    return _welfare(g, _resources(g, theta, k)[g.live], mode)
+def _phi(g: CohortGrid, theta: float, k, mode: str) -> float:
+    """phi(theta, k) from the grid's cached live-row `columns`, -inf when a
+    live row's resource G <= 0; k is one rate or one per live row."""
+    c0, c1, c2 = g.columns[0]
+    G = c0 + c1 * theta + c2 * k
+    if (G <= 0.0).any():
+        return -math.inf
+    return _welfare(g, G, mode)
 
 
 def _check_mode(mode: str) -> None:
@@ -318,7 +318,7 @@ def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
     kf = k_of_z(s.policy.t0) if future_k is None else future_k
     ks = np.array([k_of_z(float(z)) for z in g.z]
                   + [kf] * (len(g.rows) - g.z.size))
-    val = _welfare(g, _resources(g, theta, ks)[g.live], mode)
+    val = _phi(g, theta, ks[g.live], mode)
     if not math.isfinite(val):
         raise InsolventCohort(
             f"nonpositive resource under per-cohort rates at theta = {theta}")

@@ -65,7 +65,7 @@ class SimulationReport:
     probes: tuple = field(default=())   # (t, mean_X, se_X) rows
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "probes": [list(p) for p in self.probes]}
+        return asdict(self)
 
 
 def _time_grid(z: float, s: Scenario, dt: float):
@@ -369,12 +369,12 @@ def simulate_cohort(cfg: SimulationConfig, s: Scenario,
 @dataclass(frozen=True)
 class CohortCheck:
     z: float
-    report: SimulationReport
     utility_ok: bool
     terminal_ok: bool
     y0_ok: Optional[bool]
     probes_ok: bool
     passed: bool
+    report: SimulationReport    # last: the JSON key order
 
 
 @dataclass(frozen=True)
@@ -385,17 +385,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [{
-                "z": r.z, "utility_ok": r.utility_ok,
-                "terminal_ok": r.terminal_ok, "y0_ok": r.y0_ok,
-                "probes_ok": r.probes_ok, "passed": r.passed,
-                "report": r.report.to_dict(),
-            } for r in self.rows],
-            "perturbed_gap_se": self.perturbed_gap_se,
-            "perturbed_ok": self.perturbed_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _probe_times(z: float, s: Scenario):

@@ -132,14 +132,6 @@ def _first_roots(f, xs, vals, wanted):
         sent = {c: cols[c][end - ages.size:end] for (c, ages), end in zip(asks.items(), ends)}
 
 
-def _scan_root(f, lo: float, hi: float):
-    """Bracket-scan then refine one elementwise f; returns (first root or
-    None, crossing count)."""
-    xs = np.append(np.arange(lo, hi, BB_SCAN_STEP), hi)
-    vals = (np.asarray(f(xs), dtype=float),)
-    return _first_roots(lambda ages: (f(ages),), xs, vals, [True])[0]
-
-
 def critical_age_paygo_savings(s: Scenario) -> Optional[float]:
     """Age above which PAYGO is preferred to individual savings; None when
     every age prefers PAYGO."""

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from penmix import DomainError, demography, load_scenario, preference
+from penmix import (DomainError, EmptyRegion, InsolventCohort, demography, government,
+                    load_scenario, preference, with_params)
 from penmix.cli import _write_csv, main, mortality_scale
 
 
@@ -636,3 +637,60 @@ def test_boundary_values_exit_without_internal_error(capsys, scenario_dir, tmp_p
                  ["paths", "--zeta", "30"] + rates):
         code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code != 5, (argv, err)
+
+
+@pytest.mark.parametrize("error", [EmptyRegion, InsolventCohort], ids=lambda e: e.__name__)
+def test_infeasible_errors_exit_3(capsys, scenario_dir, monkeypatch, error):
+    # no shipped or perturbed scenario has an empty admissible region, so the
+    # optimizer is made to raise each infeasibility error
+    def infeasible(*args, **kwargs):
+        raise error("no admissible mix")
+
+    monkeypatch.setattr(government, "optimize_mix", infeasible)
+    code, out, err = run(capsys, "optimize", str(scenario_dir / "scenario_us.json"),
+                         "--weighting", "population")
+    assert code == 3
+    assert out == ""
+    assert err == "error: no admissible mix\n"
+
+
+@pytest.mark.parametrize("spec, word", [
+    ([1, 2], "JSON object"),
+    ({"param1": {"path": "demo.rho", "lo": -0.01, "hi": 0.0, "steps": 2},
+      "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.03, "steps": 2}},
+     "missing 'target'"),
+    ({"param1": {"path": "demo.rho", "hi": 0.0, "steps": 2},
+      "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.03, "steps": 2},
+      "target": "zeta_hat"},
+     "param1 missing 'lo'"),
+], ids=["not-an-object", "no-target", "axis-without-lo"])
+def test_sweep_spec_without_its_fields_is_a_schema_error(capsys, scenario_dir, tmp_path,
+                                                         spec, word):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                         "--spec", str(path))
+    assert code == 4 and word in err, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_zeta_tilde_rows_and_reasons(capsys, scenario_dir, tmp_path, us):
+    # at rho = 0.03 every US age prefers PAYGO to EET: no zeta_tilde
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "demo.rho", "lo": 0.02, "hi": 0.03, "steps": 2},
+        "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.02, "steps": 2},
+        "target": "zeta_tilde",
+    }))
+    code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                         "--spec", str(spec))
+    assert code == 0, err
+    lines = out.strip().split("\n")
+    assert lines[0] == "demo.rho,market.gamma,zeta_tilde,reason"
+    cells = [line.split(",") for line in lines[1:]]
+    want = preference.critical_age_paygo_eet(with_params(us, **{"demo.rho": 0.02}))
+    for row in cells[:2]:
+        assert row[2:] == [f"{want:.17g}", ""]
+    for row in cells[2:]:
+        assert row[2:] == ["nan", "no critical age: all ages prefer PAYGO to EET"]

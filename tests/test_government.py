@@ -646,6 +646,13 @@ def _same_bits(x, y):
     return x.hex() == y.hex()
 
 
+def _welfare_or_neg_inf(g, G, mode):
+    # the welfare of the live rows' resources G, -inf when one is insolvent
+    if (G <= 0.0).any():
+        return -math.inf
+    return float((g.weights[mode] * G ** g.power).sum())
+
+
 def _assert_k_section_is_phi(g, mode, points):
     # segment and scorer of each theta against line_interval and _phi
     for theta, ks in points:
@@ -875,14 +882,15 @@ def test_voluntary_phi_equals_welfare_of_all_rows(fixture, mode, request):
     bounds = government.voluntary_theta_bounds(s, step=STEP)
     thetas = np.random.default_rng(37).uniform(0.0, s.policy.m, size=20)
     for theta in [bounds.lower, bounds.upper, *thetas]:
-        assert _same_bits(phi(theta), government._welfare(g, (d0 + d1 * theta)[g.live], mode))
+        assert _same_bits(phi(theta), _welfare_or_neg_inf(g, (d0 + d1 * theta)[g.live], mode))
 
 
 def test_objective_names_the_first_insolvent_row(cn):
     # CN's retirees are insolvent below theta_range at every k
     g = government._grid(cn, STEP)
     theta = g.theta_range[0] - 1e-3
-    G = government._resources(g, theta, 0.0)
+    c0, c1, _ = g.rows.T
+    G = c0 + c1 * theta
     first = np.flatnonzero(g.live & (G <= 0.0))[0]
     with pytest.raises(InsolventCohort, match=f"cohort z = {g.z[first]:.3f} has"):
         government.objective(theta, 0.0, cn, step=STEP)
@@ -1041,3 +1049,37 @@ def test_a1_a2_agree_with_node_signs(fixture, rhos, request):
                     assert wrong == 0, (tau2, rho, lo, hi, wrong)
                     covered |= inside
             assert np.array_equal(covered, clear), (tau2, rho)
+
+
+@pytest.mark.parametrize("extra, match", [
+    # a retiree row G = -0.1 fails at every theta, whatever k the cohorts pick
+    ([(-0.1, 0.0, 0.0)], "theta-independent cohort constraint is violated"),
+    # theta >= 0.3, above the cap m = 0.25
+    ([(-0.3, 1.0, 0.0)], "voluntary admissible theta interval is empty"),
+], ids=["theta-free-row", "lower-above-upper"])
+def test_voluntary_theta_bounds_of_an_empty_region(us, monkeypatch, extra, match):
+    cut = _with_retiree_rows(government._grid(us, STEP), extra)
+    monkeypatch.setattr(government, "_grid", lambda s, step: cut)
+    for call in (government.voluntary_theta_bounds, government.optimize_voluntary):
+        with pytest.raises(EmptyRegion, match=match):
+            call(us, step=STEP)
+
+
+def test_voluntary_objective_at_a_binding_bound_is_insolvent(us, monkeypatch):
+    # a retiree row G = theta - 0.1 sets the lower bound 0.1, where its
+    # resource is 0 exactly
+    cut = _with_retiree_rows(government._grid(us, STEP), [(-0.1, 1.0, 0.0)])
+    monkeypatch.setattr(government, "_grid", lambda s, step: cut)
+    assert government.voluntary_theta_bounds(us, step=STEP).lower == 0.1
+    assert math.isfinite(government.voluntary_objective(0.1 + 1e-9, us, step=STEP))
+    with pytest.raises(InsolventCohort, match="insolvent cohort at theta = 0.1"):
+        government.voluntary_objective(0.1, us, step=STEP)
+
+
+def test_objective_per_cohort_insolvent_rates(cn):
+    # CN's retirees are insolvent below theta_range whatever k each cohort runs
+    theta = government._grid(cn, STEP).theta_range[0] - 1e-3
+    with pytest.raises(InsolventCohort, match="nonpositive resource under per-cohort"):
+        government.objective_per_cohort(theta, lambda z: 0.0, cn, step=STEP)
+    assert math.isfinite(government.objective_per_cohort(theta + 2e-3, lambda z: 0.0, cn,
+                                                         step=STEP))

@@ -333,3 +333,30 @@ def test_expected_paths_against_per_node_oracle(request, fixture):
 def test_expected_paths_grid_must_be_positive_and_finite(us, grid):
     with pytest.raises(DomainError, match="positive and finite"):
         lifecycle.expected_paths(0.0, us, 0.08, 0.12, grid=grid)
+
+
+@pytest.mark.parametrize("fixture", ["us", "cn", "us_bb"])
+def test_expected_wealth_at_t0_is_the_estimated_initial_wealth(fixture, request):
+    # with the default switch at t0 the cohort ran (theta0, k0) until t0, so
+    # its expected wealth there is the estimated x0 whatever rates follow
+    s = request.getfixturevalue(fixture)
+    t0 = s.policy.t0
+    rates = np.random.default_rng(59).uniform(0.0, s.policy.m / 2, size=(4, 2))
+    for z in (t0 - 69.5, t0 - 60.0, t0 - 34.0, t0 - 30.0, t0 - 5.0, t0 - 1.0, t0):
+        x0 = lifecycle.estimate_initial_states(z, s).x0
+        for theta, k in [(0.0, 0.0), (0.0, s.policy.m), (s.policy.m, 0.0), *rates]:
+            got = lifecycle.expected_wealth(t0, z, s, theta, k)
+            assert got == pytest.approx(x0, rel=1e-12, abs=0.0), (z, theta, k)
+
+
+def test_salary_accum_at_gamma_equal_alpha_is_the_limit(us):
+    # the integral of e^{g u} over [lo, hi] is (hi - lo) + g (hi^2 - lo^2) / 2
+    # + O(g^2): the g = 0 branch agrees with g = +-1e-7 to first order
+    lo, hi = np.array([0.0, 30.0, -40.0]), np.array([35.0, 65.0, 10.0])
+    at = lifecycle._salary_accum(lo, hi, with_params(us, **{"market.gamma": us.market.alpha}))
+    assert at.tolist() == (hi - lo).tolist()
+    for h in (1e-7, -1e-7):
+        s = with_params(us, **{"market.gamma": us.market.alpha + h})
+        g = s.market.gamma - s.market.alpha
+        slope = (lifecycle._salary_accum(lo, hi, s) - at) / g
+        np.testing.assert_allclose(slope, (hi**2 - lo**2) / 2, rtol=1e-3)

@@ -136,6 +136,10 @@ def test_config_validation(us):
     with pytest.raises(ConfigError):
         montecarlo.simulate_cohort(
             SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=101), us)
+    for antithetic in (True, False):
+        with pytest.raises(ConfigError, match="n_paths must be at least 2"):
+            montecarlo.simulate_cohort(SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=1,
+                                                        antithetic=antithetic), us)
     with pytest.raises(ConfigError):
         # 0.03 does not divide the 35-year working span
         montecarlo.simulate_cohort(

@@ -13,6 +13,14 @@ from _oracles import scan_root_by_bisection
 from test_demography import _bb_blocks
 
 
+def _scan_root(f, lo, hi):
+    """(first root or None, crossing count) of one elementwise f: its
+    bracket grid and refinement through `preference._first_roots`."""
+    xs = np.append(np.arange(lo, hi, preference.BB_SCAN_STEP), hi)
+    vals = (np.asarray(f(xs), dtype=float),)
+    return preference._first_roots(lambda ages: (f(ages),), xs, vals, [True])[0]
+
+
 def test_tilde_matches_lifecycle_coefficients(us):
     t0 = us.policy.t0
     for zeta in (30.0, 37.5, 44.0, 55.0, 64.9, 65.0, 80.0, 99.0):
@@ -273,8 +281,8 @@ def test_babyboom_scan_grid_matches_scalar_scan(us_bb, column):
         lambda zeta: preference.tilde_coefficients(float(zeta), s)[column], otypes=[float])
     xs = np.append(np.arange(lo, hi, preference.BB_SCAN_STEP), hi)
     assert vectorised(xs).tolist() == scalar(xs).tolist()
-    root, crossings = preference._scan_root(vectorised, lo, hi)
-    assert (root, crossings) == preference._scan_root(scalar, lo, hi)
+    root, crossings = _scan_root(vectorised, lo, hi)
+    assert (root, crossings) == _scan_root(scalar, lo, hi)
     assert crossings == 1
 
 
@@ -321,7 +329,7 @@ def test_scan_matches_bisection_oracle_on_bb_blocks(us_bb, column):
         def f(zeta):
             return preference._tilde_arrays(zeta, s)[column]
 
-        assert (preference._scan_root(f, d.a, d.tau - 1e-9)
+        assert (_scan_root(f, d.a, d.tau - 1e-9)
                 == scan_root_by_bisection(f, d.a, d.tau - 1e-9)), name
 
 
@@ -388,7 +396,7 @@ def test_scan_two_sign_changes_gives_the_first_root():
     def f(x):
         return (x - 31.3) * (x - 47.9)
 
-    root, crossings = preference._scan_root(f, 30.0, 65.0 - 1e-9)
+    root, crossings = _scan_root(f, 30.0, 65.0 - 1e-9)
     assert crossings == 2
     assert root == pytest.approx(31.3, abs=1e-8)
     assert (root, crossings) == scan_root_by_bisection(f, 30.0, 65.0 - 1e-9)
@@ -396,10 +404,10 @@ def test_scan_two_sign_changes_gives_the_first_root():
 
 def test_scan_exact_zeros_on_the_grids():
     # a zero on the 0.25-year bracket grid is the root itself
-    assert preference._scan_root(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
+    assert _scan_root(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
     assert scan_root_by_bisection(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
     # so is one on a refinement grid; bisection only closes in on it
-    root, crossings = preference._scan_root(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
+    root, crossings = _scan_root(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
     assert (root, crossings) == (40.125, 1)
     oracle, _ = scan_root_by_bisection(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
     assert abs(oracle - root) <= 1e-8

@@ -346,3 +346,47 @@ def test_riskless_eet_fund_needs_alpha_above_r(us):
     bad = with_params(us, **{"market.beta": 0.0, "market.alpha": us.market.r})
     with pytest.raises(OrderingViolation, match="Sharpe"):
         validate(bad)
+
+
+@pytest.mark.parametrize("path, value, rule", [
+    (("demography", "tau"), 20.0, "a < tau < omega"),
+    (("demography", "c"), 1.0, "Makeham base c must exceed 1"),
+    (("demography", "B"), -1e-6, "Makeham constants A, B must be nonnegative"),
+    (("demography", "n0"), 0.0, "entrant density n0 must be positive"),
+    (("demography", "babyboom", "t1"), -10.0, "requires t1 < t2"),
+    (("demography", "babyboom", "n1"), 200.0, "requires 0 < n1 < nm"),
+    (("demography", "babyboom", "kappa"), 0.0, "logistic rate kappa must be positive"),
+    (("policy", "theta0"), -0.01, "theta0 must lie in [0, 1]"),
+    (("policy", "m"), 1.5, "cap m must lie in [0, 1]"),
+    (("policy", "tau2"), 1.0, "tau2 must lie in [0, 1)"),
+    (("preference", "delta1"), 0.0, "delta1 must be < 1 and nonzero"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_structural_violation_is_a_schema_error_naming_it(us_bb, path, value, rule):
+    doc = scenario_to_dict(us_bb)
+    *sections, field = path
+    node = doc
+    for key in sections:
+        node = node[key]
+    node[field] = value
+    with pytest.raises(SchemaError, match=re.escape(rule)):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value, error, words", [
+    ("sigma", 0.0, OrderingViolation, "positive (sigma)"),
+    ("sigma", -0.26, OrderingViolation, "positive (sigma)"),
+    ("W0", 0.0, OrderingViolation, "W0 must be positive"),
+    ("W0", -1.0, OrderingViolation, "W0 must be positive"),
+])
+def test_validate_rejects_nonpositive_sigma_and_W0(us, field, value, error, words):
+    with pytest.raises(error, match=re.escape(words)):
+        validate(with_params(us, **{f"market.{field}": value}))
+
+
+def test_validate_rejects_epsilon_tilde_equal_to_epsilon(us):
+    # gamma = alpha + (xi - beta) nu makes epsilon = epsilon_tilde, away from 0
+    mk = us.market
+    nu = (mk.mu - mk.r) / mk.sigma
+    s = with_params(us, **{"market.gamma": mk.alpha + (mk.xi - mk.beta) * nu})
+    with pytest.raises(DegenerateDrift, match="coincides with epsilon"):
+        validate(s)

@@ -41,3 +41,42 @@ def test_bench_pairs_summary_on_canned_runs(bench_pairs):
     # a metric some run reports as null is left out
     assert doc["wins"] == {"rate": 2, "rss": 1}
     assert "count" not in doc["summary"]["parent"]
+
+
+@pytest.fixture(scope="module")
+def golden_outputs():
+    spec = importlib.util.spec_from_file_location("golden_outputs",
+                                                  SCRIPTS / "golden_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _output_dir(path, cell="0.5"):
+    path.mkdir()
+    (path / "a.csv").write_text(f"x,y\n1,{cell}\n2,0.25\n")
+    (path / "b.stdout").write_text('{\n  "theta": 0.1\n}\n')
+    return path
+
+
+def test_golden_compare_of_identical_directories(golden_outputs, tmp_path, capsys):
+    a, b = _output_dir(tmp_path / "a"), _output_dir(tmp_path / "b")
+    assert golden_outputs.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "a.csv: identical\nb.stdout: identical\n"
+
+
+def test_golden_compare_names_a_changed_csv_cell(golden_outputs, tmp_path, capsys):
+    a, b = _output_dir(tmp_path / "a"), _output_dir(tmp_path / "b", cell="0.75")
+    assert golden_outputs.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # 0.5 -> 0.75: relative 0.25 / 0.75, column-scaled 0.25 / max(0.5, 0.25)
+    assert out[:3] == ["a.csv:", "  x: max rel 0, column-scaled 0",
+                       "  y: max rel 0.333, column-scaled 0.5"]
+    assert out[3:] == ["b.stdout: identical"]
+
+
+def test_golden_compare_of_a_file_in_one_directory_only(golden_outputs, tmp_path, capsys):
+    a, b = _output_dir(tmp_path / "a"), _output_dir(tmp_path / "b")
+    (b / "c.json").write_text("{}\n")
+    assert golden_outputs.main(["--compare", str(a), str(b)]) == 1
+    assert f"c.json: only in {b}" in capsys.readouterr().out.splitlines()
