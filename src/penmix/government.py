@@ -97,13 +97,15 @@ class CohortGrid:
 
     @cached_property
     def columns(self) -> tuple:
-        """(live, solvency, bind): the live rows' c0, c1 and c2 and the
+        """(live, solvency, bind, vol): the live rows' c0, c1 and c2 and the
         `solvency` rows' c0, c1 and c2, each a contiguous row of a (3, n)
-        array, and the live slots of the `solvency` rows, so that a welfare
-        query gathers nothing from `rows` per call."""
+        array, the live slots of the `solvency` rows, and the live rows'
+        voluntary d0 and d1 (`vol_rows`) as a (2, n) array, so that a
+        welfare query gathers nothing from `rows` per call."""
         slot = np.cumsum(self.live) - 1
         cols = (self.rows[self.live].T.copy(), self.rows[self.solvency].T.copy(),
-                slot[self.solvency[self.live[self.solvency]]])
+                slot[self.solvency[self.live[self.solvency]]],
+                self.vol_rows[self.live].T.copy())
         for arr in cols:
             arr.setflags(write=False)   # shared like the rows they come from
         return cols
@@ -136,6 +138,13 @@ class CohortGrid:
         if span is None or span[0] > span[1]:
             return None
         return span
+
+    @cached_property
+    def vol_bounds(self) -> Optional[tuple]:
+        """`_feasible_interval` of `vol_rows`: the thetas at which every row
+        stays solvent under voluntary EET, before the clip to [0, m]; None
+        when a theta-free row fails.  The voluntary rows' `theta_range`."""
+        return _feasible_interval(*self.vol_rows.T)
 
     @cached_property
     def k_cut(self) -> int:
@@ -289,9 +298,11 @@ def objective(theta: float, k: float, s: Scenario, mode: str = "population",
     """Aggregate welfare phi(theta, k) under the given cohort weighting."""
     _check_mode(mode)
     validate(s)
-    if theta + k > s.policy.m + 1e-12 or min(theta, k) < -1e-12:
+    m = s.policy.m
+    if not (theta >= -1e-12 and k >= -1e-12 and theta + k <= m + 1e-12):   # NaN fails
         raise InsolventCohort(
-            f"(theta, k) = ({theta}, {k}) violates the cap theta + k <= {s.policy.m}")
+            f"(theta, k) = ({theta}, {k}) lies outside the rate box "
+            f"theta, k >= 0, theta + k <= {m}")
     g = _grid(s, step)
     c0, c1, c2 = g.columns[0]
     G = c0 + c1 * theta + c2 * k
@@ -343,7 +354,6 @@ class AdmissibleRegion:
 
     halfplanes: np.ndarray
     m: float
-    step: float
 
     def contains(self, theta: float, k: float, tol: float = 1e-12) -> bool:
         if theta < -tol or k < -tol or theta + k > self.m + tol:   # m <= 1
@@ -363,7 +373,7 @@ def admissible_region(s: Scenario, step: float = Z_STEP) -> AdmissibleRegion:
     g = _grid(s, step)
     if g.theta_range is None:
         raise EmptyRegion(_EMPTY)
-    return AdmissibleRegion(halfplanes=g.rows, m=s.policy.m, step=step)
+    return AdmissibleRegion(halfplanes=g.rows, m=s.policy.m)
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +472,7 @@ def _k_section(g: CohortGrid, theta: float, mode: str):
     once, and slope c2, whose k-free head ends at `k_cut`, testing the
     tail's binding slots only.
     """
-    (c0, c1, c2), (s0, s1, s2), bind = g.columns
+    (c0, c1, c2), (s0, s1, s2), bind, _ = g.columns
     seg = _feasible_interval(s0 + s1 * theta, s2, 0.0, g.m - theta)
     if seg is not None and seg[0] > seg[1]:
         seg = None
@@ -594,11 +604,10 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
     Node membership in A1 / A2 is decided by the sign of the per-cohort theta
     coefficient M1 - M2^+; the interval case analysis is reported alongside.
     """
-    g = _grid(s, step)
     m = s.policy.m
     # each cohort's best response makes G affine in theta alone; the
     # entry-time rows also bind every future cohort
-    bounds = _feasible_interval(*g.vol_rows.T)
+    bounds = _grid(s, step).vol_bounds
     if bounds is None:
         raise EmptyRegion("a theta-independent cohort constraint is violated")
     theta_low, theta_high = bounds
@@ -613,8 +622,8 @@ def voluntary_theta_bounds(s: Scenario, step: float = Z_STEP) -> ThetaBounds:
 
 def _voluntary_phi(g: CohortGrid, mode: str):
     """theta -> welfare under voluntary EET: the `_scorer` of the live
-    rows' d0 + d1 theta."""
-    d0, d1 = g.vol_rows[g.live].T.copy()
+    rows' d0 + d1 theta, read from the grid's cached `columns`."""
+    d0, d1 = g.columns[3]
     return _scorer(d0, d1, g.weights[mode], g.power)
 
 

@@ -294,12 +294,10 @@ def _eet_balance(t, z, k, s: Scenario, k_initial=None):
     return np.where(te > z, y, 0.0)
 
 
-def expected_eet_balance(t: float, z: float, s: Scenario, k: float,
-                         k_initial: Optional[float] = None) -> float:
-    """E[Y(t)] for a cohort entering at z: contributions at rate `k_initial`
-    up to t0 and `k` afterwards (pass k_initial=None for a single fixed
-    rate); the balance freezes at retirement."""
-    return float(_eet_balance(t, z, k, s, k_initial))
+def expected_eet_balance(t: float, z: float, s: Scenario, k: float) -> float:
+    """E[Y(t)] for a cohort entering at z that contributes at rate k since
+    entry; the balance freezes at retirement."""
+    return float(_eet_balance(t, z, k, s))
 
 
 def _expected_states(t, z, delta, theta, k, coefs, L, s: Scenario, switch=None):

@@ -64,9 +64,6 @@ class SimulationReport:
     seed: int
     probes: tuple = field(default=())   # (t, mean_X, se_X) rows
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _time_grid(z: float, s: Scenario, dt: float):
     """Uniform mesh at dt, one step shorter than dt where dt does not divide
@@ -395,10 +392,9 @@ def _probe_times(z: float, s: Scenario):
 
 def verify_value_function(s: Scenario, cohorts: Sequence[float],
                           n_paths: int = 20000, dt: float = 0.01,
-                          seed: int = 20240, antithetic: bool = True,
-                          theta: Optional[float] = None,
-                          k: Optional[float] = None) -> VerificationReport:
-    """PASS/FAIL comparison of simulation against every closed form.
+                          seed: int = 20240) -> VerificationReport:
+    """PASS/FAIL comparison of simulation against every closed form, at the
+    scenario's rates (theta0, k0) held for life, with antithetic pairs.
 
     For each cohort: expected utility vs the value function, terminal wealth
     vs 0, E[Y(t0)] vs the expectation estimate, and E[X*(t)] at five interior
@@ -407,12 +403,11 @@ def verify_value_function(s: Scenario, cohorts: Sequence[float],
     standard errors (the closed form is a maximum).
     """
     p = s.policy
-    theta = p.theta0 if theta is None else theta
-    k = p.k0 if k is None else k
+    theta, k = p.theta0, p.k0
     rows = []
     for z in cohorts:
         cfg = SimulationConfig(z=z, theta=theta, k=k, n_paths=n_paths, dt=dt,
-                               seed=seed, antithetic=antithetic)
+                               seed=seed)
         probes = _probe_times(z, s)
         rep = simulate_cohort(cfg, s, probe_times=probes)
         u_ok = abs(rep.mean_utility - rep.closed_form_value) <= 3 * rep.se_utility
@@ -434,8 +429,7 @@ def verify_value_function(s: Scenario, cohorts: Sequence[float],
                                 passed=ok))
 
     cfg_bad = SimulationConfig(z=cohorts[0], theta=theta, k=k, n_paths=n_paths,
-                               dt=dt, seed=seed, antithetic=antithetic,
-                               pi_scale=1.5)
+                               dt=dt, seed=seed, pi_scale=1.5)
     rep_bad = simulate_cohort(cfg_bad, s)
     gap_se = (rep_bad.closed_form_value - rep_bad.mean_utility) / rep_bad.se_utility
     perturbed_ok = gap_se > 3.0

@@ -75,21 +75,22 @@ def _first_crossing(vals):
             int(zero.sum() + change.sum()))
 
 
-def _first_root(xs, vals, xtol: float = 1e-8):
+def _first_root(xs, vals):
     """Generator of (first root or None, crossing count) of a column with
     values vals on the bracket grid xs: it yields each round's ages and is
     sent their values.
 
     Each round cuts the first bracket with a zero or a sign change 32 ways by
     five levels of midpoints, the points bisection would visit, and keeps the
-    first sub-bracket with a zero or a sign change.  So with one sign change
-    in the bracket the root is bisection's, bit for bit.
+    first sub-bracket with a zero or a sign change, until the bracket is at
+    most 1e-8 wide.  So with one sign change in the bracket the root is
+    bisection's, bit for bit.
     """
     i, count = _first_crossing(vals)
     if count == 0 or vals[i] == 0.0:
         return (None if count == 0 else float(xs[i])), count
     a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-    halvings = math.ceil(math.log2((b - a) / xtol)) if b - a > xtol else 0
+    halvings = math.ceil(math.log2((b - a) / 1e-8)) if b - a > 1e-8 else 0
     while halvings > 0:
         n = 2 ** min(halvings, 5)
         halvings -= 5

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from penmix import DomainError, demography, validate
 from penmix.scenario import BabyBoomParams
@@ -84,6 +85,16 @@ def test_support_ratio_ignores_entrant_scale(us):
 def test_annuity_pure_discount_limit(us):
     flat = dataclasses.replace(us.demo, A=0.0, B=0.0)
     assert demography.annuity_factor(flat, 0.02) == pytest.approx(50.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("A, r", [(0.0, 5e-8), (0.0, 3e-8), (0.0, 1e-8), (0.0, 2e-9),
+                                  (2e-8, 1e-8)])
+def test_annuity_without_makeham_term_at_a_tiny_rate(us, A, r):
+    # B = 0 and r + A below about 7e-8: the upper limit doubles past its 1e9
+    # cap, and the analytic tail e^{-(r + A) upper} / (r + A) completes the
+    # integral 1 / (r + A); the tail is about 2e-5 of it at r + A = 1e-8
+    flat = dataclasses.replace(us.demo, A=A, B=0.0)
+    assert demography.annuity_factor(flat, r) == pytest.approx(1.0 / (r + A), rel=1e-12)
 
 
 def test_annuity_below_riskless_perpetuity(us):
@@ -296,6 +307,10 @@ def test_bb_cells_match_scipy_pchip(us_bb):
         c0, c1, c2, c3 = fn._cells[:, j]
         np.testing.assert_array_equal(
             fn(ts), ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s), err_msg=name)
+    # a table whose left end slope, 4.5, overshoots 3 m0 = 3 against a secant
+    # of the other sign: scipy clamps it to 3 m0
+    x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -5.0])
+    np.testing.assert_array_equal(demography._pchip_cells(x, y), PchipInterpolator(x, y).c)
 
 
 def test_import_loads_no_scipy(scenario_dir):

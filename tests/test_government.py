@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penmix import (
+    DomainError,
     EmptyRegion,
     InsolventCohort,
     PenmixError,
@@ -40,8 +41,22 @@ def test_cap_violation_rejected(us):
         government.objective(0.2, 0.2, us)
 
 
+@pytest.mark.parametrize("theta, k", [(math.nan, 0.1), (0.1, math.nan),
+                                      (math.inf, 0.0), (0.0, math.inf)])
+def test_rate_outside_the_box_rejected(us, theta, k):
+    # every comparison with NaN is false: a NaN rate fails the box test
+    # rather than slipping through to a NaN welfare
+    with pytest.raises(InsolventCohort, match="outside the rate box"):
+        government.objective(theta, k, us, step=STEP)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_voluntary_rate_outside_the_interval_rejected(us, theta):
+    with pytest.raises(InsolventCohort, match="outside the voluntary admissible interval"):
+        government.voluntary_objective(theta, us, step=STEP)
+
+
 def test_invalid_weighting_rejected(us):
-    from penmix import DomainError
     with pytest.raises(DomainError):
         government.objective(0.1, 0.1, us, mode="median")
 
@@ -161,6 +176,14 @@ def test_voluntary_k_zero_when_eet_unattractive(us):
         harsh = with_params(us, **{"policy.tau2": 0.9})
         choice = government.voluntary_k_star(0.1, us.policy.t0 - 10.0, harsh)
     assert choice.kind == "point" and choice.value == 0.0
+
+
+@pytest.mark.parametrize("theta", [-1e-9, 0.25 + 1e-9, math.nan])
+def test_voluntary_k_star_refuses_theta_outside_0_m(us, theta):
+    assert us.policy.m == 0.25
+    for z in (us.policy.t0 - 40.0, us.policy.t0 - 10.0, us.policy.t0 + 1.0):
+        with pytest.raises(DomainError, match="outside \\[0, m\\]"):
+            government.voluntary_k_star(theta, z, us)
 
 
 def test_voluntary_substitution_identity(us):
@@ -854,8 +877,9 @@ def test_welfare_queries_read_the_rows_of_a_replaced_grid(us, monkeypatch, mode)
     g.columns
     for cut, theta, bad, good in ((_cut_in_k(g), 0.1, 0.04, 0.1),
                                   (_with_retiree_rows(g, SLIVER), 0.1035, 0.12, 0.121)):
-        live, solvency, bind = cut.columns
+        live, solvency, bind, vol = cut.columns
         assert np.array_equal(live, cut.rows[cut.live].T)
+        assert np.array_equal(vol, cut.vol_rows[cut.live].T)
         assert np.array_equal(solvency, cut.rows[cut.solvency].T)
         assert np.array_equal(np.flatnonzero(cut.live)[bind],
                               cut.solvency[cut.live[cut.solvency]])

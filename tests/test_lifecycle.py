@@ -165,6 +165,40 @@ def test_insolvent_cohort_raises(us):
         lifecycle.value_function(10.0, -base - 1.0, 1.0, 0.0, 0.0, 0.08, 0.12, us, -2.9)
 
 
+@pytest.mark.parametrize("t", [-1e-9, 70.0 + 1e-9, math.nan])
+def test_coefficients_and_L_refuse_a_time_outside_the_life(us, t):
+    # cohort z = 0 lives over [0, omega - a] = [0, 70]
+    assert us.demo.omega - us.demo.a == 70.0
+    with pytest.raises(DomainError, match="outside \\[z, z \\+ omega - a\\]"):
+        lifecycle.coefficients(t, 0.0, us)
+    with pytest.raises(DomainError, match="outside \\[z, z \\+ omega - a\\]"):
+        lifecycle.coeff_L(t, 0.0, -2.9, us)
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0])
+def test_value_function_refuses_a_nonpositive_salary(us, w):
+    with pytest.raises(DomainError, match="average salary must be positive"):
+        lifecycle.value_function(10.0, 0.5, w, 0.0, 0.0, 0.08, 0.12, us, -2.9)
+
+
+def test_controls_refuse_an_insolvent_state_and_the_terminal_age(us):
+    c = lifecycle.coefficients(10.0, 0.0, us)
+    base = c.M1 * 0.08 + c.M2 * 0.12 + c.M3
+    with pytest.raises(InsolventCohort, match="total resource G"):
+        lifecycle.optimal_controls(10.0, -base - 1.0, 1.0, 0.0, 0.0, 0.08, 0.12, us, -2.9)
+    # at the terminal age every multiplier and L vanish: G = x > 0, L = 0
+    T = us.demo.omega - us.demo.a
+    with pytest.raises(DomainError, match="terminal age"):
+        lifecycle.optimal_controls(T, 0.1, 1.0, 0.5, 0.0, 0.08, 0.12, us, -2.9)
+
+
+@pytest.mark.parametrize("switch_at_t0", [True, False])
+def test_expected_wealth_is_zero_at_the_terminal_age(us, switch_at_t0):
+    life = us.demo.omega - us.demo.a
+    for z in (us.policy.t0 - 60.0, us.policy.t0 - 10.0, us.policy.t0 + 5.0):
+        assert lifecycle.expected_wealth(z + life, z, us, 0.08, 0.12, switch_at_t0) == 0.0
+
+
 def test_controls_scale_with_state(us):
     pi1, c1 = lifecycle.optimal_controls(20.0, 0.5, 1.0, 0.8, 0.0, 0.08, 0.12, us, -2.9)
     pi2, c2 = lifecycle.optimal_controls(20.0, 1.0, 2.0, 1.6, 0.0, 0.08, 0.12, us, -2.9)

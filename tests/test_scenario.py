@@ -87,6 +87,25 @@ def test_non_number_field_is_schema_error(us, tmp_path, capsys, section, field,
     assert err.startswith("error: ") and word in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section", ["demography", "market", "policy", "preference"])
+def test_missing_section_named(us, section):
+    doc = scenario_to_dict(us)
+    del doc[section]
+    with pytest.raises(SchemaError, match=f"missing required section '{section}'"):
+        scenario_from_dict(doc)
+
+
+def test_top_level_array_is_schema_error(us, tmp_path, capsys):
+    from penmix.cli import main
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([scenario_to_dict(us)]))
+    with pytest.raises(SchemaError, match="top level must be a JSON object"):
+        load_scenario(path)
+    assert main(["validate", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "top level" in err and err.count("\n") == 1
+
+
 def test_malformed_file_is_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
