@@ -369,8 +369,6 @@ def expected_wealth(t: float, z: float, s: Scenario, theta: float, k: float,
     p = s.policy
     delta = delta_for_entry(z, s)
     L = coeff_L(t, z, delta, s)
-    if L <= 0.0:
-        return 0.0
     switch = None
     if switch_at_t0 and z <= p.t0:
         switch = (_coef_arrays(p.t0, z, s), coeff_L(p.t0, z, delta, s))

@@ -91,7 +91,6 @@ class _CohortTables:
     dts: np.ndarray
     b_right: np.ndarray
     b_left: np.ndarray
-    L: np.ndarray
     M: np.ndarray
     N: np.ndarray
     a_t: np.ndarray
@@ -147,7 +146,7 @@ def _build_tables(cfg: SimulationConfig, s: Scenario) -> _CohortTables:
     if cfg.z < p.t0 <= tg[-1]:
         i_t0 = int(np.argmin(np.abs(tg - p.t0)))
     return _CohortTables(
-        t=tg, dts=dts, b_right=b_right, b_left=b_left, L=L, M=M, N=N,
+        t=tg, dts=dts, b_right=b_right, b_left=b_left, M=M, N=N,
         a_t=a_t, working=working, cr_right=cr_right, cr_left=cr_left,
         i_t0=i_t0, w_at_entry=mk.W0 * math.exp(mk.gamma * cfg.z), delta=delta,
         ann_rate=(1 - p.tau2) / dc.a_tau)

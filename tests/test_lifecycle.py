@@ -193,10 +193,12 @@ def test_controls_refuse_an_insolvent_state_and_the_terminal_age(us):
 
 
 @pytest.mark.parametrize("switch_at_t0", [True, False])
-def test_expected_wealth_is_zero_at_the_terminal_age(us, switch_at_t0):
-    life = us.demo.omega - us.demo.a
-    for z in (us.policy.t0 - 60.0, us.policy.t0 - 10.0, us.policy.t0 + 5.0):
-        assert lifecycle.expected_wealth(z + life, z, us, 0.08, 0.12, switch_at_t0) == 0.0
+def test_expected_wealth_is_zero_at_the_terminal_age(us, cn, us_bb, switch_at_t0):
+    # the closed form itself gives 0.0 there, where L and every multiplier vanish
+    for s in (us, cn, us_bb):
+        life, t0 = s.demo.omega - s.demo.a, s.policy.t0
+        for z in (t0 - life + 0.5, t0 - 60.0, t0 - 10.0, t0, t0 + 5.0):
+            assert lifecycle.expected_wealth(z + life, z, s, 0.08, 0.12, switch_at_t0) == 0.0
 
 
 def test_controls_scale_with_state(us):

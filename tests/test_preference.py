@@ -417,3 +417,40 @@ def test_scan_exact_zeros_on_the_grids():
 def test_preference_map_step_must_be_positive_and_finite(us, step):
     with pytest.raises(DomainError, match="positive and finite"):
         preference.preference_map(us, step=step)
+
+
+def _no_mortality_draws(s, count, seed):
+    """s with A = B = 0 (no mortality) and tau1 = 0, then count seeded draws
+    of it with gamma and xi scaled by U(0.8, 1.2)."""
+    base = with_params(s, **{"demo.A": 0.0, "demo.B": 0.0, "policy.tau1": 0.0})
+    rng = np.random.default_rng(seed)
+    draws = [base]
+    for _ in range(count):
+        g, x = rng.uniform(0.8, 1.2, size=2)
+        draws.append(with_params(base, **{"market.gamma": base.market.gamma * g,
+                                          "market.xi": base.market.xi * x}))
+    return draws
+
+
+@pytest.mark.filterwarnings("ignore:tau1")
+@pytest.mark.parametrize("name", ["us", "cn"])
+def test_samuelson_aaron_limit(name, request):
+    # without mortality and without the tax on contributions, PAYGO beats
+    # individual savings (Lambda > Lambda_FP) exactly when population growth
+    # rho exceeds -epsilon = r + xi nu - gamma, the Samuelson-Aaron condition
+    # (Samuelson 1958, J. Political Economy 66(6); Aaron 1966, Canadian J.
+    # of Economics and Political Science 32(3)) with the risk-adjusted rate
+    # r + xi nu
+    for s in _no_mortality_draws(request.getfixturevalue(name), 3, seed=16):
+        eps = validate(s).epsilon
+        lam_fp = preference.thresholds(s)[0]
+
+        def gap(rho):
+            return demography.support_ratio(dataclasses.replace(s.demo, rho=rho)) - lam_fp
+
+        lo, hi = -eps - 1e-3, -eps + 1e-3
+        assert gap(lo) < 0.0 < gap(hi)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+        assert abs(0.5 * (lo + hi) + eps) <= 1e-10

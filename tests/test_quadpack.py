@@ -1,11 +1,15 @@
 import dataclasses
+import importlib.util
 import math
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
-from penmix import _quadpack, demography
+from penmix import _quadpack, demography, load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: the head of scipy.integrate.quad's message for each QUADPACK ier
 SCIPY_MESSAGES = {1: "The maximum number of subdivisions",
@@ -33,6 +37,27 @@ def _perturbed(fixtures, count, seed):
     return out
 
 
+def _integrals(monkeypatch, pairs, whole_life=False):
+    """The (f, a, b, epsabs, epsrel, limit) of each `quad` call behind the
+    support ratio (the masses over [a, tau] and [tau, omega], plus [a, omega]
+    when whole_life) and the annuity factor of each (demography, r)."""
+    calls = []
+
+    def record(f, a, b, epsabs, epsrel, limit):
+        calls.append((f, a, b, epsabs, epsrel, limit))
+        return 0.0, 0.0
+
+    with monkeypatch.context() as m:
+        m.setattr(demography, "quad", record)
+        for demo, r in pairs:
+            spans = [(demo.a, demo.tau), (demo.tau, demo.omega)]
+            for lo, hi in spans + [(demo.a, demo.omega)] * whole_life:
+                demography.lambda_segment(lo, hi, demo)
+            demography.annuity_factor(demo, r)
+    assert len(calls) == (3 + whole_life) * len(pairs)
+    return calls
+
+
 def _scipy_qags(f, a, b, epsabs, epsrel, limit):
     """(value, abserr, ier, last) from scipy.integrate.quad's full output."""
     from scipy.integrate import quad
@@ -43,81 +68,59 @@ def _scipy_qags(f, a, b, epsabs, epsrel, limit):
     return out[0], out[1], ier, out[2]["last"]
 
 
-def test_qags_matches_scipy_bits(us, cn, us_bb, monkeypatch):
-    # the integrals validate makes (the masses over [a, tau] and [tau, omega],
-    # the annuity range) plus [a, omega], on the fixtures and 2 000 seeded
-    # perturbations: (value, abserr, ier, subintervals) are scipy's bits
-    integrals = []
+def test_qag_matches_scipy_bits_on_fixture_integrals(us, cn, us_bb, monkeypatch):
+    # validate's three integrals on each fixture, at the golden sweep's
+    # corner rho - 0.005, and on the baby-boom table's two plateaus:
+    # (value, abserr, ier, subintervals) are scipy's QAGS bits
+    bb = us_bb.demo.babyboom
+    pairs = [(s.demo, s.market.r) for s in (us, cn, us_bb)]
+    pairs += [(dataclasses.replace(d, rho=d.rho - 0.005), r) for d, r in pairs]
+    pairs += [(dataclasses.replace(us_bb.demo, babyboom=None, rho=rho), us_bb.market.r)
+              for rho in (bb.rho1, bb.rho2)]
+    for args in _integrals(monkeypatch, pairs):
+        assert _quadpack.qag(*args) == _scipy_qags(*args), args[1:]
 
-    def record(f, a, b, epsabs, epsrel, limit):
-        integrals.append((f, a, b, epsabs, epsrel, limit))
-        return 0.0, 0.0
 
-    monkeypatch.setattr(demography, "quad", record)
-    for demo, r in _perturbed((us, cn, us_bb), 2000, seed=25):
-        for lo, hi in ((demo.a, demo.tau), (demo.tau, demo.omega), (demo.a, demo.omega)):
-            demography.lambda_segment(lo, hi, demo)
-        demography.annuity_factor(demo, r)
+def test_qag_matches_scipy_bits_on_sweep_cold_reference_inputs(monkeypatch, tmp_path):
+    # the perturbed US and CN scenarios of the benchmark's reference ops
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sweep = workloads.SweepCold(ROOT, tmp_path, workloads.DEFAULT_SEED)
+    sweep.prepare()
+    scenarios = [load_scenario(path) for i in range(workloads.REFERENCE_OPS)
+                 for _, path in sweep.make_input(i)]
+    for args in _integrals(monkeypatch, [(s.demo, s.market.r) for s in scenarios]):
+        assert _quadpack.qag(*args) == _scipy_qags(*args), args[1:]
+
+
+def test_qag_is_within_one_ulp_of_scipy_on_perturbed_demographies(us, cn, us_bb, monkeypatch):
+    # 2 000 seeded perturbations, some of them where QAGS extrapolates:
+    # QAG's value is within 1 ulp of scipy's, it never needs more
+    # subintervals, and it never fails
+    integrals = _integrals(monkeypatch, _perturbed((us, cn, us_bb), 2000, seed=25),
+                           whole_life=True)
     assert len(integrals) == 4 * 2003
-
-    dqelg = _quadpack._dqelg
-    extrapolations = []
-    monkeypatch.setattr(_quadpack, "_dqelg",
-                        lambda *args: extrapolations.append(1) or dqelg(*args))
     lasts = set()
     for args in integrals:
-        got = _quadpack.qagse(*args)
-        assert got == _scipy_qags(*args), args[1:]
-        lasts.add(got[3])
-    assert extrapolations, "no integral reached the epsilon algorithm"
+        value, _, ier, last = _quadpack.qag(*args)
+        ref, _, _, ref_last = _scipy_qags(*args)
+        assert abs(value - ref) <= math.ulp(ref), args[1:]
+        assert ier == 0 and last <= ref_last, args[1:]
+        lasts.add(last)
     assert max(lasts) > 3
 
-    # a kinked integrand that one subinterval cannot resolve: ier = 1
+
+def test_quad_warns_and_returns_the_value_on_failure():
+    # a kinked integrand that few subintervals cannot resolve: ier = 1
     def kink(x):
         return abs(x - 1.0 / 3.0)
 
     for limit in (1, 2, 5):
-        got = _quadpack.qagse(kink, 0.0, 1.0, 1e-14, 1e-14, limit)
-        assert got[2] == 1 and got[3] == limit
-        assert got == _scipy_qags(kink, 0.0, 1.0, 1e-14, 1e-14, limit)
-
-
-#: endpoint singularities, divergent integrals (x^-1.1, 1/x), a jump, a
-#: sign change with an odd singularity, and oscillation
-HARD_INTEGRANDS = (
-    lambda x: x ** -0.5 if x > 0 else 0.0,
-    lambda x: math.log(x) if x > 0 else 0.0,
-    lambda x: x ** -0.99 if x > 0 else 0.0,
-    lambda x: x ** -1.1 if x > 0 else 0.0,
-    lambda x: 1.0 / x if x > 0 else 0.0,
-    lambda x: math.sin(1.0 / x) if x > 0 else 0.0,
-    lambda x: 1.0 if x > 0.37 else 0.0,
-    lambda x: math.copysign(abs(x) ** -0.999, x) if x else 0.0,
-    lambda x: math.cos(100.0 * x),
-)
-
-
-def test_qags_matches_scipy_bits_on_hard_integrands():
-    # long subinterval lists, the extrapolation table, and every failure
-    # but ier = 3
-    iers = set()
-    for f in HARD_INTEGRANDS:
-        for epsabs, epsrel in ((1e-10, 1e-12), (0.0, 1e-10), (1.49e-8, 1.49e-8), (0.0, 1e-13)):
-            for limit in (7, 50, 200):
-                for a, b in ((0.0, 1.0), (-1.0, 2.0)):
-                    got = _quadpack.qagse(f, a, b, epsabs, epsrel, limit)
-                    assert got == _scipy_qags(f, a, b, epsabs, epsrel, limit)
-                    iers.add(got[2])
-    assert iers == {0, 1, 2, 4, 5}
-
-
-def test_quad_warns_and_returns_the_value_on_failure():
-    def kink(x):
-        return abs(x - 1.0 / 3.0)
-
-    with pytest.warns(UserWarning, match=r"ier=1"):
-        value, abserr = demography.quad(kink, 0.0, 1.0, 1e-14, 1e-14, 1)
-    assert (value, abserr) == _quadpack.qagse(kink, 0.0, 1.0, 1e-14, 1e-14, 1)[:2]
+        value, abserr, ier, last = _quadpack.qag(kink, 0.0, 1.0, 1e-14, 1e-14, limit)
+        assert ier == 1 and last == limit
+        with pytest.warns(UserWarning, match=r"ier=1"):
+            assert demography.quad(kink, 0.0, 1.0, 1e-14, 1e-14, limit) == (value, abserr)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, _ = demography.quad(math.exp, 0.0, 1.0, 1e-10, 1e-12, 200)
@@ -125,6 +128,6 @@ def test_quad_warns_and_returns_the_value_on_failure():
 
 
 @pytest.mark.parametrize("limit, epsabs, epsrel", [(0, 1e-10, 1e-12), (200, 0.0, 1e-15)])
-def test_qagse_rejects_invalid_input(limit, epsabs, epsrel):
+def test_qag_rejects_invalid_input(limit, epsabs, epsrel):
     with pytest.raises(ValueError):
-        _quadpack.qagse(math.exp, 0.0, 1.0, epsabs, epsrel, limit)
+        _quadpack.qag(math.exp, 0.0, 1.0, epsabs, epsrel, limit)
