@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Run the benchmark on two checkouts in alternating pairs and summarise.
+"""Run the benchmark, or the tier-1 tests, on two checkouts in alternating
+pairs and summarise.
 
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
         [--pairs 10] [--seconds 20] [--seed 0] [--trace 0|1]
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --tier1 [--pairs 10]
 
 Pair i runs `perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace T` in each checkout, from the checkout's root, one side after the
@@ -20,9 +22,20 @@ Prints one JSON object:
   the metric's "better".
 
 A per-layer metric that some run reports as null is left out.
+
+With --tier1, pair i runs the tier-1 command (TIER1, from the checkout's
+root with its `src` first on PYTHONPATH) in each checkout, in the same
+alternating order, and reads the last line pytest prints: the passed and
+failed counts (errors count as failed) and the wall time pytest reports.
+It prints one JSON object with "runs" (those three per run, with side and
+pair), "summary" (per side, the median and quartiles of the wall time and
+the passed and failed counts of every pair) and "wins" (the pairs in which
+the change's wall time is lower).
 """
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +43,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+#: the tier-1 test command, run from a checkout's root
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -43,6 +58,46 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
         raise SystemExit(f"perfbench/run.py failed in {root} (exit {proc.returncode}):\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def tier1_counts(line: str) -> dict:
+    """{"passed", "failed", "wall_s"} of pytest's summary line, such as
+    "2 failed, 514 passed, 1 warning in 61.23s (0:01:01)"; errors count as
+    failed."""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", line)}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0),
+            "wall_s": float(re.search(r" in ([0-9.]+)s\b", line).group(1))}
+
+
+def run_tier1(root: Path) -> dict:
+    """The tier-1 counts and wall time of one test run in the checkout at root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    lines = [ln for ln in proc.stdout.splitlines() if re.search(r" in [0-9.]+s\b", ln)]
+    if not lines:
+        raise SystemExit(f"no pytest summary line in {root} (exit {proc.returncode}):\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return tier1_counts(lines[-1])
+
+
+def _quartiles(xs) -> dict:
+    q25, median, q75 = np.percentile(xs, [25, 50, 75])
+    return {"median": float(median), "q25": float(q25), "q75": float(q75)}
+
+
+def summarize_tier1(runs: list) -> dict:
+    """Wall-time quartiles and per-pair counts per side, and the change's
+    wins on wall time; runs are {"side", "pair", "passed", "failed",
+    "wall_s"} records, one per side in every pair."""
+    pairs = sorted({r["pair"] for r in runs})
+    of = {(r["side"], r["pair"]): r for r in runs}
+    summary = {side: {"wall_s": _quartiles([of[side, i]["wall_s"] for i in pairs]),
+                      "passed": [of[side, i]["passed"] for i in pairs],
+                      "failed": [of[side, i]["failed"] for i in pairs]} for side in SIDES}
+    wins = sum(of["change", i]["wall_s"] < of["parent", i]["wall_s"] for i in pairs)
+    return {"pairs": len(pairs), "summary": summary, "wins": {"wall_s": wins}}
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -63,10 +118,7 @@ def summarize(runs: list, metrics: list) -> dict:
         if any(v is None for v in cells):
             continue
         for side in SIDES:
-            xs = [value[side, i, name] for i in pairs]
-            q25, median, q75 = np.percentile(xs, [25, 50, 75])
-            summary[side][name] = {"median": float(median), "q25": float(q25),
-                                   "q75": float(q75)}
+            summary[side][name] = _quartiles([value[side, i, name] for i in pairs])
         sign = 1.0 if m["better"] == "higher" else -1.0
         wins[name] = sum(sign * (value["change", i, name] - value["parent", i, name]) > 0
                          for i in pairs)
@@ -77,12 +129,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--tier1", action="store_true")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    if args.tier1:
+        runs = [{"side": side, "pair": i, **run_tier1(args.parent if side == "parent"
+                                                      else args.change)}
+                for i in range(args.pairs) for side in (SIDES if i % 2 == 0 else SIDES[::-1])]
+        print(json.dumps({"tier1": TIER1[1:], "runs": runs, **summarize_tier1(runs)}))
+        return 0
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = bench["per_layer" if args.trace else "end_to_end"]
     runs = []

@@ -21,20 +21,30 @@ from .scenario import BabyBoomParams, DemographyParams
 QUAD_ABS_TOL = 1e-10
 #: grid step (years) of the cached Lambda(t) table
 BB_GRID_STEP = 0.1
-#: widest Gauss-Legendre panel (years) of the Lambda(t) cumulative mass tables
-BB_PANEL = 1.0
+#: Gauss-Legendre points of every integral over one Lambda(t) table step, or
+#: part of one: exact to degree 7, which on a 0.1-year step leaves round-off
+BB_CELL_POINTS = 4
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 
-def _gauss_legendre(lo, hi, f):
-    """10-point Gauss-Legendre integral of f over each panel [lo_i, hi_i].
+@lru_cache(maxsize=1)
+def _cell_rule():
+    """The BB_CELL_POINTS-point Gauss-Legendre (nodes, weights) on [-1, 1],
+    built on first use."""
+    return np.polynomial.legendre.leggauss(BB_CELL_POINTS)
 
-    f receives a (panels, 10) array of nodes.
+
+def _gauss_legendre(lo, hi, f, rule=(_GL_X, _GL_W)):
+    """Gauss-Legendre integral of f over each panel [lo_i, hi_i] by the rule
+    (nodes, weights) on [-1, 1], 10 points unless given.
+
+    f receives a (panels, points) array of nodes.
     """
+    x, w = rule
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return (f(mid[:, None] + half[:, None] * _GL_X) * _GL_W).sum(axis=1) * half
+    return (f(mid[:, None] + half[:, None] * x) * w).sum(axis=1) * half
 
 
 def _panels(lo, hi, width: float):
@@ -235,15 +245,16 @@ class SupportRatioFn:
         nodes[0] to x (x and t broadcast; x an array).
 
         Closed forms on the two constant plateaus, the cumulative table
-        (`_leg_table`) up to the cell holding x, and one partial-cell
-        Gauss-Legendre panel inside it.
+        (`_leg_table`) up to the cell holding x, and the cell rule
+        (`_cell_rule`) on the part of that cell left of x.
         """
         ts, cum = self.nodes, _leg_table(self, eps)
         t_lo, t_hi = ts[0], ts[-1]
         xin = np.clip(x, t_lo, t_hi).ravel()
         j = np.clip(np.searchsorted(ts, xin, side="right") - 1, 0, ts.size - 2)
         inside = cum[j] + _gauss_legendre(
-            ts[j], xin, lambda u: self._cubic(j[:, None], u) * np.exp(eps * (u - t_lo)))
+            ts[j], xin, lambda u: self._cubic(j[:, None], u) * np.exp(eps * (u - t_lo)),
+            _cell_rule())
 
         def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
             return np.expm1(eps * (y - t_lo)) / eps
@@ -258,35 +269,34 @@ class SupportRatioFn:
 @lru_cache(maxsize=16)
 def _leg_table(fn: SupportRatioFn, eps: float) -> np.ndarray:
     """The integral of Lambda(u) e^{eps (u - nodes[0])} from the first node
-    to each node: one Gauss-Legendre panel per cell, its points read on that
-    cell."""
+    to each node: the cell rule (`_cell_rule`) once per cell, its points read
+    on that cell.  The integrand is the cubic times an exponential, so the
+    rule, exact to degree 7, leaves round-off."""
     ts = fn.nodes
     j = np.arange(ts.size - 1)[:, None]
     seg = _gauss_legendre(ts[:-1], ts[1:],
-                          lambda u: fn._cubic(j, u) * np.exp(eps * (u - ts[0])))
+                          lambda u: fn._cubic(j, u) * np.exp(eps * (u - ts[0])), _cell_rule())
     return np.append(0.0, np.cumsum(seg))
 
 
-def _bb_cumulative(demo: DemographyParams, rho: float, xs) -> np.ndarray:
-    """F(x), the integral of e^{-rho (u - a)} s(u) over [a, x], at the ages
-    xs in [a, omega] (any shape).
+def _bb_kink_masses(ks, rho: float, demo: DemographyParams) -> np.ndarray:
+    """The integrals of e^{-rho (u - a)} s(u) over [ks[i - 1], ks[i]], i >= 1
+    (shape (nodes - 1, ranges)), of the regime kinks ks clipped into each
+    age range.
 
-    One cumulative sum of Gauss-Legendre panels at most BB_PANEL wide (tau is
-    an edge), plus one partial panel from the edge at or left of x up to x,
-    once per distinct x: clipped kinks repeat the range ends, so there are
-    at most (omega - a) / BB_GRID_STEP of them however long the table is.
+    A kink is a table node shifted by a constant, so down the nodes the
+    kinks are monotone and at most one table step apart, whatever t2 - t1
+    is: each step is one cell rule (`_cell_rule`), and a step of zero width
+    (a kink clipped to a range end) is 0.
     """
     a = demo.a
-
-    def g(u):
-        return np.exp(-rho * (u - a)) * survival(u, demo)
-
-    lo, hi, _ = _panels(np.array([a, demo.tau]), np.array([demo.tau, demo.omega]), BB_PANEL)
-    edges = np.append(lo, demo.omega)
-    cum = np.append(0.0, np.cumsum(_gauss_legendre(lo, hi, g)))
-    x, back = np.unique(xs, return_inverse=True)
-    j = np.searchsorted(edges, x, side="right") - 1
-    return (cum[j] + _gauss_legendre(edges[j], x, g))[back].reshape(np.shape(xs))
+    lo, hi = ks[:-1], ks[1:]
+    keep = lo != hi
+    out = np.zeros(lo.shape)
+    out[keep] = _gauss_legendre(lo[keep], hi[keep],
+                                lambda u: np.exp(-rho * (u - a)) * survival(u, demo),
+                                _cell_rule())
+    return out
 
 
 def _bb_logistic_masses(count: int, demo: DemographyParams) -> np.ndarray:
@@ -295,21 +305,23 @@ def _bb_logistic_masses(count: int, demo: DemographyParams) -> np.ndarray:
     the lattice nodes t_i = t1 + BB_GRID_STEP * i, i < count.
 
     With v = t_i - u + a the entry time, cut [t1, t2] into cells of one
-    step with 10 Gauss-Legendre nodes each: cell j of node i is age cell
-    d = i - j, [a + (d - 1) h, a + d h], so the density is evaluated once per
-    cell node, survival once per age-cell node, and the full cells of every
-    node are one discrete convolution in d per Gauss-Legendre node.  What the
-    full cells miss, the partial cell at t2 and the partial age cells at an
-    off-lattice range edge, is at most two slivers per node and range,
-    each under one step wide and ending exactly at the range edges.
+    step with the cell rule's points (`_cell_rule`) each: cell j of node i
+    is age cell d = i - j, [a + (d - 1) h, a + d h], so the density is
+    evaluated once per cell point, survival once per age-cell point, and
+    the full cells of every node are one discrete convolution in d per
+    point.  What the full cells miss, the partial cell at t2 and the partial
+    age cells at an off-lattice range edge, is at most two slivers per node
+    and range, each under one step wide and ending exactly at the range
+    edges.
     """
     bb, a, h = demo.babyboom, demo.a, BB_GRID_STEP
+    x, w = rule = _cell_rule()
     i = np.arange(count)
     # a length within 1e-9 steps of a whole number is whole: the slivers
     # take up the round-off, with either sign
     J = math.floor((bb.t2 - bb.t1) / h + 1e-9)   # full entry-time cells
-    mid = 0.5 * h * (1.0 + _GL_X)
-    dens = _bb_logistic(bb.t1 + h * np.arange(J)[:, None] + mid, bb) * (0.5 * h * _GL_W)
+    mid = 0.5 * h * (1.0 + x)
+    dens = _bb_logistic(bb.t1 + h * np.arange(J)[:, None] + mid, bb) * (0.5 * h * w)
     last = math.floor((demo.omega - a) / h + 1e-9)
     surv = survival(a + h * np.arange(1, last + 1)[:, None] - mid, demo)
     out = np.zeros((count, 2))
@@ -319,7 +331,7 @@ def _bb_logistic_masses(count: int, demo: DemographyParams) -> np.ndarray:
         e_lo = math.ceil((lo - a) / h - 1e-9)
         e_hi = math.floor((hi - a) / h + 1e-9)
         if J > 0 and e_hi > e_lo:
-            conv = sum(np.convolve(dens[:, k], surv[e_lo:e_hi, k]) for k in range(_GL_X.size))
+            conv = sum(np.convolve(dens[:, k], surv[e_lo:e_hi, k]) for k in range(x.size))
             out[e_lo + 1:e_lo + 1 + conv.size, r] = conv[:max(count - e_lo - 1, 0)]
         # the range's part of the boom, [d_lo, d_hi], and of the full cells,
         # [c_lo, c_hi] (empty when c_lo >= c_hi)
@@ -335,7 +347,8 @@ def _bb_logistic_masses(count: int, demo: DemographyParams) -> np.ndarray:
     t_of = np.broadcast_to(bb.t1 + h * i, lo.shape)[keep][:, None]
     part = np.zeros(lo.shape)
     part[keep] = _gauss_legendre(lo[keep], hi[keep],
-                                 lambda u: _bb_logistic(t_of - u + a, bb) * survival(u, demo))
+                                 lambda u: _bb_logistic(t_of - u + a, bb) * survival(u, demo),
+                                 rule)
     return out + part.sum(axis=1).T
 
 
@@ -349,8 +362,13 @@ def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
     u = t - t2 + a and u = t - t1 + a.  Younger than the first kink the
     density is n(t2) e^{rho2 (t - t2)} e^{-rho2 (u - a)}, older than the
     second n1 e^{rho1 (t - t1)} e^{-rho1 (u - a)}, so those two pieces are a
-    prefactor in t times a difference of one `_bb_cumulative` table per rate.
-    The logistic piece between the kinks is `_bb_logistic_masses`.
+    prefactor in t times the integral of e^{-rho (u - a)} s(u) from the
+    range start to the first kink, or from the second kink to the range end.
+    At the first node every first kink is the range start, and at the last
+    every second kink the range end, so both integrals are cumulative sums
+    of the steps between neighbouring kinks (`_bb_kink_masses`), from the
+    first node and from the last.  The logistic piece between the kinks is
+    `_bb_logistic_masses`.
     """
     bb, a = demo.babyboom, demo.a
     col = ts[:, None]
@@ -358,12 +376,12 @@ def _bb_masses(ts, demo: DemographyParams) -> np.ndarray:
     # the kinks clipped into each age range, shape (node, range)
     k2 = np.clip(col - bb.t2 + a, lo, hi)
     k1 = np.clip(col - bb.t1 + a, lo, hi)
-    # row 0: F at the range ends; rows 1 on: F at the kinks of each node
-    F2 = _bb_cumulative(demo, bb.rho2, np.vstack([lo, k2]))
-    F1 = _bb_cumulative(demo, bb.rho1, np.vstack([hi, k1]))
-    post = _bb_n_t2(bb) * np.exp(bb.rho2 * (col - bb.t2)) * (F2[1:] - F2[0])
-    pre = bb.n1 * np.exp(bb.rho1 * (col - bb.t1)) * (F1[0] - F1[1:])
-    mid = np.vstack([_bb_logistic_masses(ts.size - 1, demo), np.zeros(2)])
+    none = np.zeros((1, 2))
+    young = np.vstack([none, np.cumsum(_bb_kink_masses(k2, bb.rho2, demo), axis=0)])
+    old = np.vstack([np.cumsum(_bb_kink_masses(k1, bb.rho1, demo)[::-1], axis=0)[::-1], none])
+    post = _bb_n_t2(bb) * np.exp(bb.rho2 * (col - bb.t2)) * young
+    pre = bb.n1 * np.exp(bb.rho1 * (col - bb.t1)) * old
+    mid = np.vstack([_bb_logistic_masses(ts.size - 1, demo), none])
     return post + mid + pre
 
 

@@ -384,9 +384,16 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     [max(z, t0), z + omega - a].  Controls are obtained by applying their
     linearity in (X, W, Y) to the expected states; at the terminal instant
     they are evaluated just inside the boundary.  A cohort entered by t0
-    switches from (theta0, k0) to the given rates at the first node.
+    switches from (theta0, k0) to the given rates at the first node.  The
+    rates must lie in the box theta, k >= 0, theta + k <= m, with the 1e-12
+    slack of `government.objective`.
     """
     p, mk = s.policy, s.market
+    if not (theta_star >= -1e-12 and k_star >= -1e-12
+            and theta_star + k_star <= p.m + 1e-12):   # NaN fails
+        raise DomainError(
+            f"(theta, k) = ({theta_star}, {k_star}) lies outside the rate box "
+            f"theta, k >= 0, theta + k <= {p.m}")
     delta = delta_for_entry(z, s)
     start = max(z, p.t0)
     T = _life_end(z, s)

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .demography import support_ratio_fn
 from .errors import DomainError
 from .lifecycle import _bb_m1, _coef_kernel
 from .scenario import Scenario, check_step, validate
@@ -24,6 +25,10 @@ TIE_TOL = 1e-12
 
 #: scan step (years) used to bracket roots when no closed form exists
 BB_SCAN_STEP = 0.25
+#: a bracketed root is final after a Newton step of at most this (years):
+#: Newton converges quadratically, so the step leaves round-off, and where
+#: the slope is small (Mt2 near zeta_bar) a shorter step only chases it
+ROOT_XTOL = 1e-10
 
 
 def tilde_coefficients(zeta: float, s: Scenario):
@@ -41,15 +46,53 @@ def tilde_coefficients(zeta: float, s: Scenario):
 
 def _tilde_arrays(zeta, s: Scenario):
     """(Mt1, Mt2, Mt1 - Mt2) at the ages zeta (any shape): the cohort's M1
-    and M2 at t0, with M1 from the Lambda(t) table under a baby boom."""
+    and M2 at t0.  Under a baby boom M1 is the Lambda(t) table's benefit leg
+    less the contribution leg, and M2 the closed form alone, in
+    `_coef_kernel`'s operations."""
     d, p = s.demo, s.policy
     dc = validate(s)
     zeta = np.asarray(zeta, dtype=float)
-    mt1, mt2, _, _ = _coef_kernel(np.maximum(d.tau - zeta, 0.0), d.omega - zeta, s,
-                                  dc.epsilon, dc.epsilon_tilde, dc.Lambda, dc.a_tau)
-    if d.babyboom is not None:
-        mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, dc.epsilon)
+    if d.babyboom is None:
+        mt1, mt2, _, _ = _coef_kernel(np.maximum(d.tau - zeta, 0.0), d.omega - zeta, s,
+                                      dc.epsilon, dc.epsilon_tilde, dc.Lambda, dc.a_tau)
+        return mt1, mt2, mt1 - mt2
+    eps, epst, q = dc.epsilon, dc.epsilon_tilde, np.maximum(d.tau - zeta, 0.0)
+    eq = np.exp(eps * q)
+    mt2 = np.where(q <= 0, 0.0, _annuity(s, dc.a_tau) / (eps - epst) * (eq - np.exp(epst * q))
+                   - (1 - p.tau1) / eps * (eq - 1.0))
+    mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, eps)
     return mt1, mt2, mt1 - mt2
+
+
+def _annuity(s: Scenario, a_tau: float) -> float:
+    """M2's annuity term `ann` of `_coef_kernel`, in its operations."""
+    r = s.market.r
+    return (1 - s.policy.tau2) / (r * a_tau) * (1 - math.exp(-r * (s.demo.omega - s.demo.tau)))
+
+
+def _tilde_slopes(zeta, s: Scenario):
+    """The zeta-derivatives of (Mt1, Mt2, Mt1 - Mt2) at working ages zeta < tau.
+
+    The benefit leg of Mt1 runs over [t_ret, T], whose ends t0 + tau - zeta
+    and t0 + omega - zeta both fall as zeta rises, so its slope is the
+    leg's integrand at the two ends; the contribution leg and Mt2 are
+    closed forms in q = tau - zeta.
+    """
+    d, p = s.demo, s.policy
+    dc = validate(s)
+    eps, epst = dc.epsilon, dc.epsilon_tilde
+    zeta = np.asarray(zeta, dtype=float)
+    q = d.tau - zeta
+    eq = np.exp(eps * q)
+    if d.babyboom is None:
+        lam_end = lam_ret = dc.Lambda
+    else:
+        fn = support_ratio_fn(d)
+        lam_end, lam_ret = fn(p.t0 + d.omega - zeta), fn(p.t0 + q)
+    dm1 = -lam_end * np.exp(eps * (d.omega - zeta)) + (lam_ret + 1 - p.tau1) * eq
+    ann = _annuity(s, dc.a_tau)
+    dm2 = (1 - p.tau1) * eq - ann / (eps - epst) * (eps * eq - epst * np.exp(epst * q))
+    return dm1, dm2, dm1 - dm2
 
 
 def thresholds(s: Scenario):
@@ -75,62 +118,67 @@ def _first_crossing(vals):
             int(zero.sum() + change.sum()))
 
 
-def _first_root(xs, vals):
-    """Generator of (first root or None, crossing count) of a column with
-    values vals on the bracket grid xs: it yields each round's ages and is
-    sent their values.
+def _bracketed_newton(f, lo, hi, f_lo, f_hi):
+    """Roots x[c] of the columns c of f, each in its bracket [lo[c], hi[c]]
+    where it changes sign (f_lo[c] f_hi[c] < 0).
 
-    Each round cuts the first bracket with a zero or a sign change 32 ways by
-    five levels of midpoints, the points bisection would visit, and keeps the
-    first sub-bracket with a zero or a sign change, until the bracket is at
-    most 1e-8 wide.  So with one sign change in the bracket the root is
-    bisection's, bit for bit.
+    f maps the ages x, one per column, to (values, slopes) of each column
+    at its own age.  Bracketed Newton (Press et al., *Numerical Recipes*,
+    §9.4, `rtsafe`): start at the secant point; each value replaces the
+    bracket end of its sign; take the Newton step when it lands inside the
+    bracket and is at most half the step before, and bisect otherwise.  A
+    column stops at an exact zero, after a Newton step of at most ROOT_XTOL
+    or once its bracket is that narrow.
     """
-    i, count = _first_crossing(vals)
-    if count == 0 or vals[i] == 0.0:
-        return (None if count == 0 else float(xs[i])), count
-    a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-    halvings = math.ceil(math.log2((b - a) / 1e-8)) if b - a > 1e-8 else 0
-    while halvings > 0:
-        n = 2 ** min(halvings, 5)
-        halvings -= 5
-        grid = np.empty(n + 1)
-        grid[0], grid[n] = a, b
-        stride = n
-        while stride > 1:   # midpoints of the previous level, coarse to fine
-            grid[stride // 2::stride] = 0.5 * (grid[:-1:stride] + grid[stride::stride])
-            stride //= 2
-        vals = np.concatenate(([fa], (yield grid[1:-1]), [fb]))
-        j, _ = _first_crossing(vals)
-        if vals[j] == 0.0:
-            return float(grid[j]), count
-        a, b, fa, fb = grid[j], grid[j + 1], vals[j], vals[j + 1]
-    return float(0.5 * (a + b)), count
+    lo, hi, f_lo = (np.array(v, dtype=float) for v in (lo, hi, f_lo))
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    dx = hi - lo
+    done = np.zeros(x.size, dtype=bool)
+    while not done.all():
+        v, dv = f(x)
+        left = np.sign(v) == np.sign(f_lo)
+        lo, f_lo = np.where(left, x, lo), np.where(left, v, f_lo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = v / dv
+        newton = x - step
+        take = (newton >= lo) & (newton <= hi) & (np.abs(step) <= 0.5 * np.abs(dx))
+        nxt = np.where(v == 0.0, x, np.where(take, newton, 0.5 * (lo + hi)))
+        stop = (v == 0.0) | (take & (np.abs(step) <= ROOT_XTOL)) | (hi - lo <= ROOT_XTOL)
+        dx, x = nxt - x, np.where(done, x, nxt)
+        done |= stop
+    return x
 
 
 def _first_roots(f, xs, vals, wanted):
-    """[(first root or None, crossing count)] of each wanted column of
-    vals = f(xs) on the bracket grid xs; (None, 0) for the others.
+    """[(first root or None, crossing count)] of each wanted column of vals,
+    the values on the bracket grid xs; (None, 0) for the others.
 
-    f maps a 1-D array of ages to a sequence of columns.  The columns are
-    refined together: each round is one call of f on the concatenated ages
-    that every column's `_first_root` asks for.
+    A zero on the grid is the root itself; the first sign change of every
+    other column is polished by one `_bracketed_newton` run on
+    f(ages) -> (values, slopes), each column indexed [column][age].
     """
     out = [(None, 0)] * len(vals)
-    gens = {c: _first_root(xs, vals[c]) for c in np.flatnonzero(wanted)}
-    sent = dict.fromkeys(gens)   # None primes each generator
-    while True:
-        asks = {}
-        for c, values in sent.items():
-            try:
-                asks[c] = gens[c].send(values)
-            except StopIteration as stop:
-                out[c] = stop.value
-        if not asks:
-            return out
-        cols = f(np.concatenate(list(asks.values())))
-        ends = np.cumsum([ages.size for ages in asks.values()])
-        sent = {c: cols[c][end - ages.size:end] for (c, ages), end in zip(asks.items(), ends)}
+    polish = []
+    for c in np.flatnonzero(wanted):
+        i, count = _first_crossing(vals[c])
+        out[c] = (None if count == 0 else float(xs[i])), count
+        if count and vals[c][i] != 0.0:
+            polish.append((c, i))
+    if polish:
+        cols, at = np.array(polish).T
+        own = np.arange(cols.size)
+
+        def column_at_own_age(ages):
+            values, slopes = f(ages)
+            return np.asarray(values)[cols, own], np.asarray(slopes)[cols, own]
+
+        roots = _bracketed_newton(column_at_own_age, xs[at], xs[at + 1],
+                                  [vals[c][i] for c, i in polish],
+                                  [vals[c][i + 1] for c, i in polish])
+        for c, root in zip(cols, roots):
+            out[c] = float(root), out[c][1]
+    return out
 
 
 def critical_age_paygo_savings(s: Scenario) -> Optional[float]:
@@ -237,7 +285,9 @@ def _analyse(s: Scenario):
     zeta_hat and zeta_tilde are closed forms unless a baby boom makes Mt1
     time-varying.  Every root that needs a scan shares one `_tilde_arrays`
     call on the bracket grid over [a, tau), whose first node is the entry
-    age, and one joint refinement; with no scan only Mt2(a) is evaluated.
+    age, and one `_bracketed_newton` run on the exact zeta-slopes
+    (`_tilde_slopes`) polishes their first brackets together; with no scan
+    only Mt2(a) is evaluated.
     """
     d, p = s.demo, s.policy
     dc = validate(s)
@@ -253,7 +303,7 @@ def _analyse(s: Scenario):
     # a PAYGO lead at the entry age holds at every age: no critical age
     wanted = (bb and not vals[0][0] > 0, flag == "interior", bb and not vals[2][0] > 0)
     (zh, zh_n), (zbar, _), (zt, zt_n) = _first_roots(
-        lambda ages: _tilde_arrays(ages, s), xs, vals, wanted)
+        lambda ages: (_tilde_arrays(ages, s), _tilde_slopes(ages, s)), xs, vals, wanted)
     if not bb:
         grow = math.exp(eps * (d.omega - d.tau))
         zh_n, zt_n = int(dc.Lambda <= lam_fp), int(dc.Lambda <= lam_ep)

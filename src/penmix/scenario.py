@@ -104,6 +104,20 @@ class Scenario:
     policy: PolicyParams
     pref: PreferenceParams
 
+    def __hash__(self) -> int:
+        # every per-scenario cache hashes its key on each lookup; the records
+        # are frozen, so the hash is taken once and kept beside the fields
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.market, self.demo, self.policy, self.pref))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # a copy or a pickle carries the fields alone: hash(None), inside an
+        # absent baby-boom block, differs between processes
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class DerivedConstants:

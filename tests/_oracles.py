@@ -211,18 +211,19 @@ def bb_leg_by_search(x, t, demo, eps: float):
     table node to x, computed outside the table: every Gauss-Legendre point
     goes through `SupportRatioFn.__call__`, which finds its cell again, and
     the plateaus are Lambda at the end nodes.  A cumulative table over the
-    cells, closed forms on the plateaus and one partial-cell panel at x.
+    cells, closed forms on the plateaus and one partial cell at x, each cell
+    integral by the module's cell rule.
     """
     fn = demography.support_ratio_fn(demo)
-    ts = fn.nodes
+    ts, rule = fn.nodes, demography._cell_rule()
     seg = demography._gauss_legendre(ts[:-1], ts[1:],
-                                     lambda u: fn(u) * np.exp(eps * (u - ts[0])))
+                                     lambda u: fn(u) * np.exp(eps * (u - ts[0])), rule)
     cum = np.append(0.0, np.cumsum(seg))
     t_lo, t_hi = ts[0], ts[-1]
     xin = np.clip(x, t_lo, t_hi).ravel()
     j = np.clip(np.searchsorted(ts, xin, side="right") - 1, 0, ts.size - 2)
     inside = cum[j] + demography._gauss_legendre(
-        ts[j], xin, lambda u: fn(u) * np.exp(eps * (u - t_lo)))
+        ts[j], xin, lambda u: fn(u) * np.exp(eps * (u - t_lo)), rule)
 
     def exp_leg(y):   # integral of e^{eps (u - t_lo)} from t_lo to y
         return np.expm1(eps * (y - t_lo)) / eps
@@ -277,7 +278,7 @@ def pchip_support_ratio(demo):
 
 
 def scan_root_by_bisection(f, lo: float, hi: float, step: float = BB_SCAN_STEP,
-                           xtol: float = 1e-8):
+                           xtol: float = 1e-13):
     """Bracket-scan then bisect; returns (first root or None, crossing count).
 
     f is elementwise: the bracket grid is one call on an array of ages, each

@@ -135,6 +135,30 @@ def test_paths_zeta_out_of_range(capsys, scenario_dir):
     assert "zeta" in err
 
 
+@pytest.mark.parametrize("theta, k", [("nan", "0.1"), ("0.1", "nan"), ("inf", "0.1"),
+                                      ("-inf", "0.1"), ("-0.01", "0.1"), ("0.1", "-0.01"),
+                                      ("2", "0.12"), ("0.3", "0.3"), ("0.13", "0.1200001")])
+def test_paths_rates_outside_the_box_are_usage_errors(capsys, scenario_dir, theta, k):
+    # the US cap is m = 0.25: rates must be finite, theta, k >= 0 and
+    # theta + k <= m, with objective's 1e-12 slack
+    code, out, err = run(capsys, "paths", str(scenario_dir / "scenario_us.json"),
+                         "--zeta", "40", f"--theta={theta}", f"--k={k}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: (theta, k) = (") and err.count("\n") == 1
+    assert err.endswith("lies outside the rate box theta, k >= 0, theta + k <= 0.25\n")
+
+
+def test_paths_rates_on_the_box_edges(capsys, scenario_dir):
+    # the cap itself, a zero rate and the 1e-12 slack past either are inside
+    for theta, k in (("0.25", "0"), ("0", "0.25"), ("0.13", "0.12000000000099"),
+                     ("-1e-13", "0.1")):
+        code, out, err = run(capsys, "paths", str(scenario_dir / "scenario_us.json"),
+                             "--zeta", "40", f"--theta={theta}", f"--k={k}", "--grid", "10")
+        assert code == 0, (theta, k, err)
+        assert out.startswith("t,EX,EY,Epi,EC\n")
+
+
 def test_sweep_rectangular_with_reasons(capsys, scenario_dir, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -361,3 +361,56 @@ def test_bb_leg_matches_search_oracle(us_bb):
         for rate in (eps, -0.5 * eps):
             np.testing.assert_array_equal(fn.leg(x, t, rate), bb_leg_by_search(x, t, demo, rate),
                                           err_msg=name)
+
+
+def _seeded_blocks(bb, count, seed):
+    """count blocks drawn like the benchmark's inputs: t1 shifted by
+    U(-3, 3), the boom length, nm and kappa scaled by U(0.9, 1.1)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shift, length, nm, kappa = rng.uniform([-3.0, 0.9, 0.9, 0.9], [3.0, 1.1, 1.1, 1.1])
+        t1 = bb.t1 + shift
+        yield f"seeded {i}", dataclasses.replace(bb, t1=t1, t2=t1 + (bb.t2 - bb.t1) * length,
+                                                 nm=bb.nm * nm, kappa=bb.kappa * kappa)
+
+
+def _cell_integrals(demo, eps, x, t):
+    """Every integral of the table that runs over one table step or part of
+    one, with the rule that `demography._cell_rule` gives: the logistic
+    masses, the regime steps between neighbouring kinks, and the benefit
+    leg, as its cumulative table over the cells and at the points x (for
+    times t), where it adds a partial cell."""
+    fn = demography.support_ratio_fn(demo)
+    bb, a = demo.babyboom, demo.a
+    lo, hi = np.array([a, demo.tau]), np.array([demo.tau, demo.omega])
+    kinks = [(np.clip(fn.nodes[:, None] - edge + a, lo, hi), rho)
+             for edge, rho in ((bb.t2, bb.rho2), (bb.t1, bb.rho1))]
+    demography._leg_table.cache_clear()
+    return {"logistic": demography._bb_logistic_masses(fn.nodes.size - 1, demo),
+            **{f"kink steps {rho}": demography._bb_kink_masses(k, rho, demo)
+               for k, rho in kinks},
+            "leg table": demography._leg_table(fn, eps)[1:],
+            "leg": fn.leg(x, t, eps)}
+
+
+def test_cell_rule_matches_ten_points(us_bb, monkeypatch):
+    # the 4-point rule on a 0.1-year step leaves round-off: every one-step
+    # integral of the table is the 10-point rule's within 1e-14 relative, on
+    # the test blocks and on 20 seeded blocks
+    d = us_bb.demo
+    eps = validate(us_bb).epsilon
+    rng = np.random.default_rng(5)
+    assert demography._cell_rule()[0].size == demography.BB_CELL_POINTS == 4
+    for name, bb in [*_bb_blocks(d), *_seeded_blocks(d.babyboom, 20, seed=31)]:
+        demo = dataclasses.replace(d, babyboom=bb)
+        nodes = demography.support_ratio_fn(demo).nodes
+        x = rng.uniform(nodes[0], nodes[-1], 500)
+        t = x - rng.uniform(0.0, 40.0, x.size)
+        four = _cell_integrals(demo, eps, x, t)
+        with monkeypatch.context() as m:
+            m.setattr(demography, "_cell_rule", lambda: np.polynomial.legendre.leggauss(10))
+            ten = _cell_integrals(demo, eps, x, t)
+        demography._leg_table.cache_clear()
+        for key, want in ten.items():
+            np.testing.assert_allclose(four[key], want, rtol=1e-14, atol=0,
+                                       err_msg=f"{name}: {key}")

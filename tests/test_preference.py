@@ -13,12 +13,29 @@ from _oracles import scan_root_by_bisection
 from test_demography import _bb_blocks
 
 
-def _scan_root(f, lo, hi):
-    """(first root or None, crossing count) of one elementwise f: its
-    bracket grid and refinement through `preference._first_roots`."""
+def _scan_root(f, df, lo, hi):
+    """(first root or None, crossing count) of one elementwise f with the
+    slope df: its bracket grid and Newton polish through
+    `preference._first_roots`."""
     xs = np.append(np.arange(lo, hi, preference.BB_SCAN_STEP), hi)
     vals = (np.asarray(f(xs), dtype=float),)
-    return preference._first_roots(lambda ages: (f(ages),), xs, vals, [True])[0]
+    return preference._first_roots(lambda ages: ((f(ages),), (df(ages),)), xs, vals, [True])[0]
+
+
+#: how far a polished root may lie from the bisection oracle's (years): the
+#: oracle bisects to 1e-13, and both stop within the round-off of the
+#: column's values over its slope (about 2e-12 for Mt2 at an interior
+#: zeta_bar)
+ROOT_ATOL = 1e-11
+
+
+def _assert_same_root(got, oracle, name=""):
+    """The same crossing count, and both roots None or within ROOT_ATOL."""
+    (root, crossings), (expect, expect_crossings) = got, oracle
+    assert crossings == expect_crossings, name
+    assert (root is None) == (expect is None), name
+    if root is not None:
+        assert abs(root - expect) <= ROOT_ATOL, (name, root, expect)
 
 
 def test_tilde_matches_lifecycle_coefficients(us):
@@ -29,6 +46,28 @@ def test_tilde_matches_lifecycle_coefficients(us):
         assert mt1 == pytest.approx(c.M1, abs=1e-12)
         assert mt2 == pytest.approx(c.M2, abs=1e-12)
         assert diff == pytest.approx(c.M1 - c.M2, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:tau1")
+@pytest.mark.parametrize("tau2", [None, 0.47])
+def test_babyboom_tilde_columns_are_the_coefficients(us_bb, tau2):
+    # under a baby boom Mt2 is the kernel's M2 bit for bit and Mt1 the
+    # table's M1, at working and retired ages; the slopes are their
+    # zeta-derivatives (central differences, h = 1e-4)
+    s = us_bb if tau2 is None else _with_tau2(us_bb, tau2)
+    d, t0, dc = s.demo, s.policy.t0, validate(s)
+    zeta = np.concatenate([np.linspace(d.a, d.omega, 71), [d.tau - 1e-9, d.tau]])
+    mt1, mt2, diff = preference._tilde_arrays(zeta, s)
+    m2 = lifecycle._coef_kernel(np.maximum(d.tau - zeta, 0.0), d.omega - zeta, s,
+                                dc.epsilon, dc.epsilon_tilde, dc.Lambda, dc.a_tau)[1]
+    np.testing.assert_array_equal(mt2, m2)
+    np.testing.assert_array_equal(mt1, lifecycle._bb_m1(t0, d.a + t0 - zeta, s, dc.epsilon))
+    np.testing.assert_array_equal(diff, mt1 - mt2)
+    working = np.linspace(d.a + 1e-3, d.tau - 1e-3, 23)
+    h = 1e-4
+    ahead, behind = (np.array(preference._tilde_arrays(working + e, s)) for e in (h, -h))
+    np.testing.assert_allclose(np.array(preference._tilde_slopes(working, s)),
+                               (ahead - behind) / (2 * h), rtol=1e-6, atol=1e-9)
 
 
 def test_retired_ages_have_positive_paygo_coefficient(us):
@@ -277,12 +316,17 @@ def test_babyboom_scan_grid_matches_scalar_scan(us_bb, column):
     def vectorised(zeta):
         return preference._tilde_arrays(zeta, s)[column]
 
+    def slope(zeta):
+        return preference._tilde_slopes(zeta, s)[column]
+
     scalar = np.vectorize(
         lambda zeta: preference.tilde_coefficients(float(zeta), s)[column], otypes=[float])
+    scalar_slope = np.vectorize(lambda zeta: float(slope(float(zeta))), otypes=[float])
     xs = np.append(np.arange(lo, hi, preference.BB_SCAN_STEP), hi)
     assert vectorised(xs).tolist() == scalar(xs).tolist()
-    root, crossings = _scan_root(vectorised, lo, hi)
-    assert (root, crossings) == _scan_root(scalar, lo, hi)
+    assert slope(xs).tolist() == scalar_slope(xs).tolist()
+    root, crossings = _scan_root(vectorised, slope, lo, hi)
+    assert (root, crossings) == _scan_root(scalar, scalar_slope, lo, hi)
     assert crossings == 1
 
 
@@ -329,21 +373,26 @@ def test_scan_matches_bisection_oracle_on_bb_blocks(us_bb, column):
         def f(zeta):
             return preference._tilde_arrays(zeta, s)[column]
 
-        assert (_scan_root(f, d.a, d.tau - 1e-9)
-                == scan_root_by_bisection(f, d.a, d.tau - 1e-9)), name
+        def df(zeta):
+            return preference._tilde_slopes(zeta, s)[column]
+
+        _assert_same_root(_scan_root(f, df, d.a, d.tau - 1e-9),
+                          scan_root_by_bisection(f, d.a, d.tau - 1e-9), name)
 
 
 @pytest.mark.filterwarnings("ignore:tau1")
 def test_preference_map_matches_bisection_oracle_on_bb_blocks(us_bb):
-    # one shared bracket grid and one joint refinement give each column's
+    # one shared bracket grid and one joint Newton polish give each column's
     # own bisection root and crossing count
     d = us_bb.demo
     for name, s in _bb_cases(us_bb):
         report = preference.preference_map(s, step=5.0)
-        (zh, zh_n), (zb, _), (zt, zt_n) = (
+        (zh, zh_n), (zb, zb_n), (zt, zt_n) = (
             scan_root_by_bisection(lambda zeta: preference._tilde_arrays(zeta, s)[c],
                                    d.a, d.tau - 1e-9) for c in range(3))
-        assert (report.zeta_hat, report.zeta_tilde, report.zeta_bar) == (zh, zt, zb), name
+        _assert_same_root((report.zeta_hat, zh_n), (zh, zh_n), name)
+        _assert_same_root((report.zeta_tilde, zt_n), (zt, zt_n), name)
+        _assert_same_root((report.zeta_bar, zb_n), (zb, zb_n), name)
         assert dict(report.diagnostics) == {"zeta_hat_crossings": zh_n,
                                             "zeta_tilde_crossings": zt_n}, name
         for zeta in (d.a, 40.0, 70.0):
@@ -365,8 +414,8 @@ def _count_tilde_calls(monkeypatch):
 
 
 def test_one_bracket_grid_per_analysis(us_bb, monkeypatch):
-    # one call on the shared bracket grid and five joint refinement rounds,
-    # plus one for the per-age rows of the map
+    # one call on the shared bracket grid and the joint Newton rounds (three
+    # on the fixture), plus one for the per-age rows of the map
     calls = _count_tilde_calls(monkeypatch)
     preference.preference_map(us_bb, step=5.0)
     assert len(calls) <= 7
@@ -396,21 +445,25 @@ def test_scan_two_sign_changes_gives_the_first_root():
     def f(x):
         return (x - 31.3) * (x - 47.9)
 
-    root, crossings = _scan_root(f, 30.0, 65.0 - 1e-9)
+    root, crossings = _scan_root(f, lambda x: 2.0 * x - 79.2, 30.0, 65.0 - 1e-9)
     assert crossings == 2
-    assert root == pytest.approx(31.3, abs=1e-8)
-    assert (root, crossings) == scan_root_by_bisection(f, 30.0, 65.0 - 1e-9)
+    assert root == pytest.approx(31.3, abs=1e-11)
+    _assert_same_root((root, crossings), scan_root_by_bisection(f, 30.0, 65.0 - 1e-9))
 
 
 def test_scan_exact_zeros_on_the_grids():
     # a zero on the 0.25-year bracket grid is the root itself
-    assert _scan_root(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
+    def one(x):
+        return np.ones_like(x)
+
+    assert _scan_root(lambda x: x - 40.0, one, 30.0, 65.0 - 1e-9) == (40.0, 1)
     assert scan_root_by_bisection(lambda x: x - 40.0, 30.0, 65.0 - 1e-9) == (40.0, 1)
-    # so is one on a refinement grid; bisection only closes in on it
-    root, crossings = _scan_root(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
+    # so is one at a polish point (the secant start of a line); bisection
+    # only closes in on it
+    root, crossings = _scan_root(lambda x: x - 40.125, one, 30.0, 65.0 - 1e-9)
     assert (root, crossings) == (40.125, 1)
-    oracle, _ = scan_root_by_bisection(lambda x: x - 40.125, 30.0, 65.0 - 1e-9)
-    assert abs(oracle - root) <= 1e-8
+    _assert_same_root((root, crossings),
+                      scan_root_by_bisection(lambda x: x - 40.125, 30.0, 65.0 - 1e-9))
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])

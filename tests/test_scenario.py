@@ -1,6 +1,8 @@
+import copy
 import json
+import pickle
 import re
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,36 @@ def test_babyboom_rho_other_than_rho2_rejected(us_bb, tmp_path, capsys):
 
 def test_validate_is_pure(us):
     assert validate(us) == validate(us)
+
+
+def test_scenario_hash_is_kept_outside_the_fields(scenario_dir):
+    # the cached hash is no field: fields, asdict and the JSON object are a
+    # fresh scenario's, and a hashed scenario still equals a fresh one
+    path = scenario_dir / "scenario_us_babyboom.json"
+    s, fresh = load_scenario(path), load_scenario(path)
+    hash(s)
+    assert [f.name for f in fields(s)] == ["market", "demo", "policy", "pref"]
+    assert asdict(s) == asdict(fresh)
+    assert scenario_to_dict(s) == scenario_to_dict(fresh)
+    assert s == fresh and hash(s) == hash(fresh)
+    assert hash(s) == hash((s.market, s.demo, s.policy, s.pref))
+    # a copy or a pickle carries the fields, not the hash
+    for twin in (copy.deepcopy(s), pickle.loads(pickle.dumps(s)), replace(s)):
+        assert twin == s and "_hash" not in vars(twin) and hash(twin) == hash(s)
+
+
+def test_equal_scenarios_share_cache_entries(scenario_dir):
+    path = scenario_dir / "scenario_cn.json"
+    _validate_cached.cache_clear()
+    s = load_scenario(path)
+    validate(s)
+    validate(load_scenario(path))   # equal, built anew
+    info = _validate_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    validate(with_params(s, **{"market.r": s.market.r * 1.01}))
+    validate(with_params(s, **{"market.r": s.market.r}))   # the same values again
+    info = _validate_cached.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
 
 
 def test_validate_makes_three_quad_calls(us, cn, monkeypatch):

@@ -43,6 +43,32 @@ def test_bench_pairs_summary_on_canned_runs(bench_pairs):
     assert "count" not in doc["summary"]["parent"]
 
 
+@pytest.mark.parametrize("line, counts", [
+    ("516 passed in 61.02s (0:01:01)", (516, 0, 61.02)),
+    ("2 failed, 514 passed, 3 warnings in 70.5s (0:01:10)", (514, 2, 70.5)),
+    ("1 failed, 510 passed, 4 skipped, 1 error in 59.90s", (510, 2, 59.9)),
+    ("3 errors in 0.41s", (0, 3, 0.41)),
+])
+def test_bench_pairs_reads_pytest_summary_lines(bench_pairs, line, counts):
+    assert bench_pairs.tier1_counts(line) == dict(zip(("passed", "failed", "wall_s"), counts))
+
+
+def test_bench_pairs_tier1_summary_on_canned_lines(bench_pairs):
+    lines = {("parent", 0): "516 passed in 61.0s", ("change", 0): "516 passed in 58.0s",
+             ("change", 1): "1 failed, 515 passed in 60.0s", ("parent", 1): "516 passed in 59.0s",
+             ("parent", 2): "516 passed in 63.0s", ("change", 2): "516 passed in 57.0s"}
+    runs = [{"side": side, "pair": pair, **bench_pairs.tier1_counts(line)}
+            for (side, pair), line in lines.items()]
+    doc = bench_pairs.summarize_tier1(runs)
+    assert doc["pairs"] == 3
+    assert doc["summary"]["parent"] == {"wall_s": {"median": 61.0, "q25": 60.0, "q75": 62.0},
+                                        "passed": [516, 516, 516], "failed": [0, 0, 0]}
+    assert doc["summary"]["change"] == {"wall_s": {"median": 58.0, "q25": 57.5, "q75": 59.0},
+                                        "passed": [516, 515, 516], "failed": [0, 1, 0]}
+    # the change is faster in pairs 0 and 2
+    assert doc["wins"] == {"wall_s": 2}
+
+
 @pytest.fixture(scope="module")
 def golden_outputs():
     spec = importlib.util.spec_from_file_location("golden_outputs",
