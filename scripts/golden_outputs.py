@@ -13,9 +13,11 @@ working and a retired cohort), `sweep` (a 2 x 2 grid of `demo.rho` x
 --out` and, on the baby-boom scenario, `babyboom`, in-process through
 `penmix.cli.main`.  It also writes copies of the US and baby-boom scenarios
 with `policy.tau2 = 0.47` into OUT_DIR, where zeta_bar is interior, and runs
-`critical-ages` and `classify --step 1` on them, and copies of the US and CN
+`critical-ages` and `classify --step 1` on them; copies of the US and CN
 scenarios with `policy.t0 = 10`, where the entrant density at t0 is not n0,
-and runs `optimize` under both weightings on them.  Each run leaves
+and runs `optimize` under both weightings on them; and a copy of the US
+scenario with `policy.tau2 = 0.8`, preference case_2 with its optimum at the
+corner theta = m, k = 0, and runs all four on it.  Each run leaves
 NAME.stdout, its `--out` artifact when it has one, and its exit code in
 exit_codes.json.
 
@@ -48,6 +50,13 @@ VARIANTS = (
     (("scenario_us", "scenario_cn"), "t0", 10.0,
      [(f"optimize-{weighting}", ["optimize", "--weighting", weighting], None)
       for weighting in ("population", "equal")]),
+    # preference case_2 (zeta_hat only, all prefer savings to EET), whose
+    # optimum is the PAYGO-only corner theta = m, k = 0
+    (("scenario_us",), "tau2", 0.8,
+     [("critical-ages", ["critical-ages"], None),
+      ("classify-1", ["classify", "--step", "1"], ".csv")]
+     + [(f"optimize-{weighting}", ["optimize", "--weighting", weighting], None)
+        for weighting in ("population", "equal")]),
 )
 
 

@@ -31,8 +31,8 @@ from .errors import (
     SchemaError,
     UtilityExplosion,
 )
-from .scenario import (Scenario, _number, _read_json, check_step, load_scenario, validate,
-                       with_params)
+from .scenario import (MAX_GRID_NODES, Scenario, _number, _read_json, check_step,
+                       load_scenario, validate, with_params)
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -93,8 +93,7 @@ def mortality_scale(s: Scenario, delta: float) -> Scenario:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_validate(s: Scenario, args) -> int:
     dc = validate(s)
     doc = asdict(dc)
     doc["dependency_ratio"] = 1.0 / dc.Lambda
@@ -115,14 +114,12 @@ def _critical_ages_doc(s: Scenario) -> dict:
     }
 
 
-def _cmd_critical_ages(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_critical_ages(s: Scenario, args) -> int:
     _emit_json(_critical_ages_doc(s), args.out)
     return 0
 
 
-def _cmd_classify(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_classify(s: Scenario, args) -> int:
     report = preference.preference_map(s, step=args.step)
     _write_csv(args.out, ["zeta", "M1t", "M2t", "M1mM2", "ordering"], report.orderings)
     if args.out is not None:
@@ -130,8 +127,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_optimize(s: Scenario, args) -> int:
     if args.voluntary:
         mix = government.optimize_voluntary(s, mode=args.weighting, step=args.step)
     else:
@@ -140,8 +136,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_paths(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_paths(s: Scenario, args) -> int:
     if not s.demo.a <= args.zeta <= s.demo.omega:
         raise DomainError(f"--zeta must lie in [{s.demo.a}, {s.demo.omega}]")
     z = s.demo.a + s.policy.t0 - args.zeta
@@ -151,8 +146,7 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_verify(s: Scenario, args) -> int:
     t0 = s.policy.t0
     cohorts = [t0, t0 - 10.0, t0 - 30.0]
     rep = montecarlo.verify_value_function(
@@ -173,8 +167,7 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _cmd_babyboom(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_babyboom(s: Scenario, args) -> int:
     if s.demo.babyboom is None:
         raise SchemaError("scenario has no demography.babyboom block")
     bb = s.demo.babyboom
@@ -194,15 +187,13 @@ def _cmd_babyboom(args) -> int:
 
 
 def _sweep_value(s: Scenario, target: str, step: float):
-    if target == "zeta_hat":
-        age = preference.critical_age_paygo_savings(s)
+    ages = {"zeta_hat": (preference.critical_age_paygo_savings, "savings"),
+            "zeta_tilde": (preference.critical_age_paygo_eet, "EET")}
+    if target in ages:
+        critical_age, rival = ages[target]
+        age = critical_age(s)
         if age is None:
-            return math.nan, "no critical age: all ages prefer PAYGO to savings"
-        return age, ""
-    if target == "zeta_tilde":
-        age = preference.critical_age_paygo_eet(s)
-        if age is None:
-            return math.nan, "no critical age: all ages prefer PAYGO to EET"
+            return math.nan, f"no critical age: all ages prefer PAYGO to {rival}"
         return age, ""
     mode = "equal" if target.endswith("_equal") else "population"
     mix = government.optimize_mix(s, mode=mode, step=step)
@@ -215,8 +206,7 @@ def _apply_param(s: Scenario, path: str, value: float) -> Scenario:
     return with_params(s, **{path: value})
 
 
-def _cmd_sweep(args) -> int:
-    s = load_scenario(args.scenario)
+def _cmd_sweep(s: Scenario, args) -> int:
     first, tail_start = government._z_span(s)
     check_step(args.step, tail_start - first, "z-grid step")
     spec = _read_json(args.spec)
@@ -240,9 +230,12 @@ def _cmd_sweep(args) -> int:
         steps = p["steps"]
         if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
             raise SchemaError(f"sweep {key}.steps must be an integer >= 2 (got {steps!r})")
-        axes.append((p["path"], np.linspace(_number(p["lo"], f"sweep {key}.lo"),
-                                            _number(p["hi"], f"sweep {key}.hi"), steps)))
-    (path1, vals1), (path2, vals2) = axes
+        axes.append((p["path"], _number(p["lo"], f"sweep {key}.lo"),
+                     _number(p["hi"], f"sweep {key}.hi"), steps))
+    (path1, lo1, hi1, n1), (path2, lo2, hi2, n2) = axes
+    if n1 * n2 > MAX_GRID_NODES:   # checked before any cell is solved
+        raise SchemaError(f"sweep grid of {n1} x {n2} cells exceeds {MAX_GRID_NODES} cells")
+    vals1, vals2 = np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
     target = spec["target"]
     # a bad path is one schema error up front, not a nan in every cell
     _apply_param(_apply_param(s, path1, 1.0), path2, 1.0)
@@ -312,7 +305,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+        s = load_scenario(args.scenario)
+        return globals()["_cmd_" + args.command.replace("-", "_")](s, args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

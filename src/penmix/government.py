@@ -18,7 +18,7 @@ import numpy as np
 
 from . import demography, lifecycle, preference
 from .errors import DomainError, EmptyRegion, InsolventCohort, UtilityExplosion
-from .scenario import Scenario, check_step, validate
+from .scenario import Scenario, check_rates, check_step, validate
 
 #: default composite-Simpson step (years) on the entry-time grid
 Z_STEP = 0.05
@@ -228,13 +228,6 @@ def _grid(s: Scenario, step: float) -> CohortGrid:
     return CohortGrid(z=zs, m=p.m, rows=rows, live=live, power=power, weights=weights)
 
 
-def _welfare(g: CohortGrid, G: np.ndarray, mode: str) -> float:
-    """sum w G^power over the resources G of the live rows, in table order.
-    The caller has tested G > 0: `_phi` returns -inf and `objective`
-    raises otherwise."""
-    return float((g.weights[mode] * G ** g.power).sum())
-
-
 def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarray,
             cut: int = 0, bind: Optional[np.ndarray] = None):
     """x -> sum w G^power with G = base + slope x, -inf when a G <= 0: bit
@@ -242,7 +235,7 @@ def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarra
 
     The rows before `cut` have slope 0: their terms go into a buffer once,
     and each call rewrites the rest of it in place and sums the whole buffer
-    in table order, the sum `_welfare` takes.  A tail row of slope 0 keeps
+    in table order, the sum `_phi` takes.  A tail row of slope 0 keeps
     its base bits, since slope x = 0.
 
     The head is tested for G <= 0 once.  Each call tests the whole tail, or
@@ -279,13 +272,14 @@ def _scorer(base: np.ndarray, slope: np.ndarray, w: np.ndarray, power: np.ndarra
 
 
 def _phi(g: CohortGrid, theta: float, k, mode: str) -> float:
-    """phi(theta, k) from the grid's cached live-row `columns`, -inf when a
-    live row's resource G <= 0; k is one rate or one per live row."""
+    """phi(theta, k) = sum w G^power over the live rows' resources G, in
+    table order, from the grid's cached live-row `columns`; -inf when a
+    G <= 0.  k is one rate or one per live row."""
     c0, c1, c2 = g.columns[0]
     G = c0 + c1 * theta + c2 * k
     if (G <= 0.0).any():
         return -math.inf
-    return _welfare(g, G, mode)
+    return float((g.weights[mode] * G ** g.power).sum())
 
 
 def _check_mode(mode: str) -> None:
@@ -295,25 +289,24 @@ def _check_mode(mode: str) -> None:
 
 def objective(theta: float, k: float, s: Scenario, mode: str = "population",
               step: float = Z_STEP) -> float:
-    """Aggregate welfare phi(theta, k) under the given cohort weighting."""
+    """Aggregate welfare phi(theta, k) under the given cohort weighting;
+    InsolventCohort outside the rate box or naming the first live row whose
+    resource G <= 0."""
     _check_mode(mode)
     validate(s)
-    m = s.policy.m
-    if not (theta >= -1e-12 and k >= -1e-12 and theta + k <= m + 1e-12):   # NaN fails
-        raise InsolventCohort(
-            f"(theta, k) = ({theta}, {k}) lies outside the rate box "
-            f"theta, k >= 0, theta + k <= {m}")
+    check_rates(theta, k, s.policy.m, InsolventCohort)
     g = _grid(s, step)
-    c0, c1, c2 = g.columns[0]
-    G = c0 + c1 * theta + c2 * k
-    bad = np.flatnonzero(G <= 0.0)
-    if bad.size:
-        row = np.flatnonzero(g.live)[bad[0]]
-        who = (f"cohort z = {g.z[row]:.3f} has" if row < g.z.size
-               else "future entrants have")
-        raise InsolventCohort(
-            f"{who} nonpositive resource G at (theta, k) = ({theta}, {k})")
-    return _welfare(g, G, mode)
+    val = _phi(g, theta, k, mode)
+    if val == -math.inf:
+        c0, c1, c2 = g.columns[0]
+        bad = np.flatnonzero(c0 + c1 * theta + c2 * k <= 0.0)
+        if bad.size:   # else every G > 0 and the sum itself is -inf
+            row = np.flatnonzero(g.live)[bad[0]]
+            who = (f"cohort z = {g.z[row]:.3f} has" if row < g.z.size
+                   else "future entrants have")
+            raise InsolventCohort(
+                f"{who} nonpositive resource G at (theta, k) = ({theta}, {k})")
+    return val
 
 
 def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
@@ -322,13 +315,15 @@ def objective_per_cohort(theta: float, k_of_z: Callable[[float], float],
     """Welfare when each cohort z runs its own EET rate k_of_z(z).
 
     future_k is the rate applied to every future entrant (defaults to
-    k_of_z(t0)).
+    k_of_z(t0)); theta with every rate must lie in the rate box.
     """
     _check_mode(mode)
     g = _grid(s, step)
     kf = k_of_z(s.policy.t0) if future_k is None else future_k
     ks = np.array([k_of_z(float(z)) for z in g.z]
                   + [kf] * (len(g.rows) - g.z.size))
+    for k in (ks.min(), ks.max()):   # a NaN rate is both
+        check_rates(theta, k, s.policy.m, InsolventCohort)
     val = _phi(g, theta, ks[g.live], mode)
     if not math.isfinite(val):
         raise InsolventCohort(

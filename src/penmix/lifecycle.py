@@ -18,7 +18,7 @@ import numpy as np
 from . import demography
 from .demography import _gauss_legendre, _panels
 from .errors import DomainError, InsolventCohort, UtilityExplosion
-from .scenario import Scenario, check_step, delta_for_entry, validate
+from .scenario import Scenario, check_rates, check_step, delta_for_entry, validate
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,12 @@ def _life_end(z: float, s: Scenario) -> float:
     return z + s.demo.omega - s.demo.a
 
 
+def _check_alive(t: float, z: float, s: Scenario) -> None:
+    """DomainError unless t lies in the life window of cohort z, 1e-12 slack."""
+    if not z - 1e-12 <= t <= _life_end(z, s) + 1e-12:
+        raise DomainError(f"t = {t} outside [z, z + omega - a] for z = {z}")
+
+
 def _discount(u, s: Scenario):
     """Utility discount b at life-time u = t - z (elementwise): interest
     discount, survival, and the retirement weight from u = tau - a onward
@@ -59,10 +65,8 @@ def _discount(u, s: Scenario):
 
 def discount_weight(u: float, z: float, s: Scenario) -> float:
     """Utility discount b(u; z) at calendar time u for the cohort entering at z."""
-    age_time = u - z
-    if not -1e-12 <= age_time <= s.demo.omega - s.demo.a + 1e-12:
-        raise DomainError(f"u = {u} outside the life window of cohort z = {z}")
-    return float(_discount(age_time, s))
+    _check_alive(u, z, s)
+    return float(_discount(u - z, s))
 
 
 # --------------------------------------------------------------------------
@@ -120,8 +124,7 @@ def _L_of_age(u0: float, delta: float, s: Scenario) -> float:
 
 def coeff_L(t: float, z: float, delta: float, s: Scenario) -> float:
     """Utility-scale coefficient L(t; z) for a cohort with CRRA exponent delta."""
-    if not z - 1e-12 <= t <= _life_end(z, s) + 1e-12:
-        raise DomainError(f"t = {t} outside [z, z + omega - a] for z = {z}")
+    _check_alive(t, z, s)
     return _L_of_age(min(max(t - z, 0.0), s.demo.omega - s.demo.a), delta, s)
 
 
@@ -133,6 +136,15 @@ def entry_L(delta: float, s: Scenario) -> float:
 # --------------------------------------------------------------------------
 # M1, M2, M3, N
 # --------------------------------------------------------------------------
+
+def _m2(q, eq, s: Scenario, eps: float, epst: float, a_tau: float):
+    """(M2, ann) at the times to retirement q >= 0 (0 once retired), with
+    eq = e^(eps q): the EET-rate multiplier and its annuity term."""
+    p, r = s.policy, s.market.r
+    ann = (1 - p.tau2) / (r * a_tau) * (1 - math.exp(-r * (s.demo.omega - s.demo.tau)))
+    return np.where(q <= 0, 0.0, ann / (eps - epst) * (eq - np.exp(epst * q))
+                    - (1 - p.tau1) / eps * (eq - 1.0)), ann
+
 
 def _coef_kernel(q, life, s: Scenario, eps: float, epst: float, Lam: float,
                  a_tau: float):
@@ -155,10 +167,7 @@ def _coef_kernel(q, life, s: Scenario, eps: float, epst: float, Lam: float,
         (Lam / eps) * (np.exp(eps * life) - 1.0),
         (1.0 / eps) * ((1 - p.tau1)
                        + (Lam * math.exp(eps * (d.omega - d.tau)) - Lam - (1 - p.tau1)) * eq))
-    ann = (1 - p.tau2) / (r * a_tau) * (1 - math.exp(-r * (d.omega - d.tau)))
-    M2 = np.where(ret, 0.0,
-                  ann / (eps - epst) * (eq - np.exp(epst * qp))
-                  - (1 - p.tau1) / eps * (eq - 1.0))
+    M2, ann = _m2(qp, eq, s, eps, epst, a_tau)
     M3 = np.where(ret, 0.0, (1 - p.tau1) / eps * (eq - 1.0))
     N = np.where(ret,
                  (1 - p.tau2) / (r * a_tau) * (1.0 - np.exp(-r * life)),
@@ -198,8 +207,7 @@ def _bb_m1(t, z, s: Scenario, eps: float):
 
 def coefficients(t: float, z: float, s: Scenario) -> CohortCoefficients:
     """Salary and EET-balance multipliers (M1, M2, M3, N) at time t."""
-    if not z - 1e-12 <= t <= _life_end(z, s) + 1e-12:
-        raise DomainError(f"t = {t} outside [z, z + omega - a] for z = {z}")
+    _check_alive(t, z, s)
     M1, M2, M3, N = (float(v) for v in _coef_arrays(t, z, s))
     return CohortCoefficients(t=t, z=z, M1=M1, M2=M2, M3=M3, N=N)
 
@@ -221,16 +229,23 @@ def annuity_income(y_at_retirement: float, s: Scenario) -> float:
     return y_at_retirement * (1 - s.policy.tau2) / dc.a_tau
 
 
+def _resource(t, x, w, y, z, theta, k, s: Scenario):
+    """(coefficients, G) at t for cohort z in state (x, w, y) under rates
+    (theta, k) of the rate box; InsolventCohort unless G > 0."""
+    check_rates(theta, k, s.policy.m, DomainError)
+    c = coefficients(t, z, s)
+    G = total_resource(x, w, y, c, theta, k)
+    if G <= 0:
+        raise InsolventCohort(f"total resource G = {G} <= 0 at t = {t} for cohort z = {z}")
+    return (c.M1, c.M2, c.M3, c.N), G
+
+
 def value_function(t: float, x: float, w: float, y: float, z: float,
                    theta: float, k: float, s: Scenario, delta: float) -> float:
     """Maximal expected remaining lifetime utility from state (x, w, y) at t."""
     if w <= 0:
         raise DomainError(f"average salary must be positive (got {w})")
-    coefs = coefficients(t, z, s)
-    G = total_resource(x, w, y, coefs, theta, k)
-    if G <= 0:
-        raise InsolventCohort(
-            f"total resource G = {G} <= 0 at t = {t} for cohort z = {z}")
+    _, G = _resource(t, x, w, y, z, theta, k, s)
     return (1.0 / delta) * coeff_L(t, z, delta, s) * G**delta
 
 
@@ -253,16 +268,11 @@ def _controls(t, z, x, w, y, theta, k, coefs, L, delta: float, s: Scenario):
 def optimal_controls(t: float, x: float, w: float, y: float, z: float,
                      theta: float, k: float, s: Scenario, delta: float):
     """Optimal risky allocation and consumption rate (pi_star, C_star) at t."""
-    coefs = coefficients(t, z, s)
-    G = total_resource(x, w, y, coefs, theta, k)
-    if G <= 0:
-        raise InsolventCohort(
-            f"total resource G = {G} <= 0 at t = {t} for cohort z = {z}")
+    coefs, _ = _resource(t, x, w, y, z, theta, k, s)
     L = coeff_L(t, z, delta, s)
     if L <= 0:
         raise DomainError("controls undefined at the terminal age (L = 0)")
-    pi, C = _controls(t, z, x, w, y, theta, k,
-                      (coefs.M1, coefs.M2, coefs.M3, coefs.N), L, delta, s)
+    pi, C = _controls(t, z, x, w, y, theta, k, coefs, L, delta, s)
     return float(pi), float(C)
 
 
@@ -295,8 +305,9 @@ def _eet_balance(t, z, k, s: Scenario, k_initial=None):
 
 
 def expected_eet_balance(t: float, z: float, s: Scenario, k: float) -> float:
-    """E[Y(t)] for a cohort entering at z that contributes at rate k since
-    entry; the balance freezes at retirement."""
+    """E[Y(t)] for a cohort entering at z that contributes at rate k in
+    [0, m] since entry; the balance freezes at retirement."""
+    check_rates(0.0, k, s.policy.m, DomainError)
     return float(_eet_balance(t, z, k, s))
 
 
@@ -347,8 +358,7 @@ def estimate_initial_states(z: float, s: Scenario,
     """
     d, p = s.demo, s.policy
     t0 = p.t0
-    if not t0 - (d.omega - d.a) - 1e-9 <= z <= t0 + 1e-9:
-        raise DomainError(f"cohort z = {z} is not alive-and-entered at t0 = {t0}")
+    _check_alive(t0, z, s)
     if delta is None:
         delta = delta_for_entry(z, s)
     x0, y0 = _expected_states(t0, z, delta, p.theta0, p.k0, _coef_arrays(t0, z, s),
@@ -360,13 +370,14 @@ def estimate_initial_states(z: float, s: Scenario,
 def expected_wealth(t: float, z: float, s: Scenario, theta: float, k: float,
                     switch_at_t0: bool = True) -> float:
     """E[X*(t)] at t in [z, z + omega - a] for the cohort entering at z under
-    rates (theta, k).
+    rates (theta, k) of the rate box.
 
     With switch_at_t0 (and z <= t0) the cohort ran (theta0, k0) until t0 and
     (theta, k) afterwards, starting from the estimated (x0, y0); otherwise the
     rates (theta, k) apply for the whole life.
     """
     p = s.policy
+    check_rates(theta, k, p.m, DomainError)
     delta = delta_for_entry(z, s)
     L = coeff_L(t, z, delta, s)
     switch = None
@@ -385,15 +396,10 @@ def expected_paths(z: float, s: Scenario, theta_star: float, k_star: float,
     linearity in (X, W, Y) to the expected states; at the terminal instant
     they are evaluated just inside the boundary.  A cohort entered by t0
     switches from (theta0, k0) to the given rates at the first node.  The
-    rates must lie in the box theta, k >= 0, theta + k <= m, with the 1e-12
-    slack of `government.objective`.
+    rates must lie in the rate box (`scenario.check_rates`).
     """
     p, mk = s.policy, s.market
-    if not (theta_star >= -1e-12 and k_star >= -1e-12
-            and theta_star + k_star <= p.m + 1e-12):   # NaN fails
-        raise DomainError(
-            f"(theta, k) = ({theta_star}, {k_star}) lies outside the rate box "
-            f"theta, k >= 0, theta + k <= {p.m}")
+    check_rates(theta_star, k_star, p.m, DomainError)
     delta = delta_for_entry(z, s)
     start = max(z, p.t0)
     T = _life_end(z, s)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import demography, lifecycle
 from .errors import ConfigError, DomainError
-from .scenario import Scenario, check_step, delta_for_entry, validate
+from .scenario import (MAX_GRID_NODES, Scenario, check_rates, check_step, delta_for_entry,
+                       validate)
 
 #: pairs (or single paths) simulated per reproducible stream block
 BLOCK = 1024
@@ -161,6 +162,9 @@ def _validate_config(cfg: SimulationConfig, s: Scenario) -> None:
         raise ConfigError(f"seed must be non-negative (got {cfg.seed})")
     if cfg.n_paths < 2:
         raise ConfigError(f"n_paths must be at least 2 (got {cfg.n_paths})")
+    if cfg.n_paths > MAX_GRID_NODES:
+        raise ConfigError(f"n_paths must be at most {MAX_GRID_NODES} (got {cfg.n_paths})")
+    check_rates(cfg.theta, cfg.k, s.policy.m, ConfigError)
     if cfg.antithetic and cfg.n_paths % 2:
         raise ConfigError("antithetic mode needs an even n_paths")
     steps_to_ret = (s.demo.tau - s.demo.a) / cfg.dt

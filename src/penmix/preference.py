@@ -16,7 +16,7 @@ import numpy as np
 
 from .demography import support_ratio_fn
 from .errors import DomainError
-from .lifecycle import _bb_m1, _coef_kernel
+from .lifecycle import _bb_m1, _coef_kernel, _m2
 from .scenario import Scenario, check_step, validate
 
 #: half-width of the indifference band: coefficient magnitudes below this are
@@ -47,27 +47,18 @@ def tilde_coefficients(zeta: float, s: Scenario):
 def _tilde_arrays(zeta, s: Scenario):
     """(Mt1, Mt2, Mt1 - Mt2) at the ages zeta (any shape): the cohort's M1
     and M2 at t0.  Under a baby boom M1 is the Lambda(t) table's benefit leg
-    less the contribution leg, and M2 the closed form alone, in
-    `_coef_kernel`'s operations."""
+    less the contribution leg, and M2 `_coef_kernel`'s closed form alone."""
     d, p = s.demo, s.policy
     dc = validate(s)
     zeta = np.asarray(zeta, dtype=float)
+    eps, q = dc.epsilon, np.maximum(d.tau - zeta, 0.0)
     if d.babyboom is None:
-        mt1, mt2, _, _ = _coef_kernel(np.maximum(d.tau - zeta, 0.0), d.omega - zeta, s,
-                                      dc.epsilon, dc.epsilon_tilde, dc.Lambda, dc.a_tau)
-        return mt1, mt2, mt1 - mt2
-    eps, epst, q = dc.epsilon, dc.epsilon_tilde, np.maximum(d.tau - zeta, 0.0)
-    eq = np.exp(eps * q)
-    mt2 = np.where(q <= 0, 0.0, _annuity(s, dc.a_tau) / (eps - epst) * (eq - np.exp(epst * q))
-                   - (1 - p.tau1) / eps * (eq - 1.0))
-    mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, eps)
+        mt1, mt2, _, _ = _coef_kernel(q, d.omega - zeta, s, eps, dc.epsilon_tilde,
+                                      dc.Lambda, dc.a_tau)
+    else:
+        mt2, _ = _m2(q, np.exp(eps * q), s, eps, dc.epsilon_tilde, dc.a_tau)
+        mt1 = _bb_m1(p.t0, d.a + p.t0 - zeta, s, eps)
     return mt1, mt2, mt1 - mt2
-
-
-def _annuity(s: Scenario, a_tau: float) -> float:
-    """M2's annuity term `ann` of `_coef_kernel`, in its operations."""
-    r = s.market.r
-    return (1 - s.policy.tau2) / (r * a_tau) * (1 - math.exp(-r * (s.demo.omega - s.demo.tau)))
 
 
 def _tilde_slopes(zeta, s: Scenario):
@@ -90,7 +81,7 @@ def _tilde_slopes(zeta, s: Scenario):
         fn = support_ratio_fn(d)
         lam_end, lam_ret = fn(p.t0 + d.omega - zeta), fn(p.t0 + q)
     dm1 = -lam_end * np.exp(eps * (d.omega - zeta)) + (lam_ret + 1 - p.tau1) * eq
-    ann = _annuity(s, dc.a_tau)
+    _, ann = _m2(q, eq, s, eps, epst, dc.a_tau)
     dm2 = (1 - p.tau1) * eq - ann / (eps - epst) * (eps * eq - epst * np.exp(epst * q))
     return dm1, dm2, dm1 - dm2
 

@@ -298,6 +298,14 @@ def check_step(step: float, span: float, what: str) -> None:
                           f"over {span:g} years (got {step})")
 
 
+def check_rates(theta: float, k: float, m: float, error: type) -> None:
+    """`error` unless (theta, k) lies in the rate box theta, k >= 0,
+    theta + k <= m, with 1e-12 slack; NaN fails."""
+    if not (theta >= -1e-12 and k >= -1e-12 and theta + k <= m + 1e-12):
+        raise error(f"(theta, k) = ({theta}, {k}) lies outside the rate box "
+                    f"theta, k >= 0, theta + k <= {m}")
+
+
 def _record_from_dict(cls, doc, where: str):
     """The record of class cls from its JSON object: a field without a
     default is required, a nested block is optional (null is absent)."""

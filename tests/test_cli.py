@@ -476,6 +476,16 @@ def test_verify_bad_arguments(capsys, scenario_dir, arg):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_paths_over_the_node_bound_is_a_usage_error(capsys, scenario_dir):
+    # refused before any path is allocated (it was a MemoryError, exit 5)
+    for paths in ("20000000000000", "2000000"):
+        code, out, err = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),
+                             "--paths", paths, "--dt", "0.25")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n_paths must be at most 1000000 (got {paths})\n"
+
+
 def test_verify_probes_on_entry_node(capsys, scenario_dir):
     # at dt = 35 the probes and t0 of the older cohorts map to the entry node
     code, out, err = run(capsys, "verify", str(scenario_dir / "scenario_us.json"),
@@ -616,7 +626,7 @@ def test_sweep_babyboom_block_parameter(capsys, scenario_dir, tmp_path):
 def test_internal_error_exit_code(capsys, scenario_dir, monkeypatch):
     import penmix.cli
 
-    def broken(args):
+    def broken(s, args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(penmix.cli, "_cmd_validate", broken)
@@ -718,3 +728,27 @@ def test_sweep_zeta_tilde_rows_and_reasons(capsys, scenario_dir, tmp_path, us):
         assert row[2:] == [f"{want:.17g}", ""]
     for row in cells[2:]:
         assert row[2:] == ["nan", "no critical age: all ages prefer PAYGO to EET"]
+
+
+@pytest.mark.parametrize("steps1, steps2", [(10**13, 2), (2000, 2000), (1001, 1000)])
+def test_sweep_grid_over_the_node_bound_is_a_schema_error(capsys, scenario_dir, tmp_path,
+                                                          monkeypatch, steps1, steps2):
+    # steps1 x steps2 > MAX_GRID_NODES cells is refused before any cell is
+    # solved (10**13 steps was a MemoryError, exit 5)
+    import penmix.cli
+
+    def solved(*args):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(penmix.cli, "_sweep_value", solved)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "param1": {"path": "demo.rho", "lo": -0.01, "hi": 0.0, "steps": steps1},
+        "param2": {"path": "market.gamma", "lo": 0.02, "hi": 0.03, "steps": steps2},
+        "target": "theta_star"}))
+    code, out, err = run(capsys, "sweep", str(scenario_dir / "scenario_us.json"),
+                         "--spec", str(spec))
+    assert code == 4
+    assert out == ""
+    assert err == (f"error: sweep grid of {steps1} x {steps2} cells exceeds "
+                   "1000000 cells\n")

@@ -32,6 +32,7 @@ from _oracles import (
     voluntary_welfare_from_value_function,
     welfare_from_value_function,
 )
+from test_scenario import OUTSIDE_RATE_BOX
 
 STEP = 0.05
 
@@ -1107,3 +1108,23 @@ def test_objective_per_cohort_insolvent_rates(cn):
         government.objective_per_cohort(theta, lambda z: 0.0, cn, step=STEP)
     assert math.isfinite(government.objective_per_cohort(theta + 2e-3, lambda z: 0.0, cn,
                                                          step=STEP))
+
+
+@pytest.mark.parametrize("theta, k", OUTSIDE_RATE_BOX)
+def test_objective_per_cohort_refuses_rates_outside_the_box(us, theta, k):
+    # the rate box of `objective`, over theta and every cohort's rate
+    with pytest.raises(InsolventCohort, match="outside the rate box"):
+        government.objective(theta, k, us, step=STEP)
+    with pytest.raises(InsolventCohort, match="outside the rate box"):
+        government.objective_per_cohort(theta, lambda z: k, us, step=STEP)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -0.01, 0.2])
+def test_objective_per_cohort_checks_each_cohort_and_future_rate(us, k):
+    # one bad rate among good ones: the oldest cohort's, or the future
+    # entrants' alone; theta = 0.1 puts k = 0.2 over the cap m = 0.25
+    oldest = float(government._grid(us, STEP).z[0])
+    for k_of_z, future_k in ((lambda z: k if z == oldest else 0.1, 0.1),
+                             (lambda z: 0.1, k)):
+        with pytest.raises(InsolventCohort, match="outside the rate box"):
+            government.objective_per_cohort(0.1, k_of_z, us, step=STEP, future_k=future_k)

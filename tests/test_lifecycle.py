@@ -10,6 +10,7 @@ from penmix import DomainError, InsolventCohort, lifecycle, validate, with_param
 
 from _oracles import (expected_path_row, hjb_residual, quad_bb_m1, quad_L,
                       random_interior_states)
+from test_scenario import OUTSIDE_RATE_BOX
 
 # 50-digit evaluation of e^{-r*40} * s(70) * lambda at the US parameters
 B_WEIGHT_US_40 = 0.6204629894631967
@@ -396,3 +397,44 @@ def test_salary_accum_at_gamma_equal_alpha_is_the_limit(us):
         g = s.market.gamma - s.market.alpha
         slope = (lifecycle._salary_accum(lo, hi, s) - at) / g
         np.testing.assert_allclose(slope, (hi**2 - lo**2) / 2, rtol=1e-3)
+
+
+@pytest.mark.parametrize("theta, k", OUTSIDE_RATE_BOX)
+def test_rates_outside_the_box_are_refused(us, theta, k):
+    # the value function, the controls and the expected wealth take the
+    # rate box of the expected paths, not a number or a NaN off it
+    calls = (lambda: lifecycle.value_function(10.0, 0.5, 1.0, 0.0, 0.0, theta, k, us, -2.9),
+             lambda: lifecycle.optimal_controls(10.0, 0.5, 1.0, 0.0, 0.0, theta, k, us, -2.9),
+             lambda: lifecycle.expected_wealth(10.0, 0.0, us, theta, k),
+             lambda: lifecycle.expected_paths(0.0, us, theta, k, grid=1.0))
+    for call in calls:
+        with pytest.raises(DomainError, match="outside the rate box"):
+            call()
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -0.01, 0.3])
+def test_eet_balance_refuses_a_rate_outside_the_box(us, k):
+    with pytest.raises(DomainError, match="outside the rate box"):
+        lifecycle.expected_eet_balance(10.0, 0.0, us, k)
+
+
+def test_life_window_is_one_rule(us):
+    # every scalar entry point accepts the ends of the window [z, z + omega - a]
+    # and refuses a time 1e-10 past either end (the slack is 1e-12)
+    t0, life = us.policy.t0, us.demo.omega - us.demo.a
+    z = t0 - 10.0
+    calls = (lambda t: lifecycle.coefficients(t, z, us),
+             lambda t: lifecycle.coeff_L(t, z, -2.9, us),
+             lambda t: lifecycle.discount_weight(t, z, us))
+    for call in calls:
+        for t in (z, z + life):
+            call(t)
+        for t in (z - 1e-10, z + life + 1e-10):
+            with pytest.raises(DomainError, match="outside \\[z, z \\+ omega - a\\]"):
+                call(t)
+    # the initial states are taken at t0, so it is the entry time that moves
+    for zz in (t0, t0 - life):
+        lifecycle.estimate_initial_states(zz, us)
+    for zz in (t0 + 1e-10, t0 - life - 1e-10):
+        with pytest.raises(DomainError, match="outside \\[z, z \\+ omega - a\\]"):
+            lifecycle.estimate_initial_states(zz, us)

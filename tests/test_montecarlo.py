@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,10 +7,11 @@ import pytest
 
 from penmix import ConfigError, demography, lifecycle, montecarlo, validate
 from penmix.montecarlo import SimulationConfig
-from penmix.scenario import with_params
+from penmix.scenario import MAX_GRID_NODES, with_params
 
 from _oracles import (simulate_block_both_phases, simulate_cohort_per_block,
                       whole_span_time_grid)
+from test_scenario import OUTSIDE_RATE_BOX
 
 FAST = dict(n_paths=2000, dt=0.05, seed=99)
 
@@ -299,3 +301,20 @@ def test_memory_does_not_grow_with_steps(us, n_paths):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("theta, k", OUTSIDE_RATE_BOX)
+def test_config_refuses_rates_outside_the_box(us, theta, k):
+    with pytest.raises(ConfigError, match="outside the rate box"):
+        montecarlo.simulate_cohort(SimulationConfig(z=0.0, theta=theta, k=k, **FAST), us)
+
+
+def test_config_bounds_the_path_count(us):
+    # the node bound of every grid, checked before any path is allocated
+    ok = SimulationConfig(z=0.0, theta=0.08, k=0.12, n_paths=MAX_GRID_NODES, dt=0.05)
+    montecarlo._validate_config(ok, us)
+    for n in (MAX_GRID_NODES + 2, 20_000_000_000_000):
+        with pytest.raises(ConfigError, match=f"n_paths must be at most {MAX_GRID_NODES}"):
+            montecarlo._validate_config(dataclasses.replace(ok, n_paths=n), us)
+    with pytest.raises(ConfigError, match="n_paths must be at most"):
+        montecarlo.simulate_cohort(dataclasses.replace(ok, n_paths=20_000_000_000_000), us)

@@ -507,3 +507,24 @@ def test_samuelson_aaron_limit(name, request):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
         assert abs(0.5 * (lo + hi) + eps) <= 1e-10
+
+
+def test_case_2_witness_is_the_paygo_only_corner(us):
+    # US with tau2 = 0.8: Lambda_EP < Lambda < Lambda_FP, so zeta_hat exists
+    # and zeta_tilde does not; Mt2(a) < 0, so every age prefers savings to
+    # EET, and the optimum is the corner theta = m, k = 0 under both
+    # weightings.  tau1 <= tau2 is legal and warned about.
+    from penmix.scenario import _validate_cached
+
+    _validate_cached.cache_clear()   # the warning comes with a fresh validate
+    with pytest.warns(UserWarning, match="tau1"):
+        s = with_params(us, **{"policy.tau2": 0.8})
+        report = preference.preference_map(s, step=5.0)
+        mixes = [government.optimize_mix(s, mode) for mode in government.WEIGHTINGS]
+    assert report.lambda_ep < validate(s).Lambda < report.lambda_fp
+    assert report.zeta_hat is not None and report.zeta_tilde is None
+    assert dict(report.diagnostics) == {"zeta_hat_crossings": 1, "zeta_tilde_crossings": 0}
+    assert report.eet_flag == "all_prefer_savings"
+    assert report.case_label == "case_2"
+    for mix in mixes:
+        assert (mix.theta_star, mix.k_star) == (s.policy.m, 0.0) and mix.cap_binding

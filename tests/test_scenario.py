@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import re
 from dataclasses import MISSING, asdict, fields, replace
@@ -10,6 +11,8 @@ import pytest
 
 from penmix import (
     DegenerateDrift,
+    DomainError,
+    InsolventCohort,
     OrderingViolation,
     ParseError,
     SchemaError,
@@ -23,7 +26,12 @@ from penmix import (
     validate,
     with_params,
 )
-from penmix.scenario import _JSON_NAMES, _RECORDS, Scenario, _validate_cached
+from penmix.scenario import _JSON_NAMES, _RECORDS, Scenario, _validate_cached, check_rates
+
+#: (theta, k) outside the rate box theta, k >= 0, theta + k <= m of the US
+#: fixture (m = 0.25): NaN, infinite, negative, over the cap
+OUTSIDE_RATE_BOX = [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0), (0.0, math.inf),
+                    (-0.01, 0.1), (0.1, -0.01), (0.2, 0.1)]
 
 
 def test_us_fixture_fields(us):
@@ -441,3 +449,20 @@ def test_validate_rejects_epsilon_tilde_equal_to_epsilon(us):
     s = with_params(us, **{"market.gamma": mk.alpha + (mk.xi - mk.beta) * nu})
     with pytest.raises(DegenerateDrift, match="coincides with epsilon"):
         validate(s)
+
+
+@pytest.mark.parametrize("theta, k", OUTSIDE_RATE_BOX)
+@pytest.mark.parametrize("error", [DomainError, InsolventCohort])
+def test_check_rates_refuses_points_outside_the_box(theta, k, error):
+    with pytest.raises(error, match=re.escape(
+            f"({theta}, {k}) lies outside the rate box theta, k >= 0, theta + k <= 0.25")):
+        check_rates(theta, k, 0.25, error)
+
+
+def test_check_rates_has_1e_12_slack():
+    for theta, k in [(0.0, 0.0), (0.25, 0.0), (0.0, 0.25), (-5e-13, 0.25 + 5e-13),
+                     (0.25 + 5e-13, -5e-13)]:
+        check_rates(theta, k, 0.25, DomainError)
+    for theta, k in [(-2e-12, 0.1), (0.1, -2e-12), (0.25, 2e-12)]:
+        with pytest.raises(DomainError):
+            check_rates(theta, k, 0.25, DomainError)
